@@ -1,9 +1,9 @@
 """Setuptools shim.
 
-The canonical metadata lives in pyproject.toml; this file exists so the
-package installs in environments whose setuptools predates full PEP 660
-editable-wheel support (``python setup.py develop`` / offline CI images
-without the ``wheel`` package).
+This file is the package's only metadata (there is no pyproject.toml), kept
+as a plain ``setup()`` call so the package also installs in environments
+whose setuptools predates PEP 660 editable wheels (``python setup.py
+develop`` / offline CI images without the ``wheel`` package).
 """
 
 from setuptools import find_packages, setup

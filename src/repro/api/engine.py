@@ -34,6 +34,7 @@ import copy
 import math
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -47,23 +48,24 @@ from repro.fl.executor import (
     TaskResult,
     TaskRuntime,
     WorkerContext,
+    WorkerSpec,
+    build_clients,
     build_round_context,
     make_optimizer,
+    make_worker_context,
+    registry_model_fn,
 )
 from repro.fl.faults import TaskFailure
 from repro.fl.history import History
 from repro.fl.params import default_pool, reset_default_pool
 from repro.fl.population import ClientDirectory, FlatStateArena, PopulationSampler
-from repro.fl.process_executor import ProcessWorkerSpec
 from repro.fl.sampling import UniformSampler
 from repro.fl.server import Server
 from repro.fl.types import ClientUpdate, FLConfig, RoundRecord
-from repro.models import build_model, profile_model
+from repro.models import profile_model
 from repro.models.fedmodel import FedModel
 from repro.obs import NULL_RECORDER, payload_nbytes
-from repro.nn.losses import CrossEntropyLoss
 from repro.utils.logging import get_logger
-from repro.utils.rng import RngStream
 
 from repro.api.callbacks import Callback, EarlyStopping, ProgressLogger
 from repro.api.registry import build_executor, build_mode
@@ -266,22 +268,10 @@ class Engine:
         self.strategy = strategy
         self.config = config
         self.client_latency_s = float(client_latency_s)
-        root = RngStream(config.seed)
         self._custom_model_fn = model_fn is not None
         self._model_name = model_name
         if model_fn is None:
-            spec = data.spec
-
-            def model_fn() -> FedModel:
-                # A fresh child generator per call -> every replica gets the
-                # same deterministic initial weights.
-                return build_model(
-                    model_name,
-                    spec.input_shape,
-                    spec.num_classes,
-                    rng=root.child("model-init").generator,
-                )
-
+            model_fn = registry_model_fn(model_name, data.spec, config.seed)
         self._model_fn = model_fn
         canonical = model_fn()
         self.profile = profile_model(canonical)
@@ -307,12 +297,9 @@ class Engine:
                     else int(state_mmap_mb) << 20),
             )
         else:
-            self.clients: List[Client] = [
-                Client(k, data.client_dataset(k), seed=config.seed)
-                for k in range(data.n_clients)
-            ]
-            if adversary is not None:
-                adversary.poison_clients(self.clients, data.spec.num_classes)
+            self.clients: List[Client] = build_clients(
+                data, config.seed, adversary=adversary
+            )
             for c in self.clients:
                 c.state = strategy.init_client_state(c.id)
         if sampler is not None:
@@ -327,18 +314,7 @@ class Engine:
             )
         opt_name = strategy.local_optimizer or config.optimizer
         self._opt_name = opt_name
-
-        def make_worker() -> WorkerContext:
-            model = model_fn()
-            frozen = model_fn()
-            frozen.eval()
-            # Handing the model (not its parameter list) re-homes it onto
-            # weight/grad planes and gives the optimizer the fused flat
-            # update path; see repro.fl.params.materialize_parameters.
-            optimizer = make_optimizer(opt_name, model, config)
-            return WorkerContext(model, frozen, optimizer, CrossEntropyLoss())
-
-        self.make_worker = make_worker
+        self.make_worker = partial(make_worker_context, model_fn, opt_name, config)
         #: the run's observability sink (shared null recorder when off).
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self.fault_injector = fault_injector
@@ -425,22 +401,23 @@ class Engine:
     # ------------------------------------------------------------------
     # executor plumbing
     # ------------------------------------------------------------------
-    def process_worker_spec(self) -> ProcessWorkerSpec:
-        """The picklable recipe a :class:`ProcessExecutor` pool worker uses
-        to rebuild model, optimizer and clients in its own process."""
+    def worker_spec(self) -> WorkerSpec:
+        """The picklable recipe an out-of-process worker (process pool or
+        network peer) uses to rebuild model, optimizer and clients."""
         if self._custom_model_fn:
             raise ValueError(
                 "the process executor rebuilds models from the registry and "
                 "cannot ship a custom model_fn closure across processes; use "
                 "a registered model name or executor='serial'/'threaded'"
             )
-        return ProcessWorkerSpec(
+        return WorkerSpec(
             data=self.data,
             strategy=self.strategy,
             config=self.config,
             model_name=self._model_name,
             opt_name=self._opt_name,
             fp_flops=float(self.profile.forward_flops),
+            layout=self.server.plane.layout,
             adversary=self.adversary,
             population=self.population,
             obs_enabled=self.obs.enabled,

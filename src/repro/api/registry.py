@@ -23,7 +23,7 @@ resolved from the spec's ``executor`` field or the ``--executor`` CLI flag::
 
 An executor factory receives the live :class:`~repro.api.engine.Engine`
 (factories read ``engine.make_worker``, ``engine.runtime``, and for the
-process backend the picklable ``engine.process_worker_spec()``) plus the
+out-of-process backends the picklable ``engine.worker_spec()``) plus the
 requested worker count, and returns an object with the executor contract:
 ``run(tasks) -> results``, ``broadcast(weights)``, ``borrow_worker()``,
 ``n_workers``, ``close()``.  ``"auto"`` keeps the historical behaviour:
@@ -200,7 +200,7 @@ def _threaded_executor(engine, n_workers: int) -> ThreadedExecutor:
 def _process_executor(engine, n_workers: int) -> ProcessExecutor:
     _reject_preamble(engine, "process")
     return ProcessExecutor(
-        engine.process_worker_spec(),
+        engine.worker_spec(),
         initial_weights=engine.server.plane,
         n_workers=max(1, n_workers),
     )
@@ -274,24 +274,9 @@ def _sync_mode(spec, data, callbacks):
         data,
         spec.build_strategy(),
         spec.build_config(),
-        model_name=spec.model,
-        sampler=spec.build_sampler(),
-        n_workers=spec.n_workers,
-        executor=spec.executor,
         system_model=spec.build_system_model(),
         callbacks=callbacks,
-        aggregator=spec.build_aggregator(),
-        adversary=spec.build_adversary(),
-        population=spec.build_population(),
-        agg_block_size=spec.agg_block_size,
-        state_mmap_mb=spec.state_mmap_mb,
-        recorder=spec.build_recorder(),
-        fault_injector=spec.build_fault_injector(),
-        task_retries=spec.task_retries,
-        task_timeout_s=spec.task_timeout_s,
-        quorum_fraction=spec.quorum_fraction,
-        retry_backoff_base_s=spec.retry_backoff_base_s,
-        net_options=spec.build_net_options(),
+        **spec.engine_kwargs(),
     )
 
 
@@ -312,20 +297,8 @@ def _event_driven_mode(spec, data, callbacks, mode: str):
         deadline_s=spec.deadline_s,
         async_alpha=spec.async_alpha,
         async_poly=spec.async_poly,
-        model_name=spec.model,
-        sampler=spec.build_sampler(),
-        n_workers=spec.n_workers,
-        executor=spec.executor,
         callbacks=callbacks,
-        aggregator=spec.build_aggregator(),
-        adversary=spec.build_adversary(),
-        agg_block_size=spec.agg_block_size,
-        recorder=spec.build_recorder(),
-        fault_injector=spec.build_fault_injector(),
-        task_retries=spec.task_retries,
-        task_timeout_s=spec.task_timeout_s,
-        quorum_fraction=spec.quorum_fraction,
-        retry_backoff_base_s=spec.retry_backoff_base_s,
+        **spec.engine_kwargs(),
     )
 
 

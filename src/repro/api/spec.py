@@ -11,16 +11,31 @@ stores).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from dataclasses import Field, dataclass, field, fields, replace
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.algorithms import build_strategy
-from repro.data import build_federated_data
-from repro.fl.systems import SystemModel
+from repro.data import available_datasets, build_federated_data
+from repro.fl.faults import available_faults, build_fault
+from repro.fl.net import WIRE_CODECS
+from repro.fl.net.netfaults import available_netfaults, build_netfault
+from repro.fl.robust import (
+    available_adversaries,
+    available_aggregators,
+    build_adversary,
+    build_aggregator,
+)
+from repro.fl.systems import NETWORK_PRESETS, SystemModel
 from repro.fl.types import FLConfig
 from repro.io.persistence import ExperimentStore
+from repro.models import available_models
 
-from repro.api.registry import build_sampler
+from repro.api.registry import (
+    available_executors,
+    available_modes,
+    available_samplers,
+    build_sampler,
+)
 
 __all__ = ["ExperimentSpec"]
 
@@ -43,365 +58,393 @@ def _as_pairs(value: Pairs, name: str) -> Tuple[Tuple[str, Any], ...]:
     return tuple(sorted((k, _canon_value(v)) for k, v in items.items()))
 
 
+def _knob(
+    default: Any,
+    group: str,
+    help: str,
+    *,
+    cli: Union[bool, Tuple[str, ...]] = True,
+    choices: Union[None, Sequence[str], Callable[[], Sequence[str]]] = None,
+    metavar: Optional[str] = None,
+    domain: Optional[str] = None,
+    kv: bool = False,
+    topology: bool = False,
+    engine: bool = False,
+    switch: Optional[Dict[str, str]] = None,
+) -> Any:
+    """Declare one experiment knob — the only place it is ever spelled.
+
+    Everything that used to re-list fields loops over this metadata
+    instead (see "Adding a knob" in ``docs/api.md``):
+
+    ``help``      the field's documentation *and* its ``--help`` text.
+    ``group``     which subsystem the knob configures; a group with an entry
+                  in ``_GROUP_GUARDS`` rejects non-default values while that
+                  subsystem is off.
+    ``cli``       ``True`` derives the flag from the field name
+                  (``--task-retries``; ``--fault-arg`` for a ``kv`` field),
+                  a tuple spells the flag(s) out, ``False`` keeps the knob
+                  library-only.
+    ``choices``   valid names for the flag: a sequence, or a registry's
+                  ``available_*`` function read when the parser is built.
+    ``metavar``   the flag's value placeholder in ``--help``.
+    ``domain``    a key of ``_DOMAINS`` the value (when not None) must lie
+                  in; the key doubles as the error text ("must be ...").
+    ``kv``        a KEY=VALUE mapping: canonicalized to a sorted pair-tuple,
+                  serialized as a dict, repeatable on the command line.
+    ``topology``  where a run executes or writes, never what it computes:
+                  excluded from :meth:`ExperimentSpec.cell_key`.
+    ``engine``    handed to the engine constructor under its own name
+                  (:meth:`ExperimentSpec.engine_kwargs`).
+    ``switch``    this knob names an optional component configured by a
+                  ``<name>_kwargs`` field and (optionally) a ``rate`` field;
+                  see :meth:`ExperimentSpec._check_switch`.
+    """
+    return field(default=default, metadata={
+        "help": help, "group": group, "cli": cli, "choices": choices,
+        "metavar": metavar, "domain": domain, "kv": kv, "topology": topology,
+        "engine": engine, "switch": switch,
+    })
+
+
+#: numeric domains a knob can declare; spelled the way the error reads.
+_DOMAINS: Dict[str, Callable[[Any], bool]] = {
+    "positive": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+}
+
+#: group -> (is that subsystem on for this spec?, the error for a knob of
+#: the group set while it is off).  A knob that silently does nothing would
+#: change the experiment the user believes they ran (same philosophy as
+#: from_dict's unknown-key rejection), so inapplicable fields are errors,
+#: not no-ops.
+_GROUP_GUARDS: Dict[str, Tuple[Callable[["ExperimentSpec"], bool], str]] = {
+    "event": (
+        lambda spec: spec.mode != "sync",
+        "{names} apply to the event-driven modes; set mode='semisync' or 'async'",
+    ),
+    "net": (
+        lambda spec: spec.executor == "network",
+        "{name} applies to the network executor; set executor='network'",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A fully specified (dataset, partition, model, method, loop) cell.
 
-    ``overrides`` and ``sampler_kwargs`` accept either a dict or a tuple of
+    Every field is declared once, with :func:`_knob`; the CLI flags,
+    ``to_dict``/``cell_key`` treatment, inapplicable-knob validation and
+    engine construction all derive from that declaration.  Mapping-valued
+    fields (``overrides``, ``*_kwargs``) accept either a dict or a tuple of
     pairs; they are canonicalized to sorted tuples so equal specs always
     hash and serialize identically.
     """
 
     # -- workload -----------------------------------------------------------
-    dataset: str = "mini_mnist"
-    model: str = "mlp"
-    method: str = "fedtrip"
+    dataset: str = _knob(
+        "mini_mnist", "workload", "dataset registry name",
+        choices=available_datasets)
+    model: str = _knob(
+        "mlp", "workload", "model registry name", choices=available_models)
+    method: str = _knob(
+        "fedtrip", "workload",
+        "federated algorithm registry name (see repro.algorithms)")
     # -- data partition -----------------------------------------------------
-    partition: str = "dirichlet"
-    alpha: Optional[float] = 0.5
-    n_clusters: int = 5
-    samples_per_client: Optional[int] = None
-    feature_skew: bool = False
+    partition: str = _knob(
+        "dirichlet", "partition", "how samples are split across clients",
+        choices=("iid", "dirichlet", "orthogonal"))
+    alpha: Optional[float] = _knob(
+        0.5, "partition", "Dirichlet concentration")
+    n_clusters: int = _knob(
+        5, "partition", "orthogonal cluster count", cli=("--clusters",))
+    samples_per_client: Optional[int] = _knob(
+        None, "partition",
+        "cap on each client's shard size; None = an even split", cli=False)
+    feature_skew: bool = _knob(
+        False, "partition",
+        "additionally perturb each client's features (per-client transform)",
+        cli=False)
     # -- round loop / local optimizer --------------------------------------
-    n_clients: int = 10
-    clients_per_round: int = 4
-    rounds: int = 20
-    batch_size: int = 50
-    local_epochs: int = 1
-    lr: float = 0.05
-    momentum: float = 0.9
-    optimizer: str = "sgdm"
-    eval_every: int = 1
-    eval_batch_size: int = 256
-    seed: int = 0
-    target_accuracy: Optional[float] = None
-    max_grad_norm: Optional[float] = None
+    n_clients: int = _knob(
+        10, "loop", "number of data shards / roster clients",
+        cli=("--clients",))
+    clients_per_round: int = _knob(
+        4, "loop", "clients selected per round (K)")
+    rounds: int = _knob(20, "loop", "communication rounds")
+    batch_size: int = _knob(50, "loop", "local minibatch size")
+    local_epochs: int = _knob(1, "loop", "local epochs per round")
+    lr: float = _knob(0.05, "loop", "local learning rate")
+    momentum: float = _knob(0.9, "loop", "local SGD momentum", cli=False)
+    optimizer: str = _knob(
+        "sgdm", "loop",
+        "local optimizer (sgdm | sgd | adam) unless the method pins its own",
+        cli=False)
+    eval_every: int = _knob(
+        1, "loop", "evaluate the global model every N rounds (and the last)",
+        cli=False)
+    eval_batch_size: int = _knob(
+        256, "loop", "evaluation minibatch size", cli=False)
+    seed: int = _knob(0, "loop", "root seed of every random stream")
+    target_accuracy: Optional[float] = _knob(
+        None, "loop", "stop training once this test accuracy % is reached")
+    max_grad_norm: Optional[float] = _knob(
+        None, "loop", "clip local gradients to this global norm", cli=False)
     # -- strategy hyperparameter overrides (e.g. {"mu": 0.8}) ---------------
-    overrides: Pairs = ()
+    overrides: Pairs = _knob(
+        (), "strategy", "strategy hyperparameter overrides, e.g. {'mu': 0.8}",
+        cli=False, kv=True)
     # -- client sampling & execution backend --------------------------------
-    sampler: str = "uniform"
-    sampler_kwargs: Pairs = ()
-    n_workers: int = 1
-    #: execution backend registry name ("auto" | "serial" | "threaded" |
-    #: "process" | "network"); "auto" = serial at n_workers<=1, threaded
-    #: above.
-    executor: str = "auto"
+    sampler: str = _knob(
+        "uniform", "execution", "client-selection policy",
+        choices=available_samplers)
+    sampler_kwargs: Pairs = _knob(
+        (), "execution",
+        "policy parameter, repeatable (e.g. dropout=0.2)", kv=True)
+    n_workers: int = _knob(
+        1, "execution", "worker count for the pooled backends",
+        cli=("--workers", "--n-workers"), engine=True)
+    executor: str = _knob(
+        "auto", "execution",
+        "execution backend (auto = serial at 1 worker, threaded above; "
+        "'process' trains clients in a multiprocessing pool with "
+        "shared-memory broadcast; 'network' over sockets)",
+        choices=available_executors, engine=True)
     # -- network executor (repro.fl.net) -------------------------------------
-    #: coordinator listen address for executor="network"; port 0 picks an
-    #: ephemeral port.  A loopback host means the executor spawns its own
-    #: worker subprocesses; any other host waits for externally started
-    #: ``python -m repro.fl.net.worker`` processes to register.
-    net_bind: str = "127.0.0.1:0"
-    #: worker connections the network round waits for; None = n_workers.
-    net_workers: Optional[int] = None
-    #: registration patience, per-task wall-clock ceiling, and empty-fleet
-    #: grace period (seconds) for the network executor.
-    net_connect_timeout_s: float = 20.0
-    #: worker liveness beacon cadence (seconds); a connection silent for
-    #: max(5 * heartbeat, 3.0) seconds while holding a task is declared dead.
-    net_heartbeat_s: float = 0.5
-    #: network fault injector registry name ("drop_frame" |
-    #: "duplicate_frame" | "delay_frame" | "truncate_frame" | "partition");
-    #: None = a clean wire.  Coins are seeded per frame like repro.fl.faults.
-    net_fault: Optional[str] = None
-    #: per-frame firing probability; must be positive iff net_fault is set.
-    net_fault_rate: float = 0.0
-    #: fault-specific arguments, e.g. {"max_delay_s": 0.5}.
-    net_fault_kwargs: Pairs = ()
-    #: upload wire codec ("topk" | "quantization"); workers then ship their
-    #: update as a compressed delta against the round broadcast.  Lossy —
-    #: trades the byte-identity contract for bytes on the wire.
-    net_codec: Optional[str] = None
-    #: codec-specific arguments, e.g. {"fraction": 0.05} or {"bits": 8}.
-    net_codec_kwargs: Pairs = ()
-    #: base of the exponential retry backoff curve (simulated seconds per
-    #: retry wave; also seeds the network workers' reconnect backoff).  The
-    #: default 1.0 reproduces the historical constant byte-for-byte.
-    retry_backoff_base_s: float = 1.0
+    net_bind: str = _knob(
+        "127.0.0.1:0", "net",
+        "coordinator listen address for --executor network; port 0 picks an "
+        "ephemeral port.  A loopback host spawns worker subprocesses "
+        "automatically; any other host waits for externally started "
+        "``python -m repro.fl.net.worker`` processes to register",
+        metavar="HOST:PORT", topology=True)
+    net_workers: Optional[int] = _knob(
+        None, "net",
+        "worker connections the network round waits for (default: --workers)",
+        domain=">= 1", topology=True)
+    net_connect_timeout_s: float = _knob(
+        20.0, "net",
+        "network registration patience, per-task wall-clock ceiling and "
+        "empty-fleet grace period in seconds", domain="positive", topology=True)
+    net_heartbeat_s: float = _knob(
+        0.5, "net",
+        "worker liveness beacon cadence in seconds; a connection silent for "
+        "max(5 * heartbeat, 3.0) seconds while holding a task is declared dead",
+        domain="positive", topology=True)
+    net_fault: Optional[str] = _knob(
+        None, "net",
+        "deterministic wire fault for --executor network (requires "
+        "--net-fault-rate > 0); None = a clean wire.  Coins are seeded per "
+        "frame like repro.fl.faults",
+        choices=available_netfaults,
+        switch={"rate": "net_fault_rate", "idle": "never fires",
+                "what": "an injector name"})
+    net_fault_rate: float = _knob(
+        0.0, "net", "per-frame probability that the wire fault fires",
+        domain="in [0, 1]")
+    net_fault_kwargs: Pairs = _knob(
+        (), "net",
+        "wire-fault parameter, repeatable (e.g. max_delay_s=0.5 for "
+        "delay_frame)", kv=True)
+    net_codec: Optional[str] = _knob(
+        None, "net",
+        "upload wire codec for --executor network: workers ship their update "
+        "as a compressed delta against the round broadcast.  Lossy — trades "
+        "the byte-identity contract for bytes on the wire",
+        choices=WIRE_CODECS,
+        switch={"what": " or ".join(repr(c) for c in WIRE_CODECS)})
+    net_codec_kwargs: Pairs = _knob(
+        (), "net",
+        "codec parameter, repeatable (e.g. fraction=0.05 for topk, bits=8 "
+        "for quantization)", kv=True)
+    retry_backoff_base_s: float = _knob(
+        1.0, "fault",
+        "base of the exponential retry backoff curve (simulated seconds per "
+        "retry wave; also paces network-worker reconnects); the default 1.0 "
+        "reproduces the historical constant byte-for-byte",
+        domain="positive", engine=True)
     # -- server mode & simulated systems model ------------------------------
-    #: server-mode registry name: "sync" (barrier rounds), "semisync"
-    #: (deadline/buffer rounds) or "async" (staleness-decayed mixing), the
-    #: latter two on the virtual-clock event scheduler (repro.fl.asyncfl).
-    mode: str = "sync"
-    #: semisync: aggregate whatever arrived this many simulated seconds
-    #: after dispatch (None = wait for the full buffer).
-    deadline_s: Optional[float] = None
-    #: aggregation buffer size K (FedBuff); None = 1 in async mode,
-    #: clients_per_round in semisync.  Over-selection = configuring
-    #: clients_per_round > buffer_size.
-    buffer_size: Optional[int] = None
-    #: device/network preset ("wifi" | "4g" | "iot", see
-    #: repro.fl.systems.NETWORK_PRESETS); attaches a SystemModel so sync
-    #: rounds are priced in simulated seconds, and drives the event
-    #: scheduler's per-client durations in async/semisync modes (which
-    #: default to "wifi" when unset).
-    device_profile: Optional[str] = None
-    #: multiplicative compute-speed spread (>= 1): client k's speed is
-    #: scaled by a seeded factor in [1/h, 1] — the straggler knob.
-    heterogeneity: float = 1.0
-    #: async mixing weight: alpha * (1 + staleness)^(-poly).
-    async_alpha: float = 0.6
-    async_poly: float = 0.5
+    mode: str = _knob(
+        "sync", "mode",
+        "server mode: sync barrier rounds, semisync deadline/buffer rounds, "
+        "or async staleness-decayed mixing (the latter two on the "
+        "virtual-clock event scheduler, repro.fl.asyncfl)",
+        choices=available_modes)
+    deadline_s: Optional[float] = _knob(
+        None, "event",
+        "semisync: aggregate whatever arrived this many simulated seconds "
+        "after dispatch (default: wait for the full buffer)")
+    buffer_size: Optional[int] = _knob(
+        None, "event",
+        "aggregation buffer size K (FedBuff); default: 1 in async, "
+        "clients-per-round in semisync.  Over-selection = configuring "
+        "clients_per_round > buffer_size")
+    device_profile: Optional[str] = _knob(
+        None, "mode",
+        "device/network preset pricing simulated time (records "
+        "virtual_time_s; see repro.fl.systems.NETWORK_PRESETS).  Drives the "
+        "event scheduler's per-client durations in async/semisync modes, "
+        "which default to wifi when unset",
+        choices=lambda: sorted(NETWORK_PRESETS))
+    heterogeneity: float = _knob(
+        1.0, "mode",
+        "compute-speed spread h >= 1: clients run at a seeded factor in "
+        "[1/h, 1] of the profile speed (the straggler knob)")
+    async_alpha: float = _knob(
+        0.6, "mode",
+        "async mixing weight: alpha * (1 + staleness)^(-poly)", cli=False)
+    async_poly: float = _knob(
+        0.5, "mode", "async staleness-decay exponent (see async_alpha)",
+        cli=False)
     # -- Byzantine robustness (repro.fl.robust) ------------------------------
-    #: robust-aggregation registry name ("mean" | "coordinate_median" |
-    #: "trimmed_mean" | "norm_clip" | "norm_screen" | "krum" |
-    #: "multi_krum"); "mean" keeps the legacy strategy.aggregate path
-    #: byte-identical.
-    aggregator: str = "mean"
-    #: rule-specific arguments, e.g. {"beta": 0.25} or {"f": 2, "m": 4}.
-    aggregator_kwargs: Pairs = ()
-    #: adversary registry name ("sign_flip" | "scale" | "gauss_noise" |
-    #: "label_flip" | "collude"); None = no attack.
-    adversary: Optional[str] = None
-    #: fraction of the n_clients roster acting maliciously (the f/K knob);
-    #: must be positive iff an adversary is set.
-    adversary_fraction: float = 0.0
-    #: attack-specific arguments, e.g. {"gamma": 5.0} or {"sigma": 0.5}.
-    adversary_kwargs: Pairs = ()
+    aggregator: str = _knob(
+        "mean", "robust",
+        "server aggregation rule: 'mean' is the default weighted average "
+        "(and keeps the legacy strategy.aggregate path byte-identical); the "
+        "others are Byzantine-robust reductions over the stacked client "
+        "matrix (see repro.fl.robust)",
+        choices=available_aggregators,
+        switch={"what": "a robust aggregation rule"})
+    aggregator_kwargs: Pairs = _knob(
+        (), "robust",
+        "aggregation-rule parameter, repeatable (e.g. beta=0.25 for "
+        "trimmed_mean, f=2 for krum)", kv=True)
+    adversary: Optional[str] = _knob(
+        None, "robust",
+        "Byzantine attack model corrupting a seeded subset of clients "
+        "(requires --adversary-fraction > 0); None = no attack",
+        choices=available_adversaries,
+        switch={"rate": "adversary_fraction", "idle": "attacks nobody",
+                "what": "an attack model"})
+    adversary_fraction: float = _knob(
+        0.0, "robust",
+        "fraction of the n_clients roster acting maliciously (f/K)",
+        domain="in [0, 1]")
+    adversary_kwargs: Pairs = _knob(
+        (), "robust",
+        "attack parameter, repeatable (e.g. gamma=5 for sign_flip/scale, "
+        "sigma=0.5 for gauss_noise)", kv=True)
     # -- fault tolerance (repro.fl.faults) -----------------------------------
-    #: fault-injector registry name ("crash" | "crash_mid_train" |
-    #: "corrupt" | "straggler" | "worker_death"); None = no injected
-    #: faults.  Faults are per-(client, round, attempt) coin flips, so
-    #: they compose with population mode (no fleet enumeration).
-    fault: Optional[str] = None
-    #: per-task firing probability of the fault; must be positive iff a
-    #: fault is set.
-    fault_rate: float = 0.0
-    #: fault-specific arguments, e.g. {"mode": "truncate"} or
-    #: {"max_delay_s": 30.0}.
-    fault_kwargs: Pairs = ()
-    #: retry budget per client task per round: retryable failures are
-    #: re-dispatched up to this many times, re-drawing the fault coin per
-    #: attempt and pricing exponential backoff on the virtual clock.
-    task_retries: int = 0
-    #: per-task report deadline in simulated seconds: an injected
-    #: straggler delay beyond this becomes a "timeout" failure.  Requires
-    #: a fault (only injected delays can exceed it).
-    task_timeout_s: Optional[float] = None
-    #: synchronous quorum: aggregate only when >= ceil(fraction * K) of
-    #: the K-cohort delivered usable updates, else skip the round (global
-    #: model kept, skip_reason recorded).  In async mode the fraction
-    #: applies to the aggregation buffer size instead.
-    quorum_fraction: float = 0.0
+    fault: Optional[str] = _knob(
+        None, "fault",
+        "deterministic fault injector applied to client tasks (requires "
+        "--fault-rate > 0); see repro.fl.faults.  Faults are per-(client, "
+        "round, attempt) coin flips, so they compose with population mode "
+        "(no fleet enumeration)",
+        choices=available_faults,
+        switch={"rate": "fault_rate", "idle": "never fires",
+                "what": "an injector name"})
+    fault_rate: float = _knob(
+        0.0, "fault",
+        "per-(client, round, attempt) probability that the injector fires",
+        domain="in [0, 1]")
+    fault_kwargs: Pairs = _knob(
+        (), "fault",
+        "fault parameter, repeatable (e.g. mode=truncate for corrupt, "
+        "max_delay_s=30 for straggler)", kv=True)
+    task_retries: int = _knob(
+        0, "fault",
+        "retry budget per client task per round: retryable failures are "
+        "re-dispatched up to this many times, re-drawing the fault coin per "
+        "attempt and pricing exponential backoff on the virtual clock",
+        domain=">= 0", engine=True)
+    task_timeout_s: Optional[float] = _knob(
+        None, "fault",
+        "per-task report deadline: an injected straggler delay beyond this "
+        "many simulated seconds becomes a 'timeout' failure (requires "
+        "--fault; only injected delays can exceed it)",
+        domain="positive", engine=True)
+    quorum_fraction: float = _knob(
+        0.0, "fault",
+        "skip aggregation (global model kept, skip_reason recorded) when "
+        "fewer than ceil(fraction * K) of the cohort delivered usable "
+        "updates; in async mode the fraction applies to the buffer size",
+        domain="in [0, 1]", engine=True)
     # -- population scale (repro.fl.population) ------------------------------
-    #: virtual fleet size; None = the eager roster (one Client per data
-    #: shard).  When set, client ids live in [0, population_size) and map
-    #: onto the n_clients data shards (id % n_clients); clients materialize
-    #: lazily on first sampling, the default sampler becomes the O(K)
-    #: PopulationSampler, and memory is O(touched clients).  Sync mode only;
-    #: does not compose with adversaries or device profiles (both enumerate
-    #: the fleet per client id).
-    population_size: Optional[int] = None
-    #: streaming aggregation block size: the server stages at most this many
-    #: client rows while folding the weighted mean (peak O(block x P)
-    #: instead of O(K x P)); byte-identical to dense aggregation for every
-    #: value.  None = dense.  Robust rules that need the full stacked matrix
-    #: (requires_full_matrix) reject this knob at build time.
-    agg_block_size: Optional[int] = None
-    #: heap budget (MiB) for lazily-created per-client flat strategy state
-    #: before the population directory spills new state to mmap'd temp
-    #: files; requires population_size.  None = heap only.
-    state_mmap_mb: Optional[int] = None
+    population_size: Optional[int] = _knob(
+        None, "population",
+        "virtual fleet size: client ids in [0, N) map onto the --clients "
+        "data shards (id % n_clients) and materialize lazily, so memory "
+        "stays O(cohort), not O(N); the default sampler becomes the O(K) "
+        "PopulationSampler.  None = the eager roster.  Sync mode only; does "
+        "not compose with adversaries or device profiles (both enumerate "
+        "the fleet per client id)")
+    agg_block_size: Optional[int] = _knob(
+        None, "population",
+        "stream aggregation in blocks of this many client rows (peak "
+        "O(block x P) instead of O(K x P)); byte-identical to dense for any "
+        "value.  None = dense.  Robust rules that need the full stacked "
+        "matrix reject this knob at build time", domain=">= 1", engine=True)
+    state_mmap_mb: Optional[int] = _knob(
+        None, "population",
+        "heap budget (MiB) for lazy per-client strategy state before "
+        "spilling to mmap'd temp files (requires --population-size); "
+        "None = heap only", domain=">= 0", engine=True)
     # -- observability (repro.obs) -------------------------------------------
-    #: JSONL span-trace output path: nested round -> phase -> client-task
-    #: spans with wall/virtual timings and payload byte counts.  None
-    #: disables tracing — the engine then carries the shared no-op
-    #: recorder, zero allocations on the hot path.
-    trace: Optional[str] = None
-    #: end-of-run metrics exposition path (Prometheus text format plus a
-    #: commented summary table).  Either observability flag alone turns
-    #: the metrics registry on.
-    metrics_out: Optional[str] = None
+    trace: Optional[str] = _knob(
+        None, "obs",
+        "write a JSONL span trace (round -> phase -> client-task, wall + "
+        "virtual timings, payload bytes) to PATH; off by default — the "
+        "engine then carries the shared no-op recorder, zero allocations on "
+        "the hot path", metavar="PATH", topology=True)
+    metrics_out: Optional[str] = _knob(
+        None, "obs",
+        "write end-of-run metrics (Prometheus text exposition plus a "
+        "commented summary table) to PATH.  Either observability flag "
+        "alone turns the metrics registry on", metavar="PATH", topology=True)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "overrides", _as_pairs(self.overrides, "overrides"))
-        object.__setattr__(
-            self, "sampler_kwargs", _as_pairs(self.sampler_kwargs, "sampler_kwargs")
-        )
-        object.__setattr__(
-            self, "aggregator_kwargs",
-            _as_pairs(self.aggregator_kwargs, "aggregator_kwargs"),
-        )
-        object.__setattr__(
-            self, "adversary_kwargs",
-            _as_pairs(self.adversary_kwargs, "adversary_kwargs"),
-        )
-        object.__setattr__(
-            self, "fault_kwargs", _as_pairs(self.fault_kwargs, "fault_kwargs")
-        )
-        object.__setattr__(
-            self, "net_fault_kwargs",
-            _as_pairs(self.net_fault_kwargs, "net_fault_kwargs"),
-        )
-        object.__setattr__(
-            self, "net_codec_kwargs",
-            _as_pairs(self.net_codec_kwargs, "net_codec_kwargs"),
-        )
-        # A knob that silently does nothing would change the experiment the
-        # user believes they ran (same philosophy as from_dict's unknown-key
-        # rejection), so mode-inapplicable fields are errors, not no-ops.
-        if self.mode == "sync":
-            if self.deadline_s is not None or self.buffer_size is not None:
-                raise ValueError(
-                    "deadline_s/buffer_size apply to the event-driven modes; "
-                    "set mode='semisync' or 'async'"
+        knobs = fields(self)
+        for f in knobs:
+            if f.metadata["kv"]:
+                object.__setattr__(
+                    self, f.name, _as_pairs(getattr(self, f.name), f.name)
                 )
-            if self.device_profile is None and self.heterogeneity != 1.0:
-                raise ValueError(
-                    "heterogeneity scales a device profile's compute speeds; "
-                    "sync mode without device_profile has no profile to spread"
-                )
-        if self.aggregator == "mean" and self.aggregator_kwargs:
+        for f in knobs:
+            value, group, domain = (
+                getattr(self, f.name), f.metadata["group"], f.metadata["domain"])
+            guard = _GROUP_GUARDS.get(group)
+            if guard and value != f.default and not guard[0](self):
+                names = [g.name for g in knobs if g.metadata["group"] == group]
+                raise ValueError(guard[1].format(name=f.name, names="/".join(names)))
+            if domain and value is not None and not _DOMAINS[domain](value):
+                raise ValueError(f"{f.name} must be {domain}, got {value}")
+        # After the guards: off its subsystem a switch's rate/kwargs were
+        # already pinned to their defaults, so these checks need no gate.
+        for f in knobs:
+            if f.metadata["switch"]:
+                self._check_switch(f)
+        if (self.mode == "sync" and self.device_profile is None
+                and self.heterogeneity != 1.0):
             raise ValueError(
-                "aggregator_kwargs apply to a robust aggregation rule; the "
-                "default 'mean' takes none — pick an aggregator"
+                "heterogeneity scales a device profile's compute speeds; "
+                "sync mode without device_profile has no profile to spread"
             )
-        if not 0.0 <= self.adversary_fraction <= 1.0:
+        if self.executor == "network" and self.mode != "sync":
             raise ValueError(
-                f"adversary_fraction must be in [0, 1], got {self.adversary_fraction}"
+                "the network executor runs synchronous rounds only; the "
+                "event-driven modes schedule on a virtual clock with no "
+                "socket backend"
             )
-        if self.adversary is not None and self.adversary_fraction == 0.0:
+        if self.net_codec is not None and self.net_codec not in WIRE_CODECS:
             raise ValueError(
-                f"adversary={self.adversary!r} with adversary_fraction=0 "
-                "attacks nobody; set a positive fraction"
+                f"unknown net_codec {self.net_codec!r}; available: "
+                f"{list(WIRE_CODECS)}"
             )
-        if self.adversary is None and self.adversary_fraction != 0.0:
+        if self.task_timeout_s is not None and self.fault is None:
             raise ValueError(
-                "adversary_fraction without an adversary does nothing; "
-                "set adversary= to an attack model"
+                "task_timeout_s measures injected report delays; without "
+                "a fault no task can ever exceed it — set fault= (e.g. "
+                "'straggler')"
             )
-        if self.adversary is None and self.adversary_kwargs:
+        if self.state_mmap_mb is not None and self.population_size is None:
             raise ValueError(
-                "adversary_kwargs without an adversary do nothing; "
-                "set adversary= to an attack model"
+                "state_mmap_mb budgets the population directory's state "
+                "arena; set population_size"
             )
-        if not 0.0 <= self.fault_rate <= 1.0:
-            raise ValueError(
-                f"fault_rate must be in [0, 1], got {self.fault_rate}"
-            )
-        if self.fault is not None and self.fault_rate == 0.0:
-            raise ValueError(
-                f"fault={self.fault!r} with fault_rate=0 never fires; "
-                "set a positive rate"
-            )
-        if self.fault is None and self.fault_rate != 0.0:
-            raise ValueError(
-                "fault_rate without a fault does nothing; set fault= to an "
-                "injector name"
-            )
-        if self.fault is None and self.fault_kwargs:
-            raise ValueError(
-                "fault_kwargs without a fault do nothing; set fault= to an "
-                "injector name"
-            )
-        if self.retry_backoff_base_s <= 0:
-            raise ValueError(
-                f"retry_backoff_base_s must be positive, got "
-                f"{self.retry_backoff_base_s}"
-            )
-        if self.executor == "network":
-            if self.mode != "sync":
-                raise ValueError(
-                    "the network executor runs synchronous rounds only; the "
-                    "event-driven modes schedule on a virtual clock with no "
-                    "socket backend"
-                )
-            if self.net_workers is not None and self.net_workers < 1:
-                raise ValueError(
-                    f"net_workers must be >= 1, got {self.net_workers}"
-                )
-            if self.net_connect_timeout_s <= 0:
-                raise ValueError(
-                    f"net_connect_timeout_s must be positive, got "
-                    f"{self.net_connect_timeout_s}"
-                )
-            if self.net_heartbeat_s <= 0:
-                raise ValueError(
-                    f"net_heartbeat_s must be positive, got {self.net_heartbeat_s}"
-                )
-            if not 0.0 <= self.net_fault_rate <= 1.0:
-                raise ValueError(
-                    f"net_fault_rate must be in [0, 1], got {self.net_fault_rate}"
-                )
-            if self.net_fault is not None and self.net_fault_rate == 0.0:
-                raise ValueError(
-                    f"net_fault={self.net_fault!r} with net_fault_rate=0 never "
-                    "fires; set a positive rate"
-                )
-            if self.net_fault is None and self.net_fault_rate != 0.0:
-                raise ValueError(
-                    "net_fault_rate without a net_fault does nothing; set "
-                    "net_fault= to an injector name"
-                )
-            if self.net_fault is None and self.net_fault_kwargs:
-                raise ValueError(
-                    "net_fault_kwargs without a net_fault do nothing; set "
-                    "net_fault= to an injector name"
-                )
-            # Mirrors repro.fl.net.coordinator.WIRE_CODECS without importing
-            # the socket stack into every spec construction.
-            if self.net_codec is not None and self.net_codec not in (
-                "topk", "quantization"
-            ):
-                raise ValueError(
-                    f"unknown net_codec {self.net_codec!r}; available: "
-                    "['topk', 'quantization']"
-                )
-            if self.net_codec is None and self.net_codec_kwargs:
-                raise ValueError(
-                    "net_codec_kwargs without a net_codec do nothing; set "
-                    "net_codec= to 'topk' or 'quantization'"
-                )
-        else:
-            # Same philosophy as the mode checks above: a net_* knob on a
-            # non-network executor would silently describe a run that never
-            # happens.
-            defaults = {
-                "net_bind": "127.0.0.1:0", "net_workers": None,
-                "net_connect_timeout_s": 20.0, "net_heartbeat_s": 0.5,
-                "net_fault": None, "net_fault_rate": 0.0,
-                "net_fault_kwargs": (), "net_codec": None,
-                "net_codec_kwargs": (),
-            }
-            for name, default in defaults.items():
-                if getattr(self, name) != default:
-                    raise ValueError(
-                        f"{name} applies to the network executor; set "
-                        "executor='network'"
-                    )
-        if self.task_retries < 0:
-            raise ValueError(
-                f"task_retries must be >= 0, got {self.task_retries}"
-            )
-        if self.task_timeout_s is not None:
-            if self.task_timeout_s <= 0:
-                raise ValueError(
-                    f"task_timeout_s must be positive, got {self.task_timeout_s}"
-                )
-            if self.fault is None:
-                raise ValueError(
-                    "task_timeout_s measures injected report delays; without "
-                    "a fault no task can ever exceed it — set fault= (e.g. "
-                    "'straggler')"
-                )
-        if not 0.0 <= self.quorum_fraction <= 1.0:
-            raise ValueError(
-                f"quorum_fraction must be in [0, 1], got {self.quorum_fraction}"
-            )
-        if self.agg_block_size is not None and self.agg_block_size < 1:
-            raise ValueError(
-                f"agg_block_size must be >= 1, got {self.agg_block_size}"
-            )
-        if self.state_mmap_mb is not None:
-            if self.state_mmap_mb < 0:
-                raise ValueError(
-                    f"state_mmap_mb must be >= 0, got {self.state_mmap_mb}"
-                )
-            if self.population_size is None:
-                raise ValueError(
-                    "state_mmap_mb budgets the population directory's state "
-                    "arena; set population_size"
-                )
         if self.population_size is not None:
             if self.population_size < self.n_clients:
                 raise ValueError(
@@ -424,13 +467,46 @@ class ExperimentSpec:
                     "(per-client system models enumerate the fleet)"
                 )
 
+    def _check_switch(self, f: Field) -> None:
+        """Validate one optional component: the ``switch`` field naming it,
+        its ``<name>_kwargs`` and (when it has one) its firing ``rate``.
+
+        A rate or kwargs set while the switch is at its default — or a
+        switch armed at rate zero — describes a run that never happens.
+        """
+        name, value, switch = f.name, getattr(self, f.name), f.metadata["switch"]
+        article = "an" if name[0] in "aeiou" else "a"
+        rate = switch.get("rate")
+        if rate is not None:
+            r = getattr(self, rate)
+            if value is not None and r == 0.0:
+                raise ValueError(
+                    f"{name}={value!r} with {rate}=0 {switch['idle']}; "
+                    f"set a positive {rate.rpartition('_')[2]}"
+                )
+            if value is None and r != 0.0:
+                raise ValueError(
+                    f"{rate} without {article} {name} does nothing; "
+                    f"set {name}= to {switch['what']}"
+                )
+        if value == f.default and getattr(self, f"{name}_kwargs"):
+            if f.default is None:
+                raise ValueError(
+                    f"{name}_kwargs without {article} {name} do nothing; "
+                    f"set {name}= to {switch['what']}"
+                )
+            raise ValueError(
+                f"{name}_kwargs apply to {switch['what']}; the default "
+                f"{f.default!r} takes none — pick {article} {name}"
+            )
+
     # ------------------------------------------------------------------
     # axes / serialization
     # ------------------------------------------------------------------
     def with_axis(self, name: str, value: Any) -> "ExperimentSpec":
         """Return a copy with one axis changed; unknown names go to the
         strategy overrides."""
-        if name in self.__dataclass_fields__ and name not in ("overrides", "sampler_kwargs"):
+        if name in self.__dataclass_fields__ and name != "overrides":
             return replace(self, **{name: value})
         pairs = dict(self.overrides)
         pairs[name] = value
@@ -438,15 +514,11 @@ class ExperimentSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready dict; ``from_dict`` inverts it exactly."""
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["overrides"] = dict(self.overrides)
-        d["sampler_kwargs"] = dict(self.sampler_kwargs)
-        d["aggregator_kwargs"] = dict(self.aggregator_kwargs)
-        d["adversary_kwargs"] = dict(self.adversary_kwargs)
-        d["fault_kwargs"] = dict(self.fault_kwargs)
-        d["net_fault_kwargs"] = dict(self.net_fault_kwargs)
-        d["net_codec_kwargs"] = dict(self.net_codec_kwargs)
-        return d
+        return {
+            f.name: dict(getattr(self, f.name)) if f.metadata["kv"]
+            else getattr(self, f.name)
+            for f in fields(self)
+        }
 
     # Legacy ``ExperimentCell`` spelling, kept for the sweep store.
     config_dict = to_dict
@@ -470,23 +542,20 @@ class ExperimentSpec:
         Shared with :meth:`repro.io.persistence.ExperimentStore.key` so a
         sweep store written by one runner is readable by any other.
 
-        The observability outputs (``trace`` / ``metrics_out``) do not
-        participate: where a run writes its spans does not change the
-        experiment being run, and existing store keys stay stable.  The
-        network *topology* knobs (bind address, fleet size, timeouts,
-        heartbeat cadence) are excluded for the same reason — the
-        determinism contract says they cannot change the History.  The
-        behavior-bearing network knobs (``net_fault*``, ``net_codec*``,
-        ``retry_backoff_base_s``) stay in: an injected partition or a lossy
-        codec is a different experiment.
+        Fields declared ``topology=True`` do not participate.  The
+        observability outputs (``trace`` / ``metrics_out``): where a run
+        writes its spans does not change the experiment being run, and
+        existing store keys stay stable.  The network *topology* knobs
+        (bind address, fleet size, timeouts, heartbeat cadence) for the
+        same reason — the determinism contract says they cannot change the
+        History.  The behavior-bearing network knobs (``net_fault*``,
+        ``net_codec*``, ``retry_backoff_base_s``) stay in: an injected
+        partition or a lossy codec is a different experiment.
         """
         d = self.to_dict()
-        d.pop("trace")
-        d.pop("metrics_out")
-        d.pop("net_bind")
-        d.pop("net_workers")
-        d.pop("net_connect_timeout_s")
-        d.pop("net_heartbeat_s")
+        for f in fields(self):
+            if f.metadata["topology"]:
+                del d[f.name]
         return ExperimentStore.key(d)
 
     # ------------------------------------------------------------------
@@ -513,21 +582,11 @@ class ExperimentSpec:
         )
 
     def build_config(self) -> FLConfig:
-        return FLConfig(
-            rounds=self.rounds,
-            n_clients=self.n_clients,
-            clients_per_round=self.clients_per_round,
-            batch_size=self.batch_size,
-            local_epochs=self.local_epochs,
-            lr=self.lr,
-            momentum=self.momentum,
-            optimizer=self.optimizer,
-            eval_every=self.eval_every,
-            eval_batch_size=self.eval_batch_size,
-            seed=self.seed,
-            target_accuracy=self.target_accuracy,
-            max_grad_norm=self.max_grad_norm,
-        )
+        """The ``loop`` group is, field for field, the engine's FLConfig."""
+        return FLConfig(**{
+            f.name: getattr(self, f.name) for f in fields(self)
+            if f.metadata["group"] == "loop"
+        })
 
     def build_strategy(self):
         return build_strategy(
@@ -539,19 +598,12 @@ class ExperimentSpec:
         its default (uniform K-of-N; the O(K) population sampler when a
         population is set — a ``UniformSampler`` over 10⁶ ids would pay an
         O(N) permutation per round)."""
-        if self.population_size is not None:
-            if self.sampler == "uniform":
-                return None
-            return build_sampler(
-                self.sampler,
-                n_clients=self.population_size,
-                clients_per_round=self.clients_per_round,
-                seed=self.seed,
-                **dict(self.sampler_kwargs),
-            )
+        if self.population_size is not None and self.sampler == "uniform":
+            return None
         return build_sampler(
             self.sampler,
-            n_clients=self.n_clients,
+            n_clients=(self.n_clients if self.population_size is None
+                       else self.population_size),
             clients_per_round=self.clients_per_round,
             seed=self.seed,
             **dict(self.sampler_kwargs),
@@ -575,16 +627,12 @@ class ExperimentSpec:
         """
         if self.aggregator == "mean":
             return None
-        from repro.fl.robust import build_aggregator
-
         return build_aggregator(self.aggregator, **dict(self.aggregator_kwargs))
 
     def build_adversary(self):
         """The seeded adversary model, or ``None`` when no attack is set."""
         if self.adversary is None:
             return None
-        from repro.fl.robust import build_adversary
-
         return build_adversary(
             self.adversary,
             n_clients=self.n_clients,
@@ -597,8 +645,6 @@ class ExperimentSpec:
         """The seeded fault injector, or ``None`` when no fault is set."""
         if self.fault is None:
             return None
-        from repro.fl.faults import build_fault
-
         return build_fault(
             self.fault,
             rate=self.fault_rate,
@@ -618,8 +664,6 @@ class ExperimentSpec:
             return None
         injector = None
         if self.net_fault is not None:
-            from repro.fl.net.netfaults import build_netfault
-
             injector = build_netfault(
                 self.net_fault,
                 rate=self.net_fault_rate,
@@ -663,3 +707,24 @@ class ExperimentSpec:
             heterogeneity=self.heterogeneity,
             seed=self.seed,
         )
+
+    def engine_kwargs(self) -> Dict[str, Any]:
+        """Every :class:`~repro.api.engine.Engine` constructor argument this
+        spec determines for *any* server mode — the one spec -> engine
+        mapping.  Mode factories add only what is theirs (the sync system
+        model; the event-driven timing and buffer knobs)."""
+        kwargs = {
+            f.name: getattr(self, f.name) for f in fields(self)
+            if f.metadata["engine"]
+        }
+        kwargs.update(
+            model_name=self.model,
+            sampler=self.build_sampler(),
+            aggregator=self.build_aggregator(),
+            adversary=self.build_adversary(),
+            population=self.build_population(),
+            recorder=self.build_recorder(),
+            fault_injector=self.build_fault_injector(),
+            net_options=self.build_net_options(),
+        )
+        return kwargs

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -58,8 +58,7 @@ from repro.fl.types import ClientUpdate, FLConfig, RoundRecord
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
 
-from repro.api.callbacks import Callback
-from repro.api.engine import RETRY_BACKOFF_BASE_S, Engine
+from repro.api.engine import Engine
 
 __all__ = ["AsyncFLEngine"]
 
@@ -106,6 +105,11 @@ class AsyncFLEngine(Engine):
         the full buffer.
     async_alpha / async_poly:
         Async mixing weight ``alpha * (1 + staleness)^(-poly)``.
+    engine_kwargs:
+        Passed through to :class:`~repro.api.engine.Engine` unchanged,
+        except that the knobs only the synchronous loop honours
+        (``population``, ``state_mmap_mb``, ``system_model``,
+        ``net_options``) must be unset.
     """
 
     def __init__(
@@ -119,26 +123,23 @@ class AsyncFLEngine(Engine):
         deadline_s: Optional[float] = None,
         async_alpha: float = 0.6,
         async_poly: float = 0.5,
-        model_name: str = "cnn",
-        model_fn: Optional[Callable] = None,
-        sampler=None,
-        n_workers: int = 1,
-        executor: str = "auto",
-        callbacks: Iterable[Callback] = (),
-        aggregator=None,
-        adversary=None,
-        agg_block_size: Optional[int] = None,
-        recorder=None,
-        fault_injector=None,
-        task_retries: int = 0,
-        task_timeout_s: Optional[float] = None,
-        quorum_fraction: float = 0.0,
-        retry_backoff_base_s: float = RETRY_BACKOFF_BASE_S,
+        **engine_kwargs: Any,
     ) -> None:
         # All validation happens before super().__init__ builds the
         # executor — raising afterwards would leak a spawned worker pool.
         if mode not in ("async", "semisync"):
             raise ValueError(f"unknown AsyncFLEngine mode {mode!r}")
+        sync_only = [
+            name for name in ("net_options", "population", "state_mmap_mb", "system_model")
+            if engine_kwargs.get(name) is not None
+        ]
+        if sync_only:
+            raise ValueError(
+                f"{', '.join(sync_only)} apply to mode='sync' only; the "
+                "event-driven modes price per-client timings on their own "
+                "virtual clock"
+            )
+        sampler = engine_kwargs.get("sampler")
         if strategy.needs_preamble:
             raise ValueError(
                 f"{strategy.name} uses a preamble phase (full-batch gradients "
@@ -187,15 +188,7 @@ class AsyncFLEngine(Engine):
             raise ValueError("async_alpha must be in (0, 1]")
         if async_poly < 0:
             raise ValueError("async_poly must be non-negative")
-        super().__init__(
-            data, strategy, config, model_name=model_name, model_fn=model_fn,
-            sampler=sampler, n_workers=n_workers, executor=executor,
-            callbacks=callbacks, aggregator=aggregator, adversary=adversary,
-            agg_block_size=agg_block_size, recorder=recorder,
-            fault_injector=fault_injector, task_retries=task_retries,
-            task_timeout_s=task_timeout_s, quorum_fraction=quorum_fraction,
-            retry_backoff_base_s=retry_backoff_base_s,
-        )
+        super().__init__(data, strategy, config, **engine_kwargs)
         self.timing = timing
         self.mode = mode
         self.buffer_size = int(buffer_size)

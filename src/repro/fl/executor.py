@@ -26,25 +26,30 @@ import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.algorithms.base import ClientRoundContext, Strategy
+from repro.data.federated import FederatedData
 from repro.fl.client import Client, run_client_round
 from repro.fl.faults import FaultInjector, TaskFailure
-from repro.fl.params import ParamPlane
+from repro.fl.params import ParamPlane, WeightLayout
+from repro.fl.population import ClientDirectory, Population
 from repro.fl.robust.adversaries import Adversary
 from repro.fl.types import ClientUpdate, FLConfig
-from repro.obs import NULL_RECORDER
+from repro.obs import NULL_RECORDER, WorkerShardRecorder
+from repro.models import build_model
 from repro.models.fedmodel import FedModel
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.optim import SGD, Adam
 from repro.optim.base import Optimizer
+from repro.utils.rng import RngStream
 
 __all__ = [
     "WorkerContext",
+    "WorkerSpec",
     "ClientTaskSpec",
     "TaskResult",
     "TaskRuntime",
@@ -52,9 +57,13 @@ __all__ = [
     "ThreadedExecutor",
     "broadcast_tree",
     "broadcast_flat",
+    "build_clients",
     "build_round_context",
+    "build_worker_half",
     "execute_task",
     "make_optimizer",
+    "make_worker_context",
+    "registry_model_fn",
     "upload_nbytes",
 ]
 
@@ -108,6 +117,59 @@ class WorkerContext:
     frozen: FedModel
     optimizer: Optimizer
     criterion: CrossEntropyLoss
+
+
+def registry_model_fn(model_name: str, data_spec, seed: int) -> Callable[[], FedModel]:
+    """The seeded registry model factory the engine and every rebuilt
+    worker share."""
+    root = RngStream(seed)
+
+    def model_fn() -> FedModel:
+        # A fresh child generator per call -> every replica (the engine's
+        # canonical model, each worker's pair) gets the same deterministic
+        # initial weights.
+        return build_model(
+            model_name,
+            data_spec.input_shape,
+            data_spec.num_classes,
+            rng=root.child("model-init").generator,
+        )
+
+    return model_fn
+
+
+def make_worker_context(
+    model_fn: Callable[[], FedModel], opt_name: str, config: FLConfig
+) -> WorkerContext:
+    """One worker's model / frozen twin / optimizer / criterion."""
+    model = model_fn()
+    frozen = model_fn()
+    frozen.eval()
+    # Handing the model (not its parameter list) re-homes it onto
+    # weight/grad planes and gives the optimizer the fused flat
+    # update path; see repro.fl.params.materialize_parameters.
+    return WorkerContext(
+        model, frozen, make_optimizer(opt_name, model, config), CrossEntropyLoss()
+    )
+
+
+def build_clients(
+    data: FederatedData,
+    seed: int,
+    population: Optional[Population] = None,
+    adversary: Optional[Adversary] = None,
+):
+    """The stateless client roster: an eager list (one :class:`Client` per
+    data shard, poisoned by ``adversary`` when set) or, with a
+    ``population``, a lazy :class:`~repro.fl.population.ClientDirectory`
+    whose clients materialize on first touch.  Deterministic, so the engine
+    and every rebuilt worker see identical shards."""
+    if population is not None:
+        return ClientDirectory(population, data, seed=seed)
+    clients = [Client(k, data.client_dataset(k), seed=seed) for k in range(data.n_clients)]
+    if adversary is not None:
+        adversary.poison_clients(clients, data.spec.num_classes)
+    return clients
 
 
 @dataclass
@@ -204,7 +266,7 @@ class TaskRuntime:
     #: same choke point — also shared by every backend, so a fixed seed
     #: produces the identical failure pattern on all of them.
     fault_injector: Optional[FaultInjector] = None
-    #: True only inside a process-pool worker (set by ``_init_worker``);
+    #: True only inside a process-pool worker (see ``build_worker_half``);
     #: lets the worker-death fault actually kill the process there while
     #: in-process backends synthesize the equivalent failure.
     in_pool_worker: bool = False
@@ -214,6 +276,91 @@ class TaskRuntime:
     #: home on the task result.  Defaults to the no-op null recorder, which
     #: hot-path call sites skip with a single attribute check.
     recorder: Any = NULL_RECORDER
+
+
+@dataclass
+class WorkerSpec:
+    """Everything an out-of-process worker — a pool process or a network
+    peer — needs to rebuild its half of the engine.
+
+    Must stay picklable: it crosses the boundary exactly once, as the pool
+    initializer argument or inside the ``WELCOME`` frame.  Transport-only
+    values (the shared-memory segment name; heartbeat cadence, upload
+    codec, ``cell_key``) travel beside it, not in it.
+    """
+
+    data: FederatedData
+    strategy: Strategy
+    config: FLConfig
+    model_name: str
+    opt_name: str
+    fp_flops: float
+    #: the engine's weight-plane layout: workers view their broadcast
+    #: buffer (shared segment / BROADCAST frame bytes) through it.
+    layout: WeightLayout
+    #: optional Byzantine adversary — picklable by construction (holds only
+    #: plain numbers and its roster tuple); workers re-apply its data
+    #: poisoning to their locally rebuilt clients.
+    adversary: Optional[Adversary] = None
+    #: optional virtual population — pure arithmetic (size, n_shards), so
+    #: pickling it is free; workers rebuild a lazy ClientDirectory over it
+    #: instead of an eager client list.  Client state still travels with
+    #: each task, so worker-side directories only serve shards and RNG.
+    population: Optional[Population] = None
+    #: observability (repro.obs): when true, each worker builds a
+    #: WorkerShardRecorder whose per-task metric deltas (and, with
+    #: obs_spans, span records) pickle home on every TaskResult; the engine
+    #: absorbs them in task order so merged metrics are deterministic.
+    obs_enabled: bool = False
+    obs_spans: bool = False
+    #: optional deterministic fault injector (repro.fl.faults) — stateless
+    #: (seed + name + kwargs), so pickling ships the exact coin streams the
+    #: in-process backends draw from.
+    fault_injector: Optional[FaultInjector] = None
+
+
+def build_worker_half(
+    spec: WorkerSpec, buf, *, in_pool_worker: bool
+) -> Tuple[WorkerContext, TaskRuntime]:
+    """Rebuild model, optimizer, clients and task runtime from ``spec``
+    with the engine's seeded RNG streams, so a fixed seed yields
+    byte-identical results no matter which worker served a task.
+
+    ``buf`` is wherever this transport lands the round broadcast (the
+    shared-memory segment; a network worker's local bytearray); the runtime
+    reads the global weights through read-only views of it.
+    ``in_pool_worker`` is True only inside a process-pool worker, where the
+    worker-death fault may really kill the hosting process; a network
+    worker passes False and *synthesizes* that failure (like
+    serial/threaded) — it is never respawned by a pool, so a real exit
+    would permanently shrink the fleet and break cross-backend
+    byte-identity.
+    """
+    layout = spec.layout
+    model_fn = registry_model_fn(spec.model_name, spec.data.spec, spec.config.seed)
+    worker = make_worker_context(model_fn, spec.opt_name, spec.config)
+    runtime = TaskRuntime(
+        # No state factory for a lazy roster — strategy state arrives with
+        # each task and returns with its result.
+        clients=build_clients(
+            spec.data, spec.config.seed, spec.population, spec.adversary
+        ),
+        strategy=spec.strategy,
+        config=spec.config,
+        fp_flops=spec.fp_flops,
+        global_weights=layout.views(buf, writeable=False),
+        # Packed layouts also expose the buffer as one (P,) vector, so
+        # worker models adopt each round's broadcast with a single flat copy.
+        global_flat=(
+            layout.flat_view(buf, writeable=False) if layout.is_packed else None
+        ),
+        adversary=spec.adversary,
+        fault_injector=spec.fault_injector,
+        in_pool_worker=in_pool_worker,
+    )
+    if spec.obs_enabled:
+        runtime.recorder = WorkerShardRecorder(with_spans=spec.obs_spans)
+    return worker, runtime
 
 
 def build_round_context(
@@ -331,7 +478,29 @@ def execute_task(task: ClientTaskSpec, worker: WorkerContext, runtime: TaskRunti
     return result
 
 
-class SerialExecutor:
+class _InProcessExecutor:
+    """What the serial and threaded backends share: the engine's
+    :class:`TaskRuntime`, re-pointed at each round's broadcast."""
+
+    runtime: Optional[TaskRuntime]
+
+    def _require_runtime(self) -> TaskRuntime:
+        if self.runtime is None:
+            raise RuntimeError("executor was constructed without a TaskRuntime")
+        return self.runtime
+
+    def broadcast(self, weights,
+                  payload: Optional[Dict[str, Any]] = None) -> None:
+        """Point this round's tasks at the new global weights (a
+        :class:`~repro.fl.params.ParamPlane` or weight tree) and server
+        broadcast payload (no copies)."""
+        runtime = self._require_runtime()
+        runtime.global_weights = broadcast_tree(weights)
+        runtime.global_flat = broadcast_flat(weights)
+        runtime.server_broadcast = payload if payload is not None else {}
+
+
+class SerialExecutor(_InProcessExecutor):
     """Run client tasks one after another on a single worker context."""
 
     name = "serial"
@@ -354,21 +523,6 @@ class SerialExecutor:
         one; callers must not hold it across ``run()`` calls."""
         return self._worker
 
-    def broadcast(self, weights,
-                  payload: Optional[Dict[str, Any]] = None) -> None:
-        """Point this round's tasks at the new global weights (a
-        :class:`~repro.fl.params.ParamPlane` or weight tree) and server
-        broadcast payload (no copies)."""
-        runtime = self._require_runtime()
-        runtime.global_weights = broadcast_tree(weights)
-        runtime.global_flat = broadcast_flat(weights)
-        runtime.server_broadcast = payload if payload is not None else {}
-
-    def _require_runtime(self) -> TaskRuntime:
-        if self.runtime is None:
-            raise RuntimeError("executor was constructed without a TaskRuntime")
-        return self.runtime
-
     def run(self, tasks: Sequence[ClientTaskSpec]) -> List[TaskResult]:
         runtime = self._require_runtime()
         return [execute_task(t, self._worker, runtime) for t in tasks]
@@ -377,7 +531,7 @@ class SerialExecutor:
         pass
 
 
-class ThreadedExecutor:
+class ThreadedExecutor(_InProcessExecutor):
     """Thread-pool execution with a checkout queue of worker contexts."""
 
     name = "threaded"
@@ -406,17 +560,6 @@ class ThreadedExecutor:
         model for out-of-band work must build their own replica."""
         return None
 
-    def broadcast(self, weights,
-                  payload: Optional[Dict[str, Any]] = None) -> None:
-        """Point this round's tasks at the new global weights (a
-        :class:`~repro.fl.params.ParamPlane` or weight tree) and server
-        broadcast payload (no copies)."""
-        if self.runtime is None:
-            raise RuntimeError("executor was constructed without a TaskRuntime")
-        self.runtime.global_weights = broadcast_tree(weights)
-        self.runtime.global_flat = broadcast_flat(weights)
-        self.runtime.server_broadcast = payload if payload is not None else {}
-
     def _run_one(self, task: ClientTaskSpec) -> TaskResult:
         ctx = self._contexts.get()
         try:
@@ -425,8 +568,7 @@ class ThreadedExecutor:
             self._contexts.put(ctx)
 
     def run(self, tasks: Sequence[ClientTaskSpec]) -> List[TaskResult]:
-        if self.runtime is None:
-            raise RuntimeError("executor was constructed without a TaskRuntime")
+        self._require_runtime()
         futures = [self._pool.submit(self._run_one, t) for t in tasks]
         return [f.result() for f in futures]
 

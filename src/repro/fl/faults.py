@@ -16,7 +16,7 @@ name, client_id, round_idx, attempt)`` through the named
 time.  Keying by *attempt* means a retried task re-draws its fault coin,
 so bounded retry actually recovers at sub-certain fault rates while a
 replayed run reproduces every failure exactly.  Injectors cross the
-process boundary inside ``ProcessWorkerSpec`` and therefore hold only
+process boundary inside ``WorkerSpec`` and therefore hold only
 plain numbers, like adversaries.
 
 Built-in fault kinds (``rate`` is the per-(client, round, attempt) firing
@@ -101,7 +101,7 @@ class FaultInjector:
     a failed result *instead of* training — crash-style faults) and
     :meth:`delay_s` (extra simulated seconds appended to an honestly
     trained task — straggler-style faults).  Instances ship inside
-    ``ProcessWorkerSpec`` and must stay picklable: hold plain numbers,
+    ``WorkerSpec`` and must stay picklable: hold plain numbers,
     derive generators fresh per call.
     """
 

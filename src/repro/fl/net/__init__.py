@@ -27,7 +27,7 @@ own package, and importing the pure codec must not drag in sockets.
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing-time imports only
-    from repro.fl.net.coordinator import CoordinatorServer, NetworkExecutor, WIRE_CODECS
+    from repro.fl.net.coordinator import CoordinatorServer, NetworkExecutor
     from repro.fl.net.frames import (
         Frame,
         FrameDecoder,
@@ -43,12 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing-time imports only
         register_netfault,
     )
     from repro.fl.net.transport import ChannelClosed, FramedChannel
-    from repro.fl.net.worker import NetWorkerSpec, WorkerClient
+    from repro.fl.net.worker import WorkerClient
+
+#: upload codecs the network executor knows how to decode.  Lives here, in
+#: the socket-free package root, so the spec's validation, the derived CLI
+#: ``choices`` and the coordinator all read one tuple.
+WIRE_CODECS = ("topk", "quantization")
 
 _EXPORTS = {
     "CoordinatorServer": "coordinator",
     "NetworkExecutor": "coordinator",
-    "WIRE_CODECS": "coordinator",
     "Frame": "frames",
     "FrameDecoder": "frames",
     "ProtocolError": "frames",
@@ -61,11 +65,10 @@ _EXPORTS = {
     "register_netfault": "netfaults",
     "ChannelClosed": "transport",
     "FramedChannel": "transport",
-    "NetWorkerSpec": "worker",
     "WorkerClient": "worker",
 }
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted([*_EXPORTS, "WIRE_CODECS"])
 
 
 def __getattr__(name: str):

@@ -48,21 +48,17 @@ import numpy as np
 from repro.fl.compression import QuantizationCompressor, TopKCompressor
 from repro.fl.executor import ClientTaskSpec, TaskResult, broadcast_tree
 from repro.fl.faults import TaskFailure
-from repro.fl.net import frames
+from repro.fl.net import WIRE_CODECS, frames
 from repro.fl.net.frames import ProtocolError, pack_blob_payload
 from repro.fl.net.netfaults import NetFaultInjector
 from repro.fl.net.transport import ChannelClosed, FramedChannel
-from repro.fl.net.worker import NetWorkerSpec
 from repro.fl.params import ParamPlane, WeightLayout
 from repro.fl.types import ClientUpdate
 from repro.utils.logging import get_logger
 
-__all__ = ["CoordinatorServer", "NetworkExecutor", "WIRE_CODECS"]
+__all__ = ["CoordinatorServer", "NetworkExecutor"]
 
 _log = get_logger("fl.net.coordinator")
-
-#: upload codecs the network executor knows how to decode.
-WIRE_CODECS = ("topk", "quantization")
 
 #: hosts the executor treats as loopback (it spawns its own workers there).
 _LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1", "")
@@ -107,9 +103,11 @@ class CoordinatorServer:
     bind:
         ``host:port`` to listen on; port 0 picks an ephemeral port (read
         it back from :attr:`address`).
-    spec:
-        Picklable :class:`~repro.fl.net.worker.NetWorkerSpec` shipped in
-        every ``WELCOME``.  ``None`` is allowed (handshake-only servers in
+    welcome:
+        What every ``WELCOME`` carries beside ``cell_key`` and
+        ``heartbeat_s``: the picklable :class:`~repro.fl.executor.WorkerSpec`
+        build recipe under ``"spec"`` plus the upload ``"codec"`` /
+        ``"codec_kwargs"``.  ``None`` is allowed (handshake-only servers in
         tests); workers then receive no build recipe.
     cell_key:
         The experiment cell this coordinator serves.  A HELLO asserting a
@@ -131,7 +129,7 @@ class CoordinatorServer:
     """
 
     def __init__(self, bind: str = "127.0.0.1:0", *,
-                 spec: Optional[NetWorkerSpec] = None,
+                 welcome: Optional[Dict[str, Any]] = None,
                  cell_key: Optional[str] = None,
                  heartbeat_s: float = 0.5,
                  connect_timeout_s: float = 20.0,
@@ -148,7 +146,9 @@ class CoordinatorServer:
         self._injector = injector
         self._cell_key = cell_key
         self._welcome_blob = pickle.dumps(
-            {"spec": spec}, protocol=pickle.HIGHEST_PROTOCOL
+            {"spec": None, **(welcome or {}),
+             "cell_key": cell_key, "heartbeat_s": self.heartbeat_s},
+            protocol=pickle.HIGHEST_PROTOCOL,
         )
         self._conns: Dict[int, _Conn] = {}
         #: accepted sockets that have not completed the HELLO handshake yet.
@@ -561,8 +561,8 @@ class NetworkExecutor:
             raise ValueError("n_workers must be positive")
         if codec is not None and codec not in WIRE_CODECS:
             raise ValueError(f"unknown net codec {codec!r}; available: {list(WIRE_CODECS)}")
-        pws = engine.process_worker_spec()  # also rejects custom model_fn
-        layout: WeightLayout = engine.server.plane.layout
+        spec = engine.worker_spec()  # also rejects custom model_fn
+        layout: WeightLayout = spec.layout
         if codec is not None and not layout.is_packed:
             raise ValueError("net codecs need a packed (uniform-dtype) weight layout")
         self._layout = layout
@@ -575,27 +575,9 @@ class NetworkExecutor:
         self._bcast_flat: Optional[np.ndarray] = None
         self._procs: List[subprocess.Popen] = []
         self._closed = False
-        spec = NetWorkerSpec(
-            data=pws.data,
-            strategy=pws.strategy,
-            config=pws.config,
-            model_name=pws.model_name,
-            opt_name=pws.opt_name,
-            fp_flops=pws.fp_flops,
-            layout=layout,
-            adversary=pws.adversary,
-            population=pws.population,
-            obs_enabled=pws.obs_enabled,
-            obs_spans=pws.obs_spans,
-            fault_injector=pws.fault_injector,
-            cell_key=cell_key,
-            heartbeat_s=float(heartbeat_s),
-            codec=codec,
-            codec_kwargs=self._codec_kwargs,
-        )
         self._server = CoordinatorServer(
             bind,
-            spec=spec,
+            welcome={"spec": spec, "codec": codec, "codec_kwargs": self._codec_kwargs},
             cell_key=cell_key,
             heartbeat_s=heartbeat_s,
             connect_timeout_s=connect_timeout_s,

@@ -4,11 +4,13 @@ One worker = one process = one coordinator connection.  The lifecycle:
 
 1. **register** — dial the coordinator, send ``HELLO`` (with the expected
    ``cell_key``, if the operator passed one), receive ``WELCOME`` carrying
-   a picklable :class:`NetWorkerSpec` — the same build recipe idiom as
-   ``ProcessWorkerSpec``: dataset, strategy, config, registry model name —
-   and rebuild model/optimizer/clients locally with the engine's seeded
-   RNG streams, so a fixed seed yields byte-identical results no matter
-   which worker (or how many) served the round;
+   a picklable :class:`~repro.fl.executor.WorkerSpec` — the build recipe
+   the process pool's workers get too: dataset, strategy, config, registry
+   model name — beside the wire-level knobs (heartbeat cadence, optional
+   upload codec, the experiment's ``cell_key``), and rebuild
+   model/optimizer/clients locally with the engine's seeded RNG streams,
+   so a fixed seed yields byte-identical results no matter which worker
+   (or how many) served the round;
 2. **serve** — pump frames: ``BROADCAST`` installs the round's flat global
    weights into a local buffer (one memcpy; the runtime's weight views
    alias it), ``TASK`` runs one :class:`~repro.fl.executor.ClientTaskSpec`
@@ -39,66 +41,22 @@ import socket
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import Strategy
-from repro.data.federated import FederatedData
-from repro.fl.client import Client
 from repro.fl.compression import QuantizationCompressor, TopKCompressor
-from repro.fl.executor import TaskResult, TaskRuntime, WorkerContext, execute_task, make_optimizer
-from repro.fl.faults import FaultInjector
+from repro.fl.executor import TaskResult, WorkerSpec, build_worker_half, execute_task
 from repro.fl.net import frames
-from repro.fl.net.frames import ProtocolError, unpack_blob_payload
+from repro.fl.net.frames import Frame, ProtocolError, unpack_blob_payload
 from repro.fl.net.transport import ChannelClosed, FramedChannel
-from repro.fl.params import WeightLayout
-from repro.fl.population import ClientDirectory, Population
-from repro.fl.robust.adversaries import Adversary
-from repro.fl.types import FLConfig
-from repro.models import build_model
-from repro.nn.losses import CrossEntropyLoss
-from repro.obs import WorkerShardRecorder
 from repro.utils.rng import RngStream
 
-__all__ = ["NetWorkerSpec", "WorkerClient", "main"]
+__all__ = ["WorkerClient", "main"]
 
 #: results remembered per worker so a re-sent task (its RESULT frame was
 #: dropped on the way up) is answered from cache instead of re-trained.
 _RESULT_CACHE_SIZE = 64
-
-
-@dataclass
-class NetWorkerSpec:
-    """Everything a network worker needs to rebuild its half of the engine.
-
-    The network twin of :class:`~repro.fl.process_executor.ProcessWorkerSpec`
-    (same fields, same rebuild semantics) minus shared memory — the global
-    weights arrive as ``BROADCAST`` frames instead — plus the wire-level
-    knobs (heartbeat cadence, optional upload codec) and the experiment's
-    ``cell_key`` so reconnecting workers can reuse cached state.  Crosses
-    the wire exactly once, pickled inside ``WELCOME``.
-    """
-
-    data: FederatedData
-    strategy: Strategy
-    config: FLConfig
-    model_name: str
-    opt_name: str
-    fp_flops: float
-    layout: WeightLayout
-    adversary: Optional[Adversary] = None
-    population: Optional[Population] = None
-    obs_enabled: bool = False
-    obs_spans: bool = False
-    fault_injector: Optional[FaultInjector] = None
-    cell_key: Optional[str] = None
-    heartbeat_s: float = 0.5
-    #: optional upload codec ("topk" / "quantization"): the worker ships a
-    #: coded *delta* against the round's broadcast instead of raw flat bytes.
-    codec: Optional[str] = None
-    codec_kwargs: Dict[str, Any] = field(default_factory=dict)
 
 
 class _CorruptStream(Exception):
@@ -115,62 +73,20 @@ class _WorkerState:
     seeded streams), which is what the cache test pins.
     """
 
-    def __init__(self, spec: NetWorkerSpec) -> None:
-        self.spec = spec
-        layout = spec.layout
+    def __init__(self, welcome: Dict[str, Any]) -> None:
+        spec: WorkerSpec = welcome["spec"]
+        #: optional upload codec ("topk" / "quantization"): the worker ships a
+        #: coded *delta* against the round's broadcast instead of raw flat bytes.
+        self.codec: Optional[str] = welcome["codec"]
+        self.codec_kwargs: Dict[str, Any] = welcome["codec_kwargs"]
         #: local stand-in for the process backend's shared segment: the
         #: round's broadcast lands here with one flat copy and the
         #: runtime's weight views alias it.
-        self._buf = bytearray(layout.total_bytes)
+        self._buf = bytearray(spec.layout.total_bytes)
         self._buf_u8 = np.frombuffer(self._buf, dtype=np.uint8)
-        views = layout.views(self._buf, writeable=False)
-        flat_view = layout.flat_view(self._buf, writeable=False) if layout.is_packed else None
-        self.flat_view = flat_view
-
-        data_spec = spec.data.spec
-        root = RngStream(spec.config.seed)
-
-        def model_fn():
-            return build_model(
-                spec.model_name,
-                data_spec.input_shape,
-                data_spec.num_classes,
-                rng=root.child("model-init").generator,
-            )
-
-        model = model_fn()
-        frozen = model_fn()
-        frozen.eval()
-        self.worker = WorkerContext(
-            model, frozen, make_optimizer(spec.opt_name, model, spec.config),
-            CrossEntropyLoss(),
+        self.worker, self.runtime = build_worker_half(
+            spec, self._buf, in_pool_worker=False
         )
-        if spec.population is not None:
-            clients = ClientDirectory(spec.population, spec.data, seed=spec.config.seed)
-        else:
-            clients = [
-                Client(k, spec.data.client_dataset(k), seed=spec.config.seed)
-                for k in range(spec.data.n_clients)
-            ]
-            if spec.adversary is not None:
-                spec.adversary.poison_clients(clients, data_spec.num_classes)
-        # in_pool_worker stays False on purpose: the worker_death fault
-        # *synthesizes* its failure here (like serial/threaded) instead of
-        # killing the process — a network worker is never respawned by a
-        # pool, so a real exit would permanently shrink the fleet and break
-        # cross-backend byte-identity.  Real deaths are the chaos test's job.
-        self.runtime = TaskRuntime(
-            clients=clients,
-            strategy=spec.strategy,
-            config=spec.config,
-            fp_flops=spec.fp_flops,
-            global_weights=views,
-            global_flat=flat_view,
-            adversary=spec.adversary,
-            fault_injector=spec.fault_injector,
-        )
-        if spec.obs_enabled:
-            self.runtime.recorder = WorkerShardRecorder(with_spans=spec.obs_spans)
         #: version of the broadcast currently installed (0 = none yet).
         self.bcast_ver = 0
         #: task_id -> encoded RESULT payload, for re-sent tasks.
@@ -198,8 +114,8 @@ class _WorkerState:
 
     # -- upload encoding -------------------------------------------------
     def _make_codec(self, task):
-        name = (self.spec.codec or "").lower()
-        kwargs = dict(self.spec.codec_kwargs)
+        name = (self.codec or "").lower()
+        kwargs = dict(self.codec_kwargs)
         if name == "topk":
             return TopKCompressor(**kwargs)
         if name == "quantization":
@@ -207,12 +123,12 @@ class _WorkerState:
             # the coded bits are a pure function of the task, not of which
             # worker served it or in what order.
             seed = int(
-                RngStream(self.spec.config.seed)
+                RngStream(self.runtime.config.seed)
                 .child("net-codec", task.client_id, task.round_idx, task.attempt)
                 .generator.integers(1 << 31)
             )
             return QuantizationCompressor(seed=seed, **kwargs)
-        raise ValueError(f"unknown net codec {self.spec.codec!r}")
+        raise ValueError(f"unknown net codec {self.codec!r}")
 
     def encode_result(self, task, result: TaskResult) -> Dict[str, Any]:
         """The picklable wire form of one :class:`TaskResult`.
@@ -247,8 +163,8 @@ class _WorkerState:
         flat = update.flat_vector()
         if flat is None:  # pragma: no cover - models here are uniform f32
             wire["update"] = {"mode": "pickle", "update": update}
-        elif self.spec.codec is not None and self.flat_view is not None:
-            delta = np.asarray(flat, dtype=np.float32) - self.flat_view
+        elif self.codec is not None and self.runtime.global_flat is not None:
+            delta = np.asarray(flat, dtype=np.float32) - self.runtime.global_flat
             enc, nbytes = self._make_codec(task).encode_flat(delta)
             wire["update"] = {
                 "mode": "codec", "enc": enc, "wire_nbytes": float(nbytes), "meta": meta,
@@ -265,12 +181,12 @@ class _WorkerState:
 _STATE_CACHE: Dict[Optional[str], _WorkerState] = {}
 
 
-def build_worker_state(spec: NetWorkerSpec) -> _WorkerState:
+def build_worker_state(welcome: Dict[str, Any]) -> _WorkerState:
     """The (cached) rebuilt engine half for one experiment cell."""
-    key = spec.cell_key
+    key = welcome["cell_key"]
     state = _STATE_CACHE.get(key)
     if state is None or key is None:
-        state = _WorkerState(spec)
+        state = _WorkerState(welcome)
         _STATE_CACHE.clear()  # one experiment per worker process at a time
         _STATE_CACHE[key] = state
     return state
@@ -325,7 +241,7 @@ class WorkerClient:
         while True:
             try:
                 chan = self._connect()
-                spec = self._register(chan)
+                welcome, backlog = self._register(chan)
             except _Rejected:
                 return 1
             except (OSError, ChannelClosed, ProtocolError, _CorruptStream):
@@ -334,13 +250,13 @@ class WorkerClient:
                     return 1
                 self._backoff(attempt)
                 continue
-            if spec is None:  # orderly BYE during registration
+            if welcome is None:  # orderly BYE, or nothing to serve
                 return 0
             attempt = 0
-            state = build_worker_state(spec)
-            heartbeat = _Heartbeat(chan, spec.heartbeat_s)
+            state = build_worker_state(welcome)
+            heartbeat = _Heartbeat(chan, welcome["heartbeat_s"])
             try:
-                self._serve(chan, state)
+                self._serve(chan, state, backlog)
                 return 0
             except (ChannelClosed, ProtocolError, _CorruptStream):
                 attempt += 1
@@ -362,31 +278,47 @@ class WorkerClient:
         )
         return FramedChannel(sock)
 
-    def _register(self, chan: FramedChannel) -> Optional[NetWorkerSpec]:
-        """HELLO / WELCOME handshake; returns the build recipe, ``None``
-        on an orderly BYE, raises :class:`_Rejected` on a refusal."""
+    def _register(
+        self, chan: FramedChannel
+    ) -> Tuple[Optional[Dict[str, Any]], List[Frame]]:
+        """HELLO / WELCOME handshake; returns the WELCOME dict (``None`` on
+        an orderly BYE or a recipe-less WELCOME) plus the frames that
+        arrived behind it, and raises :class:`_Rejected` on a refusal.
+
+        The coordinator sends BROADCAST (and the first TASK) right behind
+        WELCOME, so they routinely land in the same receive batch; dropping
+        them would stall the round for a resend timeout plus a NEED_BCAST
+        round trip.
+        """
         chan.send_frame(frames.HELLO, pickle.dumps({
             "cell_key": self.cell_key,
             "reconnect": getattr(self, "_ever_registered", False),
         }, protocol=pickle.HIGHEST_PROTOCOL))
         deadline = time.monotonic() + self.connect_timeout_s
         while time.monotonic() < deadline:
-            for frame in chan.recv_frames(timeout=0.2):
+            batch = chan.recv_frames(timeout=0.2)
+            for i, frame in enumerate(batch):
                 if frame.ftype == frames.WELCOME:
                     self._ever_registered = True
                     welcome = _loads(frame.payload)
-                    return welcome["spec"]
+                    if welcome["spec"] is None:
+                        return None, []
+                    return welcome, batch[i + 1:]
                 if frame.ftype == frames.BYE:
                     reason = _loads(frame.payload).get("reason", "")
                     if reason:
                         raise _Rejected(reason)
-                    return None
+                    return None, []
         raise ChannelClosed("no WELCOME within the connect timeout")
 
     # -- serving ---------------------------------------------------------
-    def _serve(self, chan: FramedChannel, state: _WorkerState) -> None:
+    def _serve(self, chan: FramedChannel, state: _WorkerState,
+               backlog: Sequence[Frame] = ()) -> None:
+        """Pump frames until BYE, starting with ``backlog`` — what arrived
+        in the same batch as WELCOME."""
+        batch = backlog
         while True:
-            for frame in chan.recv_frames(timeout=0.5):
+            for frame in batch:
                 if frame.ftype == frames.BROADCAST:
                     state.install_broadcast(frame.payload)
                 elif frame.ftype == frames.TASK:
@@ -394,6 +326,7 @@ class WorkerClient:
                 elif frame.ftype == frames.BYE:
                     return
                 # anything else (stray HEARTBEAT echoes) is ignored
+            batch = chan.recv_frames(timeout=0.5)
 
     def _handle_task(self, chan: FramedChannel, state: _WorkerState,
                      payload: bytes) -> None:

@@ -18,10 +18,11 @@ buffer:
   the worker's model exactly as the in-process backends do.
 
 Workers are initialized once per pool from a picklable
-:class:`ProcessWorkerSpec` (dataset, strategy, config, model registry name)
-and rebuild their model/optimizer/clients locally with the same seeded RNG
-streams as the engine, so a fixed seed produces byte-identical round records
-across serial, threaded and process backends (asserted by tests).
+:class:`~repro.fl.executor.WorkerSpec` (dataset, strategy, config, model
+registry name) and rebuild their model/optimizer/clients locally with the
+same seeded RNG streams as the engine, so a fixed seed produces
+byte-identical round records across serial, threaded and process backends
+(asserted by tests).
 
 Synchronization contract: the engine calls ``broadcast(weights)`` strictly
 before ``run(tasks)`` and ``run`` is synchronous, so no worker ever reads
@@ -31,77 +32,27 @@ the segment while the parent writes it.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, replace
 from time import monotonic
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import Strategy
-from repro.data.federated import FederatedData
-from repro.fl.client import Client
 from repro.fl.executor import (
     ClientTaskSpec,
     TaskResult,
     TaskRuntime,
     WorkerContext,
+    WorkerSpec,
+    build_worker_half,
     execute_task,
-    make_optimizer,
 )
-from repro.fl.faults import FaultInjector, TaskFailure
+from repro.fl.faults import TaskFailure
 # WeightLayout's home is repro.fl.params since the flat-parameter refactor;
 # re-exported here for backward compatibility.
 from repro.fl.params import ParamPlane, WeightLayout
-from repro.fl.population import ClientDirectory, Population
-from repro.fl.robust.adversaries import Adversary
-from repro.fl.types import FLConfig
-from repro.models import build_model
-from repro.obs import WorkerShardRecorder
-from repro.nn.losses import CrossEntropyLoss
-from repro.utils.rng import RngStream
 
-__all__ = ["WeightLayout", "ProcessWorkerSpec", "ProcessExecutor"]
-
-
-@dataclass
-class ProcessWorkerSpec:
-    """Everything a pool worker needs to rebuild its half of the engine.
-
-    Must stay picklable: it crosses the process boundary exactly once, as
-    the pool initializer argument.
-    """
-
-    data: FederatedData
-    strategy: Strategy
-    config: FLConfig
-    model_name: str
-    opt_name: str
-    fp_flops: float
-    #: optional Byzantine adversary — picklable by construction (holds only
-    #: plain numbers and its roster tuple); workers re-apply its data
-    #: poisoning to their locally rebuilt clients.
-    adversary: Optional[Adversary] = None
-    #: optional virtual population — pure arithmetic (size, n_shards), so
-    #: pickling it is free; workers rebuild a lazy ClientDirectory over it
-    #: instead of an eager client list.  Client state still travels with
-    #: each task, so worker-side directories only serve shards and RNG.
-    population: Optional[Population] = None
-    #: observability (repro.obs): when true, each pool worker builds a
-    #: WorkerShardRecorder whose per-task metric deltas (and, with
-    #: obs_spans, span records) pickle home on every TaskResult; the engine
-    #: absorbs them in task order so merged metrics are deterministic.
-    obs_enabled: bool = False
-    obs_spans: bool = False
-    #: optional deterministic fault injector (repro.fl.faults) — stateless
-    #: (seed + name + kwargs), so pickling ships the exact coin streams the
-    #: in-process backends draw from.  Workers flag ``in_pool_worker`` on
-    #: their runtime so process-only faults (worker death) know they may
-    #: actually kill the hosting process.
-    fault_injector: Optional[FaultInjector] = None
-    #: filled in by ProcessExecutor.__init__, never by the engine
-    layout: Optional[WeightLayout] = None
-    shm_name: str = ""
+__all__ = ["WeightLayout", "ProcessExecutor"]
 
 
 # Per-worker-process globals, populated by _init_worker.
@@ -132,72 +83,14 @@ def _resolve_payload(ref: PayloadRef) -> Dict[str, Any]:
     return _PAYLOAD_CACHE[1]
 
 
-def _init_worker(spec: ProcessWorkerSpec) -> None:
+def _init_worker(spec: WorkerSpec, shm_name: str) -> None:
     """Pool initializer: attach the weight segment, rebuild model/clients."""
     global _WORKER, _RUNTIME, _SHM
     # Workers share the parent's resource tracker (multiprocessing hands the
     # tracker fd to fork and spawn children alike), so the attach below is a
     # no-op re-registration; only the creating process ever unlinks.
-    _SHM = shared_memory.SharedMemory(name=spec.shm_name)
-    views = spec.layout.views(_SHM.buf, writeable=False)
-    # Packed layouts also expose the segment as one (P,) vector, so worker
-    # models adopt each round's broadcast with a single flat copy.
-    flat_view = (
-        spec.layout.flat_view(_SHM.buf, writeable=False)
-        if spec.layout.is_packed else None
-    )
-
-    data_spec = spec.data.spec
-    root = RngStream(spec.config.seed)
-
-    def model_fn():
-        # Fresh child generator per call -> replicas get the exact initial
-        # weights the engine's canonical model got.
-        return build_model(
-            spec.model_name,
-            data_spec.input_shape,
-            data_spec.num_classes,
-            rng=root.child("model-init").generator,
-        )
-
-    model = model_fn()
-    frozen = model_fn()
-    frozen.eval()
-    # Handing the model (not its parameter list) re-homes it onto weight/
-    # grad planes and gives the optimizer the fused flat update path.
-    _WORKER = WorkerContext(
-        model, frozen, make_optimizer(spec.opt_name, model, spec.config),
-        CrossEntropyLoss(),
-    )
-    if spec.population is not None:
-        # Lazy roster in the worker too: only the clients this worker is
-        # actually handed tasks for ever materialize.  No state factory —
-        # strategy state arrives with each task and returns with its result.
-        clients = ClientDirectory(
-            spec.population, spec.data, seed=spec.config.seed
-        )
-    else:
-        clients = [
-            Client(k, spec.data.client_dataset(k), seed=spec.config.seed)
-            for k in range(spec.data.n_clients)
-        ]
-        if spec.adversary is not None:
-            # Same data poisoning the engine applied to its own client list;
-            # deterministic, so both sides see identical shards.
-            spec.adversary.poison_clients(clients, data_spec.num_classes)
-    _RUNTIME = TaskRuntime(
-        clients=clients,
-        strategy=spec.strategy,
-        config=spec.config,
-        fp_flops=spec.fp_flops,
-        global_weights=views,
-        global_flat=flat_view,
-        adversary=spec.adversary,
-        fault_injector=spec.fault_injector,
-        in_pool_worker=True,
-    )
-    if spec.obs_enabled:
-        _RUNTIME.recorder = WorkerShardRecorder(with_spans=spec.obs_spans)
+    _SHM = shared_memory.SharedMemory(name=shm_name)
+    _WORKER, _RUNTIME = build_worker_half(spec, _SHM.buf, in_pool_worker=True)
 
 
 def _run_task(job: Tuple[ClientTaskSpec, PayloadRef]) -> TaskResult:
@@ -220,11 +113,11 @@ class ProcessExecutor:
     Parameters
     ----------
     spec:
-        Picklable worker build recipe (``shm_name``/``layout`` are filled in
-        here from ``initial_weights``).
+        Picklable worker build recipe; its ``layout`` sizes the shared
+        segment.
     initial_weights:
-        The engine's global weight tree; defines the shared segment layout
-        and seeds its first broadcast.
+        The engine's global weights (plane or tree in ``spec.layout``);
+        seeds the segment's first broadcast.
     n_workers:
         Pool size.
     mp_start_method:
@@ -242,7 +135,7 @@ class ProcessExecutor:
 
     def __init__(
         self,
-        spec: ProcessWorkerSpec,
+        spec: WorkerSpec,
         initial_weights: Sequence[np.ndarray],
         n_workers: int = 2,
         mp_start_method: Optional[str] = None,
@@ -251,11 +144,7 @@ class ProcessExecutor:
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
         self._n_workers = n_workers
-        if isinstance(initial_weights, ParamPlane):
-            layout = initial_weights.layout
-        else:
-            layout = WeightLayout.from_weights(initial_weights)
-        self._layout = layout
+        layout = self._layout = spec.layout
         self._shm = shared_memory.SharedMemory(create=True, size=layout.total_bytes)
         self._views: Optional[List[np.ndarray]] = layout.views(self._shm.buf, writeable=True)
         #: whole-segment byte view — one memcpy broadcasts the entire model
@@ -269,8 +158,9 @@ class ProcessExecutor:
         if mp_start_method is None:
             mp_start_method = "fork" if "fork" in get_all_start_methods() else "spawn"
         ctx = get_context(mp_start_method)
-        spec = replace(spec, shm_name=self._shm.name, layout=layout)
-        self._pool = ctx.Pool(n_workers, initializer=_init_worker, initargs=(spec,))
+        self._pool = ctx.Pool(
+            n_workers, initializer=_init_worker, initargs=(spec, self._shm.name)
+        )
         self._death_grace_s = death_grace_s
         self._known_pids = self._live_pids()
         self._closed = False

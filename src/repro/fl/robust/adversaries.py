@@ -16,7 +16,7 @@ Determinism: the roster and every noise draw come from named
 :class:`~repro.utils.rng.RngStream` children of ``(seed, "adversary", ...)``
 keyed by client id and round index — never from call order — so results are
 identical across executors, and an adversary object crossing the process
-boundary (inside ``ProcessWorkerSpec``) only carries plain ints/floats.
+boundary (inside ``WorkerSpec``) only carries plain ints/floats.
 
 Built-in models (``w`` = the honest local model, ``g`` = the global model
 the round started from, ``d = w - g`` the honest delta):
@@ -74,7 +74,7 @@ def adversary_roster(n_clients: int, fraction: float, seed: int) -> Tuple[int, .
 class Adversary:
     """Base adversary: roster bookkeeping plus identity hooks.
 
-    Instances are shipped inside ``ProcessWorkerSpec`` and must stay
+    Instances are shipped inside ``WorkerSpec`` and must stay
     picklable: hold plain numbers, derive generators fresh per call.
     """
 
@@ -99,7 +99,7 @@ class Adversary:
         """Corrupt adversarial clients' datasets in place (default: no-op).
 
         Called once at engine construction *and* once per worker process
-        (``_init_worker`` rebuilds clients from the dataset), so it must be
+        (``build_worker_half`` rebuilds clients from the dataset), so it must be
         a pure function of the client's shard — not of call count.
         """
 

@@ -312,6 +312,57 @@ class TestHandshake:
         finally:
             server.shutdown()
 
+    def test_frames_batched_behind_welcome_are_served(self):
+        """The coordinator sends BROADCAST and the first TASK right behind
+        WELCOME, so all three can land in one receive batch.  The worker
+        must serve them: one ``sendall`` of WELCOME+BROADCAST+TASK yields a
+        RESULT with the task sent exactly once (what ``_Flight.sends == 1``
+        means on the coordinator) and no NEED_BCAST NACK — not a stall for
+        the resend timer."""
+        from repro.fl.executor import ClientTaskSpec
+
+        spec = tiny_spec()
+        with Engine(spec.build_data(), spec.build_strategy(), spec.build_config(),
+                    model_name="mlp") as engine:
+            welcome = pickle.dumps({
+                "spec": engine.worker_spec(), "cell_key": None,
+                "heartbeat_s": 60.0, "codec": None, "codec_kwargs": {},
+            })
+            bcast = pack_blob_payload(
+                pickle.dumps({"ver": 1, "payload": engine.server.broadcast_payload()}),
+                engine.server.plane.bytes_view().tobytes(),
+            )
+            task = pickle.dumps({"task_id": 7, "ver": 1, "task": ClientTaskSpec(
+                client_id=0, round_idx=0, state=engine.clients[0].state)})
+        ours, theirs = socket.socketpair()
+        client = WorkerClient("unused", 0, connect_timeout_s=5.0, max_reconnects=0)
+        client._connect = lambda: FramedChannel(theirs)
+        rc = {}
+        thread = threading.Thread(
+            target=lambda: rc.setdefault("code", client.run()), daemon=True)
+        thread.start()
+        chan = FramedChannel(ours)
+        try:
+            assert [f.ftype for f in chan.recv_frames(timeout=5.0)] == [frames.HELLO]
+            ours.sendall(
+                encode_frame(frames.WELCOME, 1, welcome)
+                + encode_frame(frames.BROADCAST, 2, bcast)
+                + encode_frame(frames.TASK, 3, task)
+            )
+            got = []
+            deadline = time.monotonic() + 10.0
+            while not got and time.monotonic() < deadline:
+                got = chan.recv_frames(timeout=0.2)
+            assert [f.ftype for f in got] == [frames.RESULT]
+            result = pickle.loads(got[0].payload)
+            assert result["task_id"] == 7
+            assert result["wire"]["update"] is not None
+            ours.sendall(encode_frame(frames.BYE, 4, pickle.dumps({"reason": ""})))
+            thread.join(timeout=5.0)
+            assert rc.get("code") == 0
+        finally:
+            chan.close()
+
     def test_worker_gives_up_after_reconnect_budget(self):
         # Nothing listens on this port: bind-then-close guarantees refusal.
         probe = socket.socket()
