@@ -3,7 +3,7 @@
 The workload isolates the server's per-round overhead — the part of an FL
 round that does not parallelize across clients: finite-screening K client
 updates, aggregating them (Eq. 2), adopting the new global model, and
-broadcasting it to the executor's shared segment.  With many clients and a
+copying it out for the executor's broadcast.  With many clients and a
 tiny model this is exactly the regime where the historical list-of-arrays
 representation drowned in per-layer Python loops (K x L axpys to
 aggregate, L copies to adopt, L copies to broadcast).
@@ -77,7 +77,7 @@ def _make_updates(n_clients: int, rng: np.random.Generator, with_flat: bool):
 def _legacy_round(weights, updates, segment_views):
     """One pre-PR server round: per-layer screen, loop aggregate, per-layer
     adopt + broadcast.  Mirrors the seed implementation of
-    ``Server.apply_updates`` + ``ProcessExecutor.broadcast``."""
+    ``Server.apply_updates`` + its per-layer broadcast copy."""
     healthy = [u for u in updates
                if all(np.isfinite(w).all() for w in u.weights)]
     new = weighted_average_trees_loop(
@@ -109,7 +109,7 @@ def _measure_flat(n_clients: int, rounds: int) -> float:
     config = FLConfig(rounds=1, n_clients=n_clients, clients_per_round=n_clients)
     server = Server([np.zeros(s, dtype=np.float32) for s in SHAPES],
                     build_strategy("fedavg"), config)
-    # The process-executor segment protocol: same layout, one memcpy.
+    # The broadcast hand-off: the plane's bytes, same layout, one memcpy.
     segment = np.zeros(server.plane.layout.total_bytes, dtype=np.uint8)
 
     def flat_round():

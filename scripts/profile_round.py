@@ -142,7 +142,7 @@ def main() -> int:
     from repro.api.registry import build_mode
 
     # A metrics_out path turns the obs recorder on end-to-end — including
-    # the process pool's worker shards, whose obs flag is baked into the
+    # the worker processes' shards, whose obs flag is baked into the
     # picklable worker spec at engine construction.  The exposition file
     # itself is a throwaway; the breakdown below reads the live registry.
     fd, metrics_tmp = tempfile.mkstemp(prefix="profile_round_", suffix=".prom")

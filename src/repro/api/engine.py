@@ -108,11 +108,12 @@ class Engine:
         Worker count handed to the execution backend.
     executor:
         Registry name of the execution backend ("serial" / "threaded" /
-        "process"; see :mod:`repro.api.registry`).  The default "auto"
-        keeps the historical behaviour: serial at ``n_workers<=1``,
-        threaded above.  Pooled backends reject strategies with a preamble
-        phase, and the process backend additionally requires a
-        registry-built model (no custom ``model_fn`` closure).
+        "process" / "network"; see :mod:`repro.api.registry`).  The
+        default "auto" keeps the historical behaviour: serial at
+        ``n_workers<=1``, threaded above.  Pooled backends reject
+        strategies with a preamble phase, and the out-of-process backend
+        additionally requires a registry-built model (no custom
+        ``model_fn`` closure).
     client_latency_s:
         Optional per-client wall-clock latency (seconds) charged inside
         every client task, emulating device/network time so scheduling
@@ -402,8 +403,8 @@ class Engine:
     # executor plumbing
     # ------------------------------------------------------------------
     def worker_spec(self) -> WorkerSpec:
-        """The picklable recipe an out-of-process worker (process pool or
-        network peer) uses to rebuild model, optimizer and clients."""
+        """The picklable recipe an out-of-process worker uses to rebuild
+        model, optimizer and clients."""
         if self._custom_model_fn:
             raise ValueError(
                 "the process executor rebuilds models from the registry and "
@@ -479,8 +480,8 @@ class Engine:
         """Phase 4: broadcast the global weights + server payload to the
         backend once, then train the selected clients as picklable task
         payloads.  The server's flat plane is handed over as-is: in-process
-        backends alias it (zero copies) and the process backend moves it
-        into shared memory with a single flat ``np.copyto``."""
+        backends alias it (zero copies) and the out-of-process backend
+        ships it as one flat byte run."""
         self.executor.broadcast(self.server.plane, broadcast)
         if self.obs.enabled:
             self.obs.broadcast_bytes(
@@ -510,7 +511,7 @@ class Engine:
             wave_delay = 0.0
             for task, result in zip(pending, self.executor.run(pending)):
                 if result.obs is not None:
-                    # Process-pool worker shard: merge in task order so the
+                    # Worker-process shard: merge in task order so the
                     # combined metrics are deterministic.
                     self.obs.absorb(result.obs)
                 wave_delay = max(wave_delay, result.fault_delay_s)

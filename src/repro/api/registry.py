@@ -16,7 +16,7 @@ Third-party policies plug in with :func:`register_sampler`; the only contract
 is ``select(round_idx) -> List[int]`` plus ``n_clients`` /
 ``clients_per_round`` / ``participation_rate`` attributes.
 
-**Executors** (:mod:`repro.fl.executor` / :mod:`repro.fl.process_executor`) —
+**Executors** (:mod:`repro.fl.executor` / :mod:`repro.fl.net`) —
 resolved from the spec's ``executor`` field or the ``--executor`` CLI flag::
 
     executor = build_executor("process", engine=engine, n_workers=4)
@@ -44,11 +44,11 @@ imported lazily so the registry stays import-cycle-free.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List
 
 from repro.fl.availability import DiurnalSampler, DropoutSampler
 from repro.fl.executor import SerialExecutor, ThreadedExecutor
-from repro.fl.process_executor import ProcessExecutor
 from repro.fl.sampling import FixedSampler, UniformSampler, WeightedSampler
 
 __all__ = [
@@ -197,25 +197,22 @@ def _threaded_executor(engine, n_workers: int) -> ThreadedExecutor:
     )
 
 
-def _process_executor(engine, n_workers: int) -> ProcessExecutor:
-    _reject_preamble(engine, "process")
-    return ProcessExecutor(
-        engine.worker_spec(),
-        initial_weights=engine.server.plane,
-        n_workers=max(1, n_workers),
-    )
-
-
-def _network_executor(engine, n_workers: int):
+def _fleet_executor(name: str, engine, n_workers: int):
+    """``"process"`` and ``"network"`` are one backend — a coordinator and
+    worker processes on framed sockets — under two names: ``"process"`` is
+    always its own loopback fleet on the declared topology defaults,
+    ``"network"`` is what the ``net_*`` knobs configure."""
     # Lazy import: the socket stack only loads when a run asks for it.
     from repro.fl.net.coordinator import NetworkExecutor
 
-    _reject_preamble(engine, "network")
+    _reject_preamble(engine, name)
     opts = dict(getattr(engine, "net_options", None) or {})
     fleet = opts.pop("net_workers", None)
-    return NetworkExecutor(
+    executor = NetworkExecutor(
         engine, max(1, fleet if fleet is not None else n_workers), **opts
     )
+    executor.name = name
+    return executor
 
 
 def _auto_executor(engine, n_workers: int):
@@ -228,8 +225,8 @@ def _auto_executor(engine, n_workers: int):
 register_executor("auto", _auto_executor)
 register_executor("serial", _serial_executor)
 register_executor("threaded", _threaded_executor)
-register_executor("process", _process_executor)
-register_executor("network", _network_executor)
+register_executor("process", partial(_fleet_executor, "process"))
+register_executor("network", partial(_fleet_executor, "network"))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Unio
 
 from repro.algorithms import build_strategy
 from repro.data import available_datasets, build_federated_data
+from repro.fl import net
 from repro.fl.faults import available_faults, build_fault
 from repro.fl.net import WIRE_CODECS
 from repro.fl.net.netfaults import available_netfaults, build_netfault
@@ -210,15 +211,16 @@ class ExperimentSpec:
     executor: str = _knob(
         "auto", "execution",
         "execution backend (auto = serial at 1 worker, threaded above; "
-        "'process' trains clients in a multiprocessing pool with "
-        "shared-memory broadcast; 'network' over sockets)",
+        "'process' and 'network' are one fleet of worker processes served "
+        "over framed sockets: 'process' always forks its own on loopback, "
+        "'network' takes the --net-* knobs and remote workers)",
         choices=available_executors, engine=True)
     # -- network executor (repro.fl.net) -------------------------------------
     net_bind: str = _knob(
-        "127.0.0.1:0", "net",
+        net.DEFAULT_BIND, "net",
         "coordinator listen address for --executor network; port 0 picks an "
-        "ephemeral port.  A loopback host spawns worker subprocesses "
-        "automatically; any other host waits for externally started "
+        "ephemeral port.  A loopback host starts (and replaces) its worker "
+        "processes itself; any other host waits for externally started "
         "``python -m repro.fl.net.worker`` processes to register",
         metavar="HOST:PORT", topology=True)
     net_workers: Optional[int] = _knob(
@@ -226,11 +228,11 @@ class ExperimentSpec:
         "worker connections the network round waits for (default: --workers)",
         domain=">= 1", topology=True)
     net_connect_timeout_s: float = _knob(
-        20.0, "net",
+        net.DEFAULT_CONNECT_TIMEOUT_S, "net",
         "network registration patience, per-task wall-clock ceiling and "
         "empty-fleet grace period in seconds", domain="positive", topology=True)
     net_heartbeat_s: float = _knob(
-        0.5, "net",
+        net.DEFAULT_HEARTBEAT_S, "net",
         "worker liveness beacon cadence in seconds; a connection silent for "
         "max(5 * heartbeat, 3.0) seconds while holding a task is declared dead",
         domain="positive", topology=True)
@@ -422,12 +424,6 @@ class ExperimentSpec:
             raise ValueError(
                 "heterogeneity scales a device profile's compute speeds; "
                 "sync mode without device_profile has no profile to spread"
-            )
-        if self.executor == "network" and self.mode != "sync":
-            raise ValueError(
-                "the network executor runs synchronous rounds only; the "
-                "event-driven modes schedule on a virtual clock with no "
-                "socket backend"
             )
         if self.net_codec is not None and self.net_codec not in WIRE_CODECS:
             raise ValueError(
@@ -653,14 +649,16 @@ class ExperimentSpec:
         )
 
     def build_net_options(self) -> Optional[Dict[str, Any]]:
-        """Everything the ``network`` executor factory needs, or ``None``
-        for every other backend.
+        """Everything the fleet executor factory (``"process"`` /
+        ``"network"``) needs, or ``None`` for the in-process backends.  On
+        ``"process"`` the ``net`` group guard has pinned every value to its
+        declared default.
 
         Includes :meth:`cell_key` because the engine does not otherwise
         know its spec at executor-build time — the coordinator uses it to
         refuse worker processes aimed at a different experiment.
         """
-        if self.executor != "network":
+        if self.executor not in ("process", "network"):
             return None
         injector = None
         if self.net_fault is not None:

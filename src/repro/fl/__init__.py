@@ -49,7 +49,6 @@ from repro.fl.executor import (
     SerialExecutor,
     ThreadedExecutor,
 )
-from repro.fl.process_executor import ProcessExecutor
 from repro.fl.simulation import Simulation, make_optimizer
 from repro.fl.asyncfl import AsyncFLEngine, ClientTimingModel, EventQueue, VirtualClock
 from repro.fl.availability import DropoutSampler, DiurnalSampler
@@ -114,7 +113,6 @@ __all__ = [
     "TaskRuntime",
     "SerialExecutor",
     "ThreadedExecutor",
-    "ProcessExecutor",
     "Simulation",
     "make_optimizer",
     "AsyncFLEngine",

@@ -108,8 +108,8 @@ class AsyncFLEngine(Engine):
     engine_kwargs:
         Passed through to :class:`~repro.api.engine.Engine` unchanged,
         except that the knobs only the synchronous loop honours
-        (``population``, ``state_mmap_mb``, ``system_model``,
-        ``net_options``) must be unset.
+        (``population``, ``state_mmap_mb``, ``system_model``) must be
+        unset.
     """
 
     def __init__(
@@ -130,7 +130,7 @@ class AsyncFLEngine(Engine):
         if mode not in ("async", "semisync"):
             raise ValueError(f"unknown AsyncFLEngine mode {mode!r}")
         sync_only = [
-            name for name in ("net_options", "population", "state_mmap_mb", "system_model")
+            name for name in ("population", "state_mmap_mb", "system_model")
             if engine_kwargs.get(name) is not None
         ]
         if sync_only:
@@ -203,8 +203,8 @@ class AsyncFLEngine(Engine):
         self._dispatch_root = RngStream(config.seed).child("asyncfl", "dispatch")
         #: server version the executor last received a broadcast for —
         #: weights are immutable between aggregations, so one broadcast per
-        #: version suffices (the process backend's shared-memory copy is
-        #: not free).
+        #: version suffices (the out-of-process backend's broadcast frame
+        #: is not free).
         self._broadcast_version: Optional[int] = None
         #: server version at each client's most recent dispatch — the
         #: scheduler-side truth behind the measured xi handed to FedTrip.
@@ -268,7 +268,7 @@ class AsyncFLEngine(Engine):
         server.  Event-time bookkeeping is all virtual; no wall sleeping.
         """
         if result.obs is not None:
-            # Process-pool worker shard, merged in task order.
+            # Worker-process shard, merged in task order.
             self.obs.absorb(result.obs)
         backoff_s = 0.0
         failure = self._screen_result(task, result)

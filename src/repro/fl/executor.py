@@ -10,14 +10,14 @@ execute, including out-of-process ones — and hands the batch to an executor:
 * :class:`ThreadedExecutor` — N worker contexts served by a thread pool.
   NumPy's BLAS kernels release the GIL, so multi-core machines overlap the
   GEMM-heavy forward/backward work across clients.
-* :class:`~repro.fl.process_executor.ProcessExecutor` — N worker *processes*
-  fed through a ``multiprocessing`` pool, with the global weights broadcast
-  once per round via ``multiprocessing.shared_memory`` (see that module).
+* :class:`~repro.fl.net.coordinator.NetworkExecutor` — N worker
+  *processes* served over framed sockets, with the global weights broadcast
+  once per round as one flat byte run (see :mod:`repro.fl.net`).
 
 All backends return results in task order, so a fixed seed produces
 byte-identical round records on every backend (verified by tests).  The
 executor registry in :mod:`repro.api.registry` resolves backends by name
-(``"serial"`` / ``"threaded"`` / ``"process"``).
+(``"serial"`` / ``"threaded"`` / ``"process"`` / ``"network"``).
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ class ClientTaskSpec:
     returns the (possibly replaced) dict on the :class:`TaskResult`, which
     is how state round-trips across process boundaries.  The server's
     round broadcast payload is deliberately *not* part of the task — it is
-    shipped once per round through ``executor.broadcast`` (so the process
-    backend never pickles it per client).  ``emulate_seconds`` optionally
+    shipped once per round through ``executor.broadcast`` (so the
+    out-of-process backend never pickles it per client).  ``emulate_seconds`` optionally
     charges a wall-clock sleep per task, modelling device/network latency
     (see :mod:`repro.fl.systems`) so scheduling benchmarks can measure
     backend overlap independently of raw FLOPs.  ``xi_measured`` is the
@@ -207,7 +207,7 @@ class ClientTaskSpec:
 class TaskResult:
     """What an executor returns per task: the update + the new client state.
 
-    ``obs`` is a process-pool worker's drained observability shard (span
+    ``obs`` is an out-of-process worker's drained observability shard (span
     records + metric deltas, plain picklable dicts) when the run has
     tracing/metrics enabled; ``None`` otherwise and for in-process
     backends, which record straight into the engine's recorder.
@@ -237,10 +237,10 @@ class TaskRuntime:
 
     In-process executors share the engine's runtime (``global_weights`` and
     ``server_broadcast`` are rebound by :meth:`SerialExecutor.broadcast`
-    each round); each pool worker of the process backend builds its own
-    from a picklable init payload, with ``global_weights`` pointing at
-    read-only shared-memory views and ``server_broadcast`` refreshed once
-    per round from the broadcast segment.
+    each round); each out-of-process worker builds its own from the
+    picklable :class:`WorkerSpec`, with ``global_weights`` pointing at
+    read-only views of its broadcast buffer and ``server_broadcast``
+    refreshed once per round from the ``BROADCAST`` frame.
     """
 
     #: client roster, indexed by client id.  Either the engine's eager list
@@ -266,27 +266,27 @@ class TaskRuntime:
     #: same choke point — also shared by every backend, so a fixed seed
     #: produces the identical failure pattern on all of them.
     fault_injector: Optional[FaultInjector] = None
-    #: True only inside a process-pool worker (see ``build_worker_half``);
-    #: lets the worker-death fault actually kill the process there while
-    #: in-process backends synthesize the equivalent failure.
+    #: True only inside a worker process its executor spawned and will
+    #: replace (see ``build_worker_half``); lets the worker-death fault
+    #: actually kill the process there while every other backend
+    #: synthesizes the equivalent failure.
     in_pool_worker: bool = False
     #: observability sink for per-task spans/metrics (see :mod:`repro.obs`).
     #: In-process backends share the engine's recorder (thread-safe); each
-    #: process-pool worker gets its own shard recorder whose output pickles
-    #: home on the task result.  Defaults to the no-op null recorder, which
+    #: out-of-process worker gets its own shard recorder whose output
+    #: pickles home on the task result.  Defaults to the no-op null recorder, which
     #: hot-path call sites skip with a single attribute check.
     recorder: Any = NULL_RECORDER
 
 
 @dataclass
 class WorkerSpec:
-    """Everything an out-of-process worker — a pool process or a network
-    peer — needs to rebuild its half of the engine.
+    """Everything an out-of-process worker needs to rebuild its half of
+    the engine.
 
-    Must stay picklable: it crosses the boundary exactly once, as the pool
-    initializer argument or inside the ``WELCOME`` frame.  Transport-only
-    values (the shared-memory segment name; heartbeat cadence, upload
-    codec, ``cell_key``) travel beside it, not in it.
+    Must stay picklable: it crosses the boundary once per registration,
+    inside the ``WELCOME`` frame.  Transport-only values (heartbeat
+    cadence, upload codec, ``cell_key``) travel beside it, not in it.
     """
 
     data: FederatedData
@@ -296,7 +296,7 @@ class WorkerSpec:
     opt_name: str
     fp_flops: float
     #: the engine's weight-plane layout: workers view their broadcast
-    #: buffer (shared segment / BROADCAST frame bytes) through it.
+    #: buffer (the BROADCAST frame's bytes) through it.
     layout: WeightLayout
     #: optional Byzantine adversary — picklable by construction (holds only
     #: plain numbers and its roster tuple); workers re-apply its data
@@ -326,15 +326,14 @@ def build_worker_half(
     with the engine's seeded RNG streams, so a fixed seed yields
     byte-identical results no matter which worker served a task.
 
-    ``buf`` is wherever this transport lands the round broadcast (the
-    shared-memory segment; a network worker's local bytearray); the runtime
-    reads the global weights through read-only views of it.
-    ``in_pool_worker`` is True only inside a process-pool worker, where the
-    worker-death fault may really kill the hosting process; a network
-    worker passes False and *synthesizes* that failure (like
-    serial/threaded) — it is never respawned by a pool, so a real exit
-    would permanently shrink the fleet and break cross-backend
-    byte-identity.
+    ``buf`` is where the worker lands the round broadcast (a local
+    bytearray); the runtime reads the global weights through read-only
+    views of it.  ``in_pool_worker`` is True only inside a worker process
+    its executor spawned and will replace, where the worker-death fault
+    may really kill the hosting process; a worker started by hand passes
+    False and *synthesizes* that failure (like serial/threaded) — nobody
+    respawns it, so a real exit would permanently shrink the fleet and
+    break cross-backend byte-identity.
     """
     layout = spec.layout
     model_fn = registry_model_fn(spec.model_name, spec.data.spec, spec.config.seed)
@@ -442,8 +441,8 @@ def execute_task(task: ClientTaskSpec, worker: WorkerContext, runtime: TaskRunti
         if failed is not None:
             # Crash-style fault: no training happened, no state changed —
             # the same no-op on the in-place serial backend and the
-            # copy-shipping process backend, which is what keeps retries
-            # byte-identical across them.
+            # copy-shipping out-of-process backend, which is what keeps
+            # retries byte-identical across them.
             return failed
     if task.emulate_seconds > 0.0:
         time.sleep(task.emulate_seconds)

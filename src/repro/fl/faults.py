@@ -42,12 +42,15 @@ probability):
                     into ``"timeout"`` failures whose update is discarded
                     (the trained state is still adopted — it reached the
                     device, not the server)
-``worker_death``    the process executing the task dies: on the process
-                    backend the worker literally ``os._exit``\\ s (the
-                    executor detects the death, lets the pool respawn, and
-                    synthesizes the failure); in-process backends
-                    synthesize the identical failure directly, keeping
-                    histories byte-identical across backends
+``worker_death``    the process executing the task dies: a worker the
+                    executor spawned itself (``executor="process"``, a
+                    loopback ``"network"`` fleet) literally ``os._exit``\\ s
+                    — the coordinator sees the connection drop, files the
+                    task as a retryable ``connection_lost`` and the
+                    executor starts a replacement; everywhere else an
+                    equally retryable ``worker_death`` failure is
+                    synthesized directly, keeping histories
+                    byte-identical across backends
 ==================  ======================================================
 """
 
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
@@ -64,6 +67,8 @@ from repro.utils.rng import RngStream
 
 __all__ = [
     "TaskFailure",
+    "SeededCoin",
+    "CoinRegistry",
     "FaultInjector",
     "CrashFault",
     "CrashMidTrainFault",
@@ -94,7 +99,74 @@ class TaskFailure:
     detail: str = ""
 
 
-class FaultInjector:
+class SeededCoin:
+    """What the task faults here and the wire faults of
+    :mod:`repro.fl.net.netfaults` share: a firing ``rate``, a ``seed``, and
+    a coin that is a pure function of ``(seed, family, name, *key)``."""
+
+    #: RNG namespace of the family, and the word its error messages use.
+    family: str = "fault"
+    name: str = "base"
+
+    def __init__(self, *, rate: float, seed: int) -> None:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"{self.family} rate must be in [0, 1], got {rate}")
+        self.rate = float(rate)
+        self.seed = int(seed)
+
+    def _rng(self, *path) -> np.random.Generator:
+        """Fresh generator keyed by ``(seed, family, name, *path)``."""
+        return RngStream(self.seed).child(self.family, self.name, *path).generator
+
+    def fires(self, *key) -> bool:
+        """The fault coin for one event."""
+        if self.rate <= 0.0:
+            return False
+        if self.rate >= 1.0:
+            return True
+        return bool(self._rng(*key).random() < self.rate)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}(rate={self.rate}, seed={self.seed})"
+
+
+class CoinRegistry(dict):
+    """``name -> factory(rate=..., seed=..., **kwargs)`` for one fault
+    family, with the register / available / build trio over it."""
+
+    def __init__(self, family: str) -> None:
+        super().__init__()
+        self.family = family
+
+    def register(self, name: str, factory: Callable[..., SeededCoin]) -> None:
+        """Register (or replace) an injector factory under ``name``."""
+        self[name.lower()] = factory
+
+    def available(self) -> List[str]:
+        return sorted(self)
+
+    def build(self, name: str, *, rate: float, seed: int, **kwargs: Any):
+        """Instantiate the injector registered under ``name``.
+
+        ``kwargs`` are injector-specific (``mode=``, ``max_delay_s=``); an
+        unknown name or an argument the injector does not accept raises
+        ``ValueError``.
+        """
+        try:
+            factory = self[name.lower()]
+        except KeyError:
+            raise ValueError(
+                f"unknown {self.family} {name!r}; available: {self.available()}"
+            ) from None
+        try:
+            return factory(rate=rate, seed=seed, **kwargs)
+        except TypeError as exc:
+            raise ValueError(
+                f"bad arguments for {self.family} {name!r}: {exc}"
+            ) from None
+
+
+class FaultInjector(SeededCoin):
     """Base injector: the seeded fault coin plus the two backend hooks.
 
     Subclasses implement at most two behaviours: :meth:`pre_train` (return
@@ -105,27 +177,10 @@ class FaultInjector:
     derive generators fresh per call.
     """
 
-    name: str = "base"
-
-    def __init__(self, *, rate: float, seed: int) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"fault rate must be in [0, 1], got {rate}")
-        self.rate = float(rate)
-        self.seed = int(seed)
-
-    def _rng(self, *path) -> np.random.Generator:
-        """Fresh generator keyed by ``(seed, "fault", name, *path)``."""
-        return RngStream(self.seed).child("fault", self.name, *path).generator
-
     def fires(self, client_id: int, round_idx: int, attempt: int = 0) -> bool:
         """The fault coin for one task attempt — a deterministic function
         of exactly ``(seed, name, client_id, round_idx, attempt)``."""
-        if self.rate <= 0.0:
-            return False
-        if self.rate >= 1.0:
-            return True
-        coin = self._rng(client_id, round_idx, attempt).random()
-        return bool(coin < self.rate)
+        return super().fires(client_id, round_idx, attempt)
 
     def _failure(self, task, kind: str, detail: str = "",
                  retryable: bool = True) -> TaskFailure:
@@ -150,9 +205,6 @@ class FaultInjector:
     def delay_s(self, task) -> float:
         """Extra simulated seconds this (fired) task's report takes."""
         return 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(rate={self.rate}, seed={self.seed})"
 
 
 #: duck type only — avoids importing the executor module (cycle).
@@ -266,58 +318,31 @@ class StragglerFault(FaultInjector):
 
 
 class WorkerDeathFault(FaultInjector):
-    """The *worker* (not the modelled device) dies mid-task.  In a process
-    pool the worker really exits — exercising the executor's dead-worker
-    detection and the pool's respawn path; in-process backends synthesize
-    the same ``"worker_death"`` failure, so a fixed seed yields the same
-    History on every backend."""
+    """The *worker* (not the modelled device) dies mid-task.  A worker its
+    executor spawned really exits — exercising the coordinator's
+    lost-connection detection and the executor's respawn path; every other
+    worker synthesizes the same retryable failure, so a fixed seed yields
+    the same History on every backend."""
 
     name = "worker_death"
 
     def pre_train(self, task, runtime):
         if getattr(runtime, "in_pool_worker", False):
-            # Actually die.  The parent's ProcessExecutor notices the pid
-            # set change, waits out its grace window for unrelated in-flight
-            # tasks, and synthesizes this task's failure itself.
+            # Actually die.  The coordinator reads EOF on this worker's
+            # connection, synthesizes the task's failure itself, and the
+            # executor replaces the process.
             os._exit(1)
         return _failed_result(self._failure(task, "worker_death"))
 
 
 # ---------------------------------------------------------------------------
-# Registry (mirrors the adversary/aggregator/sampler registries).
+# Registry.
 # ---------------------------------------------------------------------------
 
-#: factory(rate=..., seed=..., **kwargs) -> FaultInjector
-FaultFactory = Callable[..., FaultInjector]
-
-_FAULTS: Dict[str, FaultFactory] = {}
-
-
-def register_fault(name: str, factory: FaultFactory) -> None:
-    """Register (or replace) a fault injector factory under ``name``."""
-    _FAULTS[name.lower()] = factory
-
-
-def available_faults() -> List[str]:
-    return sorted(_FAULTS)
-
-
-def build_fault(name: str, *, rate: float, seed: int, **kwargs: Any) -> FaultInjector:
-    """Instantiate the fault injector registered under ``name``.
-
-    ``kwargs`` are fault-specific (``mode=``, ``max_delay_s=``); an unknown
-    name or an argument the injector does not accept raises ``ValueError``.
-    """
-    try:
-        factory = _FAULTS[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown fault {name!r}; available: {available_faults()}"
-        ) from None
-    try:
-        return factory(rate=rate, seed=seed, **kwargs)
-    except TypeError as exc:
-        raise ValueError(f"bad arguments for fault {name!r}: {exc}") from None
+_FAULTS = CoinRegistry("fault")
+register_fault = _FAULTS.register
+available_faults = _FAULTS.available
+build_fault = _FAULTS.build
 
 
 register_fault("crash", CrashFault)

@@ -8,12 +8,14 @@ The package splits along trust-in-the-wire lines:
   (drop / duplicate / delay / truncate / partition);
 * :mod:`~repro.fl.net.transport` — one framed, countable, injectable
   channel per TCP connection;
-* :mod:`~repro.fl.net.worker` — the client-worker process
-  (``python -m repro.fl.net.worker --connect host:port``): register,
-  serve rounds, reconnect with backoff;
+* :mod:`~repro.fl.net.worker` — the client-worker process (forked by the
+  executor on a loopback bind, ``python -m repro.fl.net.worker --connect
+  host:port`` on a remote host): register, serve rounds, reconnect with
+  backoff;
 * :mod:`~repro.fl.net.coordinator` — the server plus
-  :class:`~repro.fl.net.coordinator.NetworkExecutor`, registered as
-  ``executor: "network"``.
+  :class:`~repro.fl.net.coordinator.NetworkExecutor`, the one
+  out-of-process backend, registered as ``executor: "process"`` (always
+  its own loopback fleet) and ``executor: "network"`` (``net_*`` knobs).
 
 Determinism contract: a loopback network run at a fixed seed produces a
 History byte-identical to the serial executor — including under injected
@@ -50,6 +52,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing-time imports only
 #: ``choices`` and the coordinator all read one tuple.
 WIRE_CODECS = ("topk", "quantization")
 
+#: topology defaults, for the same reason: the spec's ``net_*`` fields, the
+#: coordinator's and the worker's constructors and the worker CLI read these.
+DEFAULT_BIND = "127.0.0.1:0"
+DEFAULT_CONNECT_TIMEOUT_S = 20.0
+DEFAULT_HEARTBEAT_S = 0.5
+
 _EXPORTS = {
     "CoordinatorServer": "coordinator",
     "NetworkExecutor": "coordinator",
@@ -68,7 +76,10 @@ _EXPORTS = {
     "WorkerClient": "worker",
 }
 
-__all__ = sorted([*_EXPORTS, "WIRE_CODECS"])
+__all__ = sorted([
+    *_EXPORTS, "WIRE_CODECS",
+    "DEFAULT_BIND", "DEFAULT_CONNECT_TIMEOUT_S", "DEFAULT_HEARTBEAT_S",
+])
 
 
 def __getattr__(name: str):

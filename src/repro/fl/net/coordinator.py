@@ -32,11 +32,9 @@ entry, so a quiet aggregate phase is never mistaken for a dead fleet.
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 import pickle
 import socket
-import subprocess
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -45,6 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.fl import net
 from repro.fl.compression import QuantizationCompressor, TopKCompressor
 from repro.fl.executor import ClientTaskSpec, TaskResult, broadcast_tree
 from repro.fl.faults import TaskFailure
@@ -52,6 +51,7 @@ from repro.fl.net import WIRE_CODECS, frames
 from repro.fl.net.frames import ProtocolError, pack_blob_payload
 from repro.fl.net.netfaults import NetFaultInjector
 from repro.fl.net.transport import ChannelClosed, FramedChannel
+from repro.fl.net.worker import run_spawned
 from repro.fl.params import ParamPlane, WeightLayout
 from repro.fl.types import ClientUpdate
 from repro.utils.logging import get_logger
@@ -128,11 +128,11 @@ class CoordinatorServer:
         seeded coin tree.
     """
 
-    def __init__(self, bind: str = "127.0.0.1:0", *,
+    def __init__(self, bind: str = net.DEFAULT_BIND, *,
                  welcome: Optional[Dict[str, Any]] = None,
                  cell_key: Optional[str] = None,
-                 heartbeat_s: float = 0.5,
-                 connect_timeout_s: float = 20.0,
+                 heartbeat_s: float = net.DEFAULT_HEARTBEAT_S,
+                 connect_timeout_s: float = net.DEFAULT_CONNECT_TIMEOUT_S,
                  injector: Optional[NetFaultInjector] = None) -> None:
         host, _, port = bind.rpartition(":")
         if not port.lstrip("-").isdigit():
@@ -145,11 +145,11 @@ class CoordinatorServer:
         self._liveness_timeout_s = max(5.0 * self.heartbeat_s, 3.0)
         self._injector = injector
         self._cell_key = cell_key
-        self._welcome_blob = pickle.dumps(
-            {"spec": None, **(welcome or {}),
-             "cell_key": cell_key, "heartbeat_s": self.heartbeat_s},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        #: pickled per registration, never held: the recipe carries the
+        #: dataset, and a blob kept here would sit in the coordinator's
+        #: resident set for the server's lifetime.
+        self._welcome = {"spec": None, **(welcome or {}),
+                         "cell_key": cell_key, "heartbeat_s": self.heartbeat_s}
         self._conns: Dict[int, _Conn] = {}
         #: accepted sockets that have not completed the HELLO handshake yet.
         self._pending: List[Tuple[FramedChannel, float]] = []
@@ -177,11 +177,12 @@ class CoordinatorServer:
     def n_connected(self) -> int:
         return len(self._conns)
 
-    def wait_for_workers(self, n: int, timeout_s: Optional[float] = None) -> None:
+    def wait_for_workers(self, n: int) -> None:
         """Pump until ``n`` workers registered; ``TimeoutError`` otherwise."""
-        deadline = time.monotonic() + (
-            timeout_s if timeout_s is not None else self.connect_timeout_s
-        )
+        deadline = time.monotonic() + self.connect_timeout_s
+        # A worker that died since the last pump left its EOF queued; read
+        # it first, or the corpse's connection counts as registered.
+        self._pump(0)
         while len(self._conns) < n:
             if time.monotonic() > deadline:
                 raise TimeoutError(
@@ -321,7 +322,9 @@ class CoordinatorServer:
         if hello.get("reconnect"):
             self._stats["reconnects"] += 1
         try:
-            chan.send_frame(frames.WELCOME, self._welcome_blob)
+            chan.send_frame(frames.WELCOME, pickle.dumps(
+                self._welcome, protocol=pickle.HIGHEST_PROTOCOL
+            ))
         except ChannelClosed:
             chan.close()
             return
@@ -347,6 +350,7 @@ class CoordinatorServer:
         self,
         tasks: Sequence[ClientTaskSpec],
         decode_result: Callable[[Dict[str, Any]], TaskResult],
+        tend_fleet: Callable[[], Any],
     ) -> List[TaskResult]:
         """Dispatch ``tasks`` over the fleet; results in task order.
 
@@ -354,6 +358,9 @@ class CoordinatorServer:
         synthesized retryable ``connection_lost`` failure when the serving
         connection died (EOF / liveness / partition / per-task wall-clock
         ceiling) — the engine's retry/quorum policy takes it from there.
+        ``tend_fleet`` runs once per pump iteration: whoever started the
+        workers replaces the ones that exited, so a round that lost its
+        whole fleet is served again well before the empty-fleet grace ends.
         """
         slots: List[Optional[TaskResult]] = [None] * len(tasks)
         remaining = len(tasks)
@@ -377,6 +384,7 @@ class CoordinatorServer:
                 conn.busy = None
 
         while remaining:
+            tend_fleet()
             # Assign idle workers in worker-id order (results are
             # placement-invariant; the order is just deterministic greed).
             for worker_id in sorted(self._conns):
@@ -505,6 +513,16 @@ class CoordinatorServer:
         out["bytes_recv"] = recv
         return out
 
+    def disown(self) -> None:
+        """In a forked child: close this process's copies of the listener
+        and of every connection, saying nothing on them — the parent still
+        serves them, and a copy held open here would keep a peer from ever
+        reading EOF (and the port from being re-bound) after the parent
+        closes its own."""
+        for chan in [c.chan for c in self._conns.values()] + [c for c, _ in self._pending]:
+            chan.forget()
+        self._listener.close()
+
     def shutdown(self) -> None:
         if self._closed:
             return
@@ -528,15 +546,20 @@ class CoordinatorServer:
 
 
 class NetworkExecutor:
-    """``executor: "network"`` — the engine's client rounds over sockets.
+    """The out-of-process backend: the engine's client rounds over sockets.
 
     Construction builds the :class:`CoordinatorServer`, and — when the
-    bind host is loopback — spawns ``n_workers`` worker subprocesses
-    (``python -m repro.fl.net.worker``) aimed back at it, so CI and tests
-    need no external orchestration.  On a non-loopback bind the operator
-    starts workers by hand and this just waits for them to register.
+    bind host is loopback — starts ``n_workers`` worker processes aimed
+    back at it with ``multiprocessing`` (each runs
+    :func:`~repro.fl.net.worker.run_spawned`), so ``executor="process"``,
+    CI and tests need no external orchestration.  A spawned worker that
+    exits is replaced.  On a non-loopback bind the operator starts workers
+    by hand (``python -m repro.fl.net.worker``) and this just waits for
+    them to register.
     """
 
+    #: the registry overwrites this with the name the backend was asked for
+    #: by (``"process"`` / ``"network"``): one class, two registrations.
     name = "network"
     #: tells the engine the wire can lose tasks even with no fault injector
     #: configured, so the failure policy (quorum skip instead of a crash on
@@ -548,14 +571,13 @@ class NetworkExecutor:
         engine,
         n_workers: int = 2,
         *,
-        bind: str = "127.0.0.1:0",
-        connect_timeout_s: float = 20.0,
-        heartbeat_s: float = 0.5,
+        bind: str = net.DEFAULT_BIND,
+        connect_timeout_s: float = net.DEFAULT_CONNECT_TIMEOUT_S,
+        heartbeat_s: float = net.DEFAULT_HEARTBEAT_S,
         injector: Optional[NetFaultInjector] = None,
         codec: Optional[str] = None,
         codec_kwargs: Optional[Dict[str, Any]] = None,
         cell_key: Optional[str] = None,
-        spawn_workers: Optional[bool] = None,
     ) -> None:
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
@@ -567,13 +589,12 @@ class NetworkExecutor:
             raise ValueError("net codecs need a packed (uniform-dtype) weight layout")
         self._layout = layout
         self._n_workers = int(n_workers)
-        self._connect_timeout_s = float(connect_timeout_s)
         self._codec = codec
         self._codec_kwargs = dict(codec_kwargs or {})
         self._recorder = engine.obs
         self._metrics_last: Dict[str, float] = {}
         self._bcast_flat: Optional[np.ndarray] = None
-        self._procs: List[subprocess.Popen] = []
+        self._procs: List[multiprocessing.Process] = []
         self._closed = False
         self._server = CoordinatorServer(
             bind,
@@ -583,44 +604,55 @@ class NetworkExecutor:
             connect_timeout_s=connect_timeout_s,
             injector=injector,
         )
+        self._worker_kwargs = {
+            "cell_key": cell_key,
+            "connect_timeout_s": float(connect_timeout_s),
+            # Worker reconnect backoff reuses the engine's retry pricing
+            # curve base — the satellite contract for retry_backoff_base_s.
+            "backoff_base_s": min(
+                float(getattr(engine, "retry_backoff_base_s", 0.05)), 0.25),
+        }
         try:
-            host = bind.rpartition(":")[0]
-            if spawn_workers is None:
-                spawn_workers = host in _LOOPBACK_HOSTS
-            if spawn_workers:
-                self._spawn_loopback_workers(
-                    cell_key, getattr(engine, "retry_backoff_base_s", 0.05)
-                )
-            self._server.wait_for_workers(self._n_workers, connect_timeout_s)
+            if bind.rpartition(":")[0] in _LOOPBACK_HOSTS:
+                self._procs = [self._spawn_worker() for _ in range(self._n_workers)]
+            self._server.wait_for_workers(self._n_workers)
         except BaseException:
             self.close()
             raise
 
     # ------------------------------------------------------------------
-    # loopback worker subprocesses
+    # loopback worker processes
     # ------------------------------------------------------------------
-    def _spawn_loopback_workers(self, cell_key: Optional[str],
-                                backoff_base_s: float) -> None:
-        host, port = self._server.address
-        import repro
+    def _spawn_worker(self) -> multiprocessing.Process:
+        """Start one worker process aimed at this coordinator.
 
-        src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        Forked where the platform can (no interpreter start, no re-import);
+        a forked child holds copies of the coordinator's sockets, so it is
+        handed the server to disown them.  A spawned child inherits none.
+        """
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if fork else "spawn")
+        host, port = self._server.address
+        # daemon: a fleet whose engine was never closed dies with this
+        # process instead of holding up its exit.
+        proc = ctx.Process(
+            target=run_spawned,
+            args=(self._server if fork else None, host, port),
+            kwargs=self._worker_kwargs,
+            daemon=True,
         )
-        cmd = [
-            sys.executable, "-m", "repro.fl.net.worker",
-            "--connect", f"{host}:{port}",
-            "--connect-timeout-s", str(self._connect_timeout_s),
-            # Worker reconnect backoff reuses the engine's retry pricing
-            # curve base — the satellite contract for retry_backoff_base_s.
-            "--backoff-base-s", str(min(float(backoff_base_s), 0.25)),
-        ]
-        if cell_key is not None:
-            cmd += ["--cell-key", cell_key]
-        for _ in range(self._n_workers):
-            self._procs.append(subprocess.Popen(cmd, env=env))
+        proc.start()
+        return proc
+
+    def _replace_exited_workers(self) -> bool:
+        """Start a replacement for every spawned worker that exited (the
+        ``worker_death`` fault, a ``kill -9``, the OOM killer); true when
+        there was one.  What the pool backend did implicitly — without it
+        a loopback fleet could only shrink."""
+        exited = [i for i, proc in enumerate(self._procs) if not proc.is_alive()]
+        for i in exited:
+            self._procs[i] = self._spawn_worker()
+        return bool(exited)
 
     # ------------------------------------------------------------------
     # executor contract
@@ -657,7 +689,14 @@ class NetworkExecutor:
         self._server.set_broadcast(payload or {}, blob)
 
     def run(self, tasks: Sequence[ClientTaskSpec]) -> List[TaskResult]:
-        results = self._server.run_tasks(tasks, self._decode_result)
+        if self._replace_exited_workers():
+            # It died between rounds, so nothing is in flight on it: start
+            # the round at full width again rather than hand a task to a
+            # connection nobody reads.
+            self._server.wait_for_workers(self._n_workers)
+        results = self._server.run_tasks(
+            tasks, self._decode_result, self._replace_exited_workers
+        )
         self._flush_wire_metrics()
         return results
 
@@ -737,15 +776,13 @@ class NetworkExecutor:
         self._server.shutdown()
         deadline = time.monotonic() + 5.0
         for proc in self._procs:
-            try:
-                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
                 proc.terminate()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
+                proc.join(timeout=2.0)
+                if proc.is_alive():  # pragma: no cover
                     proc.kill()
-                    proc.wait()
+                    proc.join()
         self._procs = []
 
     def __del__(self) -> None:  # pragma: no cover - GC-time cleanup

@@ -42,11 +42,9 @@ How each fault surfaces to the engine:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import List
 
-import numpy as np
-
-from repro.utils.rng import RngStream
+from repro.fl.faults import CoinRegistry, SeededCoin
 
 __all__ = [
     "NetFaultInjector",
@@ -61,8 +59,8 @@ __all__ = [
 ]
 
 
-class NetFaultInjector:
-    """Base injector: a seeded coin plus the three transport hooks.
+class NetFaultInjector(SeededCoin):
+    """Base injector: the seeded coin plus the three transport hooks.
 
     ``send_plan`` shapes outbound frames (drop/duplicate/delay/truncate),
     ``drop_recv`` discards inbound frames after decode, and ``blocked``
@@ -71,25 +69,7 @@ class NetFaultInjector:
     counter so re-sends re-draw.
     """
 
-    name: str = "base"
-
-    def __init__(self, *, rate: float, seed: int) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"netfault rate must be in [0, 1], got {rate}")
-        self.rate = float(rate)
-        self.seed = int(seed)
-
-    def _rng(self, *path) -> np.random.Generator:
-        """Fresh generator keyed by ``(seed, "netfault", name, *path)``."""
-        return RngStream(self.seed).child("netfault", self.name, *path).generator
-
-    def fires(self, *key) -> bool:
-        """The fault coin for one wire event."""
-        if self.rate <= 0.0:
-            return False
-        if self.rate >= 1.0:
-            return True
-        return bool(self._rng(*key).random() < self.rate)
+    family = "netfault"
 
     def send_plan(self, data: bytes, *key) -> "tuple[List[bytes], float]":
         """How one outbound frame actually hits the socket: a list of byte
@@ -104,9 +84,6 @@ class NetFaultInjector:
     def blocked(self, *key) -> bool:
         """Is this link partitioned for this key (both directions)?"""
         return False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(rate={self.rate}, seed={self.seed})"
 
 
 class DropFrameFault(NetFaultInjector):
@@ -187,38 +164,10 @@ class PartitionFault(NetFaultInjector):
         return self.fires(*key)
 
 
-# ---------------------------------------------------------------------------
-# Registry (mirrors repro.fl.faults).
-# ---------------------------------------------------------------------------
-
-#: factory(rate=..., seed=..., **kwargs) -> NetFaultInjector
-NetFaultFactory = Callable[..., NetFaultInjector]
-
-_NETFAULTS: Dict[str, NetFaultFactory] = {}
-
-
-def register_netfault(name: str, factory: NetFaultFactory) -> None:
-    """Register (or replace) a network fault factory under ``name``."""
-    _NETFAULTS[name.lower()] = factory
-
-
-def available_netfaults() -> List[str]:
-    return sorted(_NETFAULTS)
-
-
-def build_netfault(name: str, *, rate: float, seed: int,
-                   **kwargs: Any) -> NetFaultInjector:
-    """Instantiate the network fault registered under ``name``."""
-    try:
-        factory = _NETFAULTS[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown netfault {name!r}; available: {available_netfaults()}"
-        ) from None
-    try:
-        return factory(rate=rate, seed=seed, **kwargs)
-    except TypeError as exc:
-        raise ValueError(f"bad arguments for netfault {name!r}: {exc}") from None
+_NETFAULTS = CoinRegistry("netfault")
+register_netfault = _NETFAULTS.register
+available_netfaults = _NETFAULTS.available
+build_netfault = _NETFAULTS.build
 
 
 register_netfault("drop_frame", DropFrameFault)

@@ -126,6 +126,13 @@ class FramedChannel:
         self.bytes_recv += len(data)
         return self._decoder.feed(data)
 
+    def forget(self) -> None:
+        """Close this process's descriptor only — for a forked child holding
+        a copy of a connection its parent still serves (:meth:`close` shuts
+        the connection itself down, for every holder)."""
+        self._open = False
+        self._sock.close()
+
     def close(self) -> None:
         self._open = False
         try:

@@ -1,13 +1,16 @@
-"""The client-worker process: ``python -m repro.fl.net.worker --connect host:port``.
+"""The client-worker process.
 
-One worker = one process = one coordinator connection.  The lifecycle:
+The executor starts its loopback fleet itself (:func:`run_spawned`, under
+``multiprocessing``); ``python -m repro.fl.net.worker --connect host:port``
+is the entry point for workers on other hosts.  Either way one worker =
+one process = one coordinator connection.  The lifecycle:
 
 1. **register** — dial the coordinator, send ``HELLO`` (with the expected
    ``cell_key``, if the operator passed one), receive ``WELCOME`` carrying
-   a picklable :class:`~repro.fl.executor.WorkerSpec` — the build recipe
-   the process pool's workers get too: dataset, strategy, config, registry
-   model name — beside the wire-level knobs (heartbeat cadence, optional
-   upload codec, the experiment's ``cell_key``), and rebuild
+   a picklable :class:`~repro.fl.executor.WorkerSpec` — the build recipe:
+   dataset, strategy, config, registry model name — beside the wire-level
+   knobs (heartbeat cadence, optional upload codec, the experiment's
+   ``cell_key``), and rebuild
    model/optimizer/clients locally with the engine's seeded RNG streams,
    so a fixed seed yields byte-identical results no matter which worker
    (or how many) served the round;
@@ -47,12 +50,12 @@ import numpy as np
 
 from repro.fl.compression import QuantizationCompressor, TopKCompressor
 from repro.fl.executor import TaskResult, WorkerSpec, build_worker_half, execute_task
-from repro.fl.net import frames
+from repro.fl.net import DEFAULT_CONNECT_TIMEOUT_S, frames
 from repro.fl.net.frames import Frame, ProtocolError, unpack_blob_payload
 from repro.fl.net.transport import ChannelClosed, FramedChannel
 from repro.utils.rng import RngStream
 
-__all__ = ["WorkerClient", "main"]
+__all__ = ["WorkerClient", "main", "run_spawned"]
 
 #: results remembered per worker so a re-sent task (its RESULT frame was
 #: dropped on the way up) is answered from cache instead of re-trained.
@@ -73,19 +76,18 @@ class _WorkerState:
     seeded streams), which is what the cache test pins.
     """
 
-    def __init__(self, welcome: Dict[str, Any]) -> None:
+    def __init__(self, welcome: Dict[str, Any], in_pool_worker: bool) -> None:
         spec: WorkerSpec = welcome["spec"]
         #: optional upload codec ("topk" / "quantization"): the worker ships a
         #: coded *delta* against the round's broadcast instead of raw flat bytes.
         self.codec: Optional[str] = welcome["codec"]
         self.codec_kwargs: Dict[str, Any] = welcome["codec_kwargs"]
-        #: local stand-in for the process backend's shared segment: the
-        #: round's broadcast lands here with one flat copy and the
+        #: the round's broadcast lands here with one flat copy and the
         #: runtime's weight views alias it.
         self._buf = bytearray(spec.layout.total_bytes)
         self._buf_u8 = np.frombuffer(self._buf, dtype=np.uint8)
         self.worker, self.runtime = build_worker_half(
-            spec, self._buf, in_pool_worker=False
+            spec, self._buf, in_pool_worker=in_pool_worker
         )
         #: version of the broadcast currently installed (0 = none yet).
         self.bcast_ver = 0
@@ -181,12 +183,13 @@ class _WorkerState:
 _STATE_CACHE: Dict[Optional[str], _WorkerState] = {}
 
 
-def build_worker_state(welcome: Dict[str, Any]) -> _WorkerState:
+def build_worker_state(welcome: Dict[str, Any],
+                       in_pool_worker: bool = False) -> _WorkerState:
     """The (cached) rebuilt engine half for one experiment cell."""
     key = welcome["cell_key"]
     state = _STATE_CACHE.get(key)
     if state is None or key is None:
-        state = _WorkerState(welcome)
+        state = _WorkerState(welcome, in_pool_worker)
         _STATE_CACHE.clear()  # one experiment per worker process at a time
         _STATE_CACHE[key] = state
     return state
@@ -223,7 +226,7 @@ class WorkerClient:
 
     def __init__(self, host: str, port: int, *,
                  cell_key: Optional[str] = None,
-                 connect_timeout_s: float = 20.0,
+                 connect_timeout_s: float = DEFAULT_CONNECT_TIMEOUT_S,
                  backoff_base_s: float = 0.05,
                  max_reconnects: int = 8) -> None:
         self.host = host
@@ -232,6 +235,11 @@ class WorkerClient:
         self.connect_timeout_s = float(connect_timeout_s)
         self.backoff_base_s = float(backoff_base_s)
         self.max_reconnects = int(max_reconnects)
+        #: true exactly in a worker its executor spawned and will replace
+        #: (:func:`run_spawned`): there the ``worker_death`` fault may
+        #: really exit the process.
+        self.in_pool_worker = False
+        self._ever_registered = False
 
     # -- lifecycle -------------------------------------------------------
     def run(self) -> int:
@@ -253,7 +261,7 @@ class WorkerClient:
             if welcome is None:  # orderly BYE, or nothing to serve
                 return 0
             attempt = 0
-            state = build_worker_state(welcome)
+            state = build_worker_state(welcome, self.in_pool_worker)
             heartbeat = _Heartbeat(chan, welcome["heartbeat_s"])
             try:
                 self._serve(chan, state, backlog)
@@ -292,7 +300,7 @@ class WorkerClient:
         """
         chan.send_frame(frames.HELLO, pickle.dumps({
             "cell_key": self.cell_key,
-            "reconnect": getattr(self, "_ever_registered", False),
+            "reconnect": self._ever_registered,
         }, protocol=pickle.HIGHEST_PROTOCOL))
         deadline = time.monotonic() + self.connect_timeout_s
         while time.monotonic() < deadline:
@@ -367,6 +375,21 @@ def _loads(payload: bytes):
         raise _CorruptStream(f"frame payload failed to unpickle: {exc}") from None
 
 
+def run_spawned(forked_from, host: str, port: int, **client_kwargs) -> None:
+    """``multiprocessing`` target of a worker the executor started itself
+    (and replaces when it exits).  ``forked_from`` is the parent's
+    :class:`~repro.fl.net.coordinator.CoordinatorServer` when this process
+    is a fork of it, else ``None``."""
+    if forked_from is not None:
+        forked_from.disown()
+        # A fork also copies whatever state a WorkerClient in the parent
+        # built for this cell (result cache included); start clean.
+        _STATE_CACHE.clear()
+    client = WorkerClient(host, port, **client_kwargs)
+    client.in_pool_worker = True
+    raise SystemExit(client.run())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fl.net.worker",
@@ -377,7 +400,8 @@ def main(argv=None) -> int:
     parser.add_argument("--cell-key", default=None,
                         help="expected experiment cell key (registration is "
                              "refused on mismatch)")
-    parser.add_argument("--connect-timeout-s", type=float, default=20.0)
+    parser.add_argument("--connect-timeout-s", type=float,
+                        default=DEFAULT_CONNECT_TIMEOUT_S)
     parser.add_argument("--backoff-base-s", type=float, default=0.05,
                         help="base of the exponential reconnect backoff")
     parser.add_argument("--max-reconnects", type=int, default=8,

@@ -20,9 +20,9 @@ a weight tree so the hot path collapses to single vectorized operations:
   matrix (reused across rounds via :class:`MatrixPool`), the input format
   of the GEMM aggregation in :mod:`repro.fl.aggregation`.
 
-The process executor's shared-memory segment uses the same layout, so the
-server->worker broadcast is a single flat copy as well (see
-:mod:`repro.fl.process_executor`).
+The out-of-process executor's ``BROADCAST`` frame uses the same layout, so
+the server->worker broadcast is a single flat copy as well (see
+:mod:`repro.fl.net`).
 
 Mixed-dtype trees (rare — models in this codebase are uniformly float32)
 remain fully supported: the layout falls back to max-itemsize alignment and

@@ -36,7 +36,7 @@ are copied *into* round N's buffer — so state storage is allocated once
 per touched client no matter how many rounds run, and strategies that
 rebind fresh arrays each round (SCAFFOLD) cannot leak slots.  Arena slots
 are plain ``np.ndarray`` views (not ``np.memmap`` instances), so they
-pickle by value and survive process-pool round trips unchanged.
+pickle by value and survive worker-process round trips unchanged.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ class ClientDirectory:
     routed through the :class:`FlatStateArena`; :meth:`adopt_state` is the
     write path the engine uses after each round — it copies new values into
     the client's existing per-key slots, so state memory is stable across
-    rounds and identical across executors (the process pool returns value
+    rounds and identical across executors (worker processes return value
     copies; copying them into the slot preserves the bytes).
     """
 

@@ -64,7 +64,7 @@ class ClientUpdate:
     :meth:`from_flat` carry natively (``weights`` are then reshaped *views*
     into it, no copies) and any other update derives lazily through
     :meth:`flat_vector`.  Updates with a flat vector also pickle it instead
-    of the per-layer arrays, halving the process-pool result payload.
+    of the per-layer arrays, halving the worker-process result payload.
     """
 
     client_id: int

@@ -16,7 +16,7 @@ instruments, keyed by name — get-or-create via :meth:`counter` /
 :meth:`gauge` / :meth:`histogram`, thread-safe for the threaded executor's
 concurrent task path.  Shards travel as the plain dict :meth:`drain`
 returns (picklable by construction) and fold into the engine's registry via
-:meth:`merge`, so process-pool metrics land deterministically in task
+:meth:`merge`, so worker-process metrics land deterministically in task
 order.  Output formats: :meth:`prometheus_text` (text exposition) and
 :meth:`summary_table` (the end-of-run table).
 

@@ -12,7 +12,7 @@ imperative surface:
 * ``client_task(...)`` — one span per executed client task, parented under
   the current phase, called from :func:`~repro.fl.executor.execute_task`
   (the choke point every backend shares);
-* ``absorb(payload)`` — fold a process-pool worker shard
+* ``absorb(payload)`` — fold a worker process's shard
   (:class:`WorkerShardRecorder` output that pickled home on a
   :class:`~repro.fl.executor.TaskResult`) into this recorder.  The engine
   absorbs in task order, so merged metrics are deterministic.
@@ -248,8 +248,8 @@ class Recorder:
 
     def broadcast_bytes(self, model_bytes: int, extra_bytes: int, n_clients: int) -> None:
         """Account one downlink broadcast: model + payload bytes to each of
-        ``n_clients`` (the process backend's shm copy ships the same bytes
-        once — we count the logical per-client downlink, matching uplink)."""
+        ``n_clients`` (a worker process receives the same bytes once per
+        round — we count the logical per-client downlink, matching uplink)."""
         self._bcast_pending += float(model_bytes + extra_bytes) * n_clients
 
     def absorb(self, payload: Mapping[str, Any]) -> None:
@@ -401,11 +401,11 @@ class Recorder:
 class WorkerShardRecorder(NullRecorder):
     """The per-process-worker shard: counts tasks locally, pickles home.
 
-    Lives in a pool worker's ``TaskRuntime.recorder``.  It has no exporter
-    and no round/phase state — workers only see client tasks.  After each
-    task :func:`~repro.fl.process_executor._run_task` calls :meth:`drain`
-    and attaches the plain-dict payload to the result; the engine absorbs
-    it in task order (deterministic merge at round end).
+    Lives in a worker process's ``TaskRuntime.recorder``.  It has no
+    exporter and no round/phase state — workers only see client tasks.
+    After each task the worker (``repro.fl.net.worker``) calls
+    :meth:`drain` and attaches the plain-dict payload to the result; the
+    engine absorbs it in task order (deterministic merge at round end).
     """
 
     enabled = True

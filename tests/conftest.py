@@ -5,29 +5,39 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.spec import ExperimentSpec
 from repro.data import build_federated_data
 from repro.fl import FLConfig
+
+
+def _choices(field_name):
+    """The names ``ExperimentSpec.<field_name>`` accepts, read from the
+    field's declaration — a newly registered name is runnable here without
+    editing this file."""
+    choices = ExperimentSpec.__dataclass_fields__[field_name].metadata["choices"]
+    return list(choices() if callable(choices) else choices)
 
 
 def pytest_addoption(parser):
     parser.addoption(
         "--executor",
         default="serial",
-        choices=["auto", "serial", "threaded", "process", "network"],
+        choices=_choices("executor"),
         help="execution backend the backend-sensitive smoke tests run on "
              "(CI runs the suite once more with --executor process and "
-             "again with --executor network --net-workers 2)",
+             "again with --executor network --net-workers 2: the one "
+             "loopback fleet under both of its names)",
     )
     parser.addoption(
         "--net-workers",
         type=int,
         default=2,
-        help="loopback worker-subprocess count for --executor network",
+        help="loopback worker-process count for --executor network",
     )
     parser.addoption(
         "--mode",
         default="sync",
-        choices=["sync", "semisync", "async"],
+        choices=_choices("mode"),
         help="server mode the mode-sensitive smoke tests run on "
              "(CI runs the suite once more with --mode semisync "
              "--device-profile iot)",
@@ -35,16 +45,13 @@ def pytest_addoption(parser):
     parser.addoption(
         "--device-profile",
         default=None,
-        choices=["wifi", "4g", "iot"],
+        choices=_choices("device_profile"),
         help="device/network preset for the mode-sensitive smoke tests",
     )
     parser.addoption(
         "--aggregator",
         default="mean",
-        choices=[
-            "mean", "coordinate_median", "trimmed_mean", "norm_clip",
-            "norm_screen", "krum", "multi_krum",
-        ],
+        choices=_choices("aggregator"),
         help="server aggregation rule the aggregation-sensitive smoke tests "
              "run with (CI runs the suite once more with "
              "--aggregator trimmed_mean)",
@@ -62,7 +69,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--fault",
         default=None,
-        choices=["crash", "crash_mid_train", "corrupt", "straggler", "worker_death"],
+        choices=_choices("fault"),
         help="deterministic fault injector the fault-sensitive smoke tests "
              "run with (CI reruns tier-1 with --fault crash --fault-rate "
              "0.2 --task-retries 2 to keep the failure policy continuously "

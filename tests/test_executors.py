@@ -1,4 +1,4 @@
-"""Execution backends: registry resolution, shared-memory broadcast, and the
+"""Execution backends: registry resolution, the per-round broadcast, and the
 cross-backend determinism contract (fixed seed => byte-identical records on
 serial, threaded and process executors)."""
 
@@ -18,7 +18,7 @@ from repro.api import (
 )
 from repro.api.engine import Engine
 from repro.fl.executor import ClientTaskSpec, SerialExecutor
-from repro.fl.process_executor import ProcessExecutor, WeightLayout
+from repro.fl.params import WeightLayout
 
 TINY = dict(dataset="tiny", model="mlp", method="fedavg", n_clients=4,
             clients_per_round=2, rounds=2, batch_size=20, lr=0.05)

@@ -532,10 +532,11 @@ class TestCrashSafeResume:
 
 class TestProcessWorkerDeath:
     def test_dead_worker_surfaces_failure_and_matches_serial(self):
-        """``worker_death`` on the process backend really kills pool
-        workers; the executor must detect the deaths (no hang), let the
-        pool respawn, and synthesize failures that keep the History
-        byte-identical to the serial backend's synthesized path."""
+        """``worker_death`` on the process backend really kills the
+        spawned workers; the coordinator must detect the deaths (no hang),
+        the executor must replace them, and the synthesized failures must
+        keep the History byte-identical to the serial backend's
+        synthesized path."""
         base = {**TINY, "rounds": 2, "fault": "worker_death",
                 "fault_rate": 0.4, "task_retries": 1}
         reference = run_experiment(ExperimentSpec(**base))
@@ -544,10 +545,10 @@ class TestProcessWorkerDeath:
         spec = ExperimentSpec(**{**base, "executor": "process", "n_workers": 2})
         engine = build_mode(spec.mode, spec=spec, data=spec.build_data())
         try:
-            # shrink the detection grace so the test stays fast; tasks here
-            # take milliseconds, so two seconds of silence is unambiguous
-            engine.executor._death_grace_s = 2.0
+            first_fleet = {p.pid for p in engine.executor._procs}
             hist = engine.run()
+            assert {p.pid for p in engine.executor._procs} != first_fleet, \
+                "no worker process was replaced: nothing really died"
         finally:
             engine.close()
         assert _sig(hist, virtual=True) == _sig(reference, virtual=True)

@@ -495,6 +495,105 @@ class TestNetworkRobustness:
 
 
 # ---------------------------------------------------------------------------
+# The fleet the executor spawns itself (executor="process", loopback "network").
+# ---------------------------------------------------------------------------
+
+class TestSpawnedFleet:
+    def test_one_class_under_both_names(self):
+        from repro.api.registry import build_mode
+
+        executors = {}
+        for name in ("process", "network"):
+            spec = tiny_spec(executor=name, n_workers=2)
+            with build_mode("sync", spec=spec, data=spec.build_data()) as engine:
+                executors[name] = engine.executor
+                assert engine.executor.name == name
+                assert engine.executor.n_workers == 2
+        assert type(executors["process"]) is type(executors["network"])
+
+    def test_worker_killed_between_rounds_is_replaced(self):
+        """SIGKILL a spawned worker while the engine is between rounds: the
+        next round starts on a whole fleet again (no task is handed to the
+        corpse's connection), so even with no retry budget the History is
+        the serial one."""
+        from repro.api.callbacks import Callback
+
+        class KillBetweenRounds(Callback):
+            victim = None
+            connected_after = None
+
+            def on_round_start(self, engine, round_idx, selected):
+                if round_idx == 1:
+                    self.victim = engine.executor._procs[0]
+                    os.kill(self.victim.pid, signal.SIGKILL)
+                    self.victim.join(timeout=10.0)
+                    assert not self.victim.is_alive()
+
+            def on_round_end(self, engine, record):
+                if record.round_idx == 1:
+                    executor = engine.executor
+                    self.connected_after = executor._server.n_connected
+                    assert self.victim not in executor._procs
+                    assert all(p.is_alive() for p in executor._procs)
+
+        killer = KillBetweenRounds()
+        serial = run_experiment(tiny_spec(executor="serial", rounds=3))
+        hist = run_experiment(
+            tiny_spec(executor="process", n_workers=2, rounds=3),
+            callbacks=[killer])
+        assert killer.connected_after == 2
+        assert_identical_histories(serial, hist, "process/respawn")
+
+    def test_forked_worker_does_not_hold_the_listening_socket(self):
+        """A forked worker starts life with copies of the coordinator's
+        sockets and must close them: with the parent's listener closed the
+        port can be bound again while the workers are still alive, and
+        again once the fleet is gone."""
+        from repro.api.registry import build_mode
+
+        spec = tiny_spec(executor="process", n_workers=2)
+        engine = build_mode("sync", spec=spec, data=spec.build_data())
+        try:
+            engine.run_round()
+            server = engine.executor._server
+            host, port = server.address
+            server._listener.close()
+            assert all(p.is_alive() for p in engine.executor._procs)
+            socket.create_server((host, port)).close()
+        finally:
+            engine.close()
+        assert engine.executor._procs == []
+        socket.create_server((host, port)).close()
+
+    def test_welcome_is_not_pinned_but_late_joiners_get_it(self):
+        """The pickled WELCOME carries the dataset; the server must not
+        keep the blob once the fleet has registered, and must still build
+        a full one for whoever registers later."""
+        from repro.api.registry import build_mode
+
+        spec = tiny_spec(executor="process", n_workers=2)
+        with build_mode("sync", spec=spec, data=spec.build_data()) as engine:
+            server = engine.executor._server
+            assert not [k for k, v in vars(server).items()
+                        if isinstance(v, (bytes, bytearray, memoryview))]
+            chan = FramedChannel(socket.create_connection(server.address))
+            try:
+                chan.send_frame(frames.HELLO, pickle.dumps(
+                    {"cell_key": spec.cell_key(), "reconnect": False}))
+                got = []
+                deadline = time.monotonic() + 10.0
+                while not got and time.monotonic() < deadline:
+                    server._pump(0.05)
+                    got = chan.recv_frames(timeout=0.05)
+                assert got[0].ftype == frames.WELCOME
+                welcome = pickle.loads(got[0].payload)
+                assert welcome["spec"].model_name == "mlp"
+                assert welcome["cell_key"] == spec.cell_key()
+            finally:
+                chan.close()
+
+
+# ---------------------------------------------------------------------------
 # Spec / engine wiring.
 # ---------------------------------------------------------------------------
 
@@ -504,10 +603,6 @@ class TestSpecWiring:
                        dict(net_codec="topk"), dict(net_bind="0.0.0.0:9999")):
             with pytest.raises(ValueError, match="executor='network'"):
                 tiny_spec(**kwargs)
-
-    def test_network_requires_sync_mode(self):
-        with pytest.raises(ValueError, match="synchronous"):
-            tiny_spec(executor="network", mode="async")
 
     def test_net_fault_pairing_validated(self):
         with pytest.raises(ValueError, match="never"):

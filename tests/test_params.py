@@ -99,11 +99,6 @@ class TestWeightLayout:
             np.testing.assert_array_equal(view, w)
             assert view.dtype == w.dtype
 
-    def test_legacy_import_location_still_works(self):
-        from repro.fl.process_executor import WeightLayout as Legacy
-
-        assert Legacy is WeightLayout
-
     def test_tree_of_rejects_wrong_size(self):
         layout = WeightLayout.from_weights(random_tree(SHAPES, 0))
         with pytest.raises(ValueError, match="flat vector"):
@@ -416,7 +411,7 @@ class TestCrossExecutorCrossMode:
         flat representation too (the re-pinned floats are one consistent
         set across the grid)."""
         reference = None
-        for executor in ("serial", "process"):
+        for executor in ("serial", "process", "network"):
             for mode in ("sync", "semisync"):
                 spec = ExperimentSpec(**{**TINY, "method": method,
                                          "executor": executor, "mode": mode,
@@ -433,7 +428,7 @@ class TestCrossExecutorCrossMode:
         """The determinism contract must survive the robust subsystem: a
         fixed seed with ``aggregator='coordinate_median'`` and an active
         ``sign_flip`` adversary yields byte-identical histories across
-        serial/threaded/process executors and the sync/semisync barrier
+        serial/threaded/process/network executors and the sync/semisync barrier
         cells (full buffer, no deadline); the async cells — a different
         algorithm by construction — agree across executors against their
         own reference."""
@@ -442,7 +437,7 @@ class TestCrossExecutorCrossMode:
                   "adversary": "sign_flip", "adversary_fraction": 0.25,
                   "adversary_kwargs": {"gamma": 3.0}}
         references = {}
-        for executor in ("serial", "threaded", "process"):
+        for executor in ("serial", "threaded", "process", "network"):
             for mode in ("sync", "semisync", "async"):
                 spec = ExperimentSpec(**{**robust,
                                          "executor": executor,
