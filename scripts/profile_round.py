@@ -24,8 +24,9 @@ table sourced from the metrics registry — the same numbers ``--trace`` /
 
 ``--client`` adds a breakdown of where *local-step* time goes — the
 client-side phases (forward, backward, attach ops, optimizer, clipping,
-broadcast adoption, upload) the plane-backed flat path accelerates — and
-restricts the raw listing to client-side code.
+broadcast adoption, upload) the plane-backed flat path accelerates, then
+forward and backward per layer kind (Conv2d, MaxPool2d, ReLU, Linear) —
+and restricts the raw listing to client-side code.
 
 See docs/performance.md and docs/observability.md for how to read the
 output.
@@ -58,9 +59,53 @@ CLIENT_PHASES = [
     ("strategy round hooks", [(None, "on_round_start"), (None, "on_round_end")]),
 ]
 
+#: layer kinds reported by --client, forward and backward each.  A layer's
+#: backward row also counts ``backward_params`` (the parameter-only pass a
+#: training step runs on the model's first trainable layer).
+LAYER_KINDS = ("Conv2d", "MaxPool2d", "ReLU", "Linear")
+
+
+def _layer_rows():
+    """``(label, {stats key})`` per layer kind and direction, keyed by the
+    methods' code objects (file, first line, name) so classes sharing a
+    file (``MaxPool2d``/``AvgPool2d``, ``ReLU``/``Tanh``) stay apart."""
+    import os
+
+    import repro.nn as nn
+
+    rows = []
+    for kind in LAYER_KINDS:
+        cls = getattr(nn, kind)
+        for direction, methods in (("forward", ("forward",)),
+                                   ("backward", ("backward", "backward_params"))):
+            keys = set()
+            for name in methods:
+                fn = vars(cls).get(name)
+                if fn is not None:
+                    code = fn.__code__
+                    keys.add((os.path.basename(code.co_filename),
+                              code.co_firstlineno, code.co_name))
+            rows.append((f"{kind} {direction}", keys))
+    return rows
+
+
+def _outermost_seconds(stats: pstats.Stats, keys) -> float:
+    """Cumulative seconds of the functions in ``keys``, minus time spent in
+    them when called from one another (``Linear.backward`` calls
+    ``backward_params``), so nothing is counted twice."""
+    total = 0.0
+    for key in keys:
+        entry = stats.stats.get(key)
+        if entry is None:
+            continue
+        ct, callers = entry[3], entry[4]
+        total += ct - sum(c[3] for caller, c in callers.items() if caller in keys)
+    return total
+
 
 def _client_breakdown(stats: pstats.Stats, rounds: int) -> None:
-    """Print cumulative seconds per client-side phase (per profiled run)."""
+    """Print cumulative seconds per client-side phase (per profiled run),
+    then per layer kind."""
     totals = {label: 0.0 for label, _ in CLIENT_PHASES}
     for (path, _line, func), (_cc, _nc, _tt, ct, _callers) in stats.stats.items():
         if path in ("callbacks.py", "engine.py"):
@@ -76,15 +121,25 @@ def _client_breakdown(stats: pstats.Stats, rounds: int) -> None:
     total_key = next(
         (k for k in stats.stats if k[2] == "execute_task"), None)
     task_total = stats.stats[total_key][3] if total_key else None
+    layers = [(label, _outermost_seconds(stats, keys)) for label, keys in _layer_rows()]
     print("\n--- client-side breakdown (cumulative seconds, "
           f"{rounds} profiled rounds) ---")
-    width = max(len(label) for label, _ in CLIENT_PHASES)
-    for label, _ in CLIENT_PHASES:
-        share = (f"  {100.0 * totals[label] / task_total:5.1f}% of client tasks"
+    width = max(len(label) for label, _ in CLIENT_PHASES + layers)
+
+    def row(label: str, seconds: float) -> None:
+        share = (f"  {100.0 * seconds / task_total:5.1f}% of client tasks"
                  if task_total else "")
-        print(f"  {label.ljust(width)}  {totals[label]:8.4f}s{share}")
+        print(f"  {label.ljust(width)}  {seconds:8.4f}s{share}")
+
+    for label, _ in CLIENT_PHASES:
+        row(label, totals[label])
     if task_total is not None:
         print(f"  {'client task total'.ljust(width)}  {task_total:8.4f}s")
+    # Evaluation is kept out of the profiled rounds, so every layer call
+    # here is inside a client task.
+    print("\n--- per layer kind (cumulative seconds, slowest first) ---")
+    for label, seconds in sorted(layers, key=lambda item: -item[1]):
+        row(label, seconds)
 
 
 def _phase_breakdown(metrics, rounds: int) -> None:
@@ -151,7 +206,9 @@ def main() -> int:
         dataset=args.dataset, model=args.model, method=args.method,
         n_clients=args.clients,
         clients_per_round=args.clients_per_round or args.clients,
-        rounds=args.rounds + 1, batch_size=args.batch_size,
+        # One warmup round plus the profiled ones; the final round, which
+        # always evaluates, is never run.
+        rounds=args.rounds + 2, batch_size=args.batch_size,
         eval_every=10_000,  # keep evaluation out of the profile
         executor=args.executor, n_workers=args.workers,
         mode=args.mode, aggregator=args.aggregator,
@@ -180,7 +237,8 @@ def main() -> int:
         # layers, the client/executor plumbing).
         stats.print_stats(
             r"client|executor|fed|scaffold|mime|moon|slowmo|losses|module"
-            r"|parameter|linear|conv|activations|sgd|adam|base|utils", args.top)
+            r"|parameter|linear|conv|pooling|functional|activations|sgd|adam"
+            r"|base|utils", args.top)
         _client_breakdown(stats, args.rounds)
     else:
         stats.print_stats(args.top)

@@ -161,7 +161,7 @@ class Strategy:
         logits = ctx.model(xb)
         loss, dlogits = ctx.criterion(logits, yb)
         ctx.model.zero_grad()
-        ctx.model.backward(dlogits)
+        ctx.model.backward(dlogits, input_grad=False)
         self.modify_gradients(ctx)
         self.maybe_clip(ctx)
         ctx.optimizer.step()

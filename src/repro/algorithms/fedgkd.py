@@ -40,7 +40,7 @@ class FedGKD(Strategy):
         loss_kd, dkd = self.kl(logits, teacher_logits)
 
         model.zero_grad()
-        model.backward(dlogits + self.gamma * dkd)
+        model.backward(dlogits + self.gamma * dkd, input_grad=False)
         self.maybe_clip(ctx)
         ctx.optimizer.step()
         ctx.extra_flops += xb.shape[0] * ctx.fp_flops_per_sample

@@ -61,7 +61,7 @@ class MOON(Strategy):
 
         loss_con, dz = self.contrastive(z, z_glob, z_prev)
         model.zero_grad()
-        model.backward(dlogits, dfeatures=self.mu * dz)
+        model.backward(dlogits, dfeatures=self.mu * dz, input_grad=False)
         self.maybe_clip(ctx)
         ctx.optimizer.step()
         # Cost: (1 + p) extra forward passes for the whole batch.

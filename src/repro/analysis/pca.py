@@ -14,7 +14,7 @@ def pca(x: np.ndarray, n_components: int = 2) -> Tuple[np.ndarray, np.ndarray]:
     """Project rows of ``x`` onto the top principal components.
 
     Returns ``(projected, explained_variance_ratio)``.  Uses SciPy's thin
-    SVD (``full_matrices=False``) per the HPC guide — the full SVD of an
+    SVD (``full_matrices=False``) — the full SVD of an
     (n, d) feature matrix would be needlessly cubic.
     """
     x = np.asarray(x, dtype=np.float64)

@@ -75,7 +75,7 @@ def train_centralized(
             logits = model(xb)
             loss, dlogits = criterion(logits, yb)
             model.zero_grad()
-            model.backward(dlogits)
+            model.backward(dlogits, input_grad=False)
             optimizer.step()
             epoch_losses.append(loss)
         acc, _ = evaluate_model(model, data.test, eval_batch_size)

@@ -64,5 +64,5 @@ def full_batch_gradient(
         _, dlogits = criterion(logits, yb)
         # criterion grad is mean over the batch; rescale so the accumulated
         # sum equals the mean over the full dataset.
-        model.backward(dlogits * (xb.shape[0] / n))
+        model.backward(dlogits * (xb.shape[0] / n), input_grad=False)
     return [np.array(p.grad, copy=True) for p in model.parameters()]

@@ -248,8 +248,7 @@ class WorkerClient:
         attempt = 0
         while True:
             try:
-                chan = self._connect()
-                welcome, backlog = self._register(chan)
+                chan, welcome, backlog = self._open_session()
             except _Rejected:
                 return 1
             except (OSError, ChannelClosed, ProtocolError, _CorruptStream):
@@ -285,6 +284,22 @@ class WorkerClient:
             (self.host, self.port), timeout=self.connect_timeout_s
         )
         return FramedChannel(sock)
+
+    def _open_session(
+        self,
+    ) -> Tuple[FramedChannel, Optional[Dict[str, Any]], List[Frame]]:
+        """Connect and register.  The channel comes back open only when
+        there is something to serve (``welcome`` is not None); a refusal,
+        a failed handshake or an orderly BYE closes it here."""
+        chan = self._connect()
+        try:
+            welcome, backlog = self._register(chan)
+        except BaseException:
+            chan.close()
+            raise
+        if welcome is None:
+            chan.close()
+        return chan, welcome, backlog
 
     def _register(
         self, chan: FramedChannel

@@ -97,14 +97,26 @@ class FedModel(Module):
 
     # -- backward ----------------------------------------------------------------
     def backward(
-        self, dlogits: np.ndarray, dfeatures: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+        self,
+        dlogits: np.ndarray,
+        dfeatures: Optional[np.ndarray] = None,
+        *,
+        input_grad: bool = True,
+    ) -> Optional[np.ndarray]:
         """Backpropagate ``dlogits`` (and optionally an extra gradient on the
-        representation, as MOON requires) down to the input."""
+        representation, as MOON requires) down to the input.
+
+        A training step needs only the parameter gradients: with
+        ``input_grad=False`` the pass stops at the earliest layer holding
+        parameters, skips that layer's input gradient and returns None.
+        The parameter gradients are the same bytes either way."""
         dz = self.head.backward(dlogits)
         if dfeatures is not None:
             dz = dz + dfeatures
-        return self.features.backward(dz)
+        if input_grad:
+            return self.features.backward(dz)
+        self.features.backward_params(dz)
+        return None
 
     # -- bookkeeping ---------------------------------------------------------------
     @property

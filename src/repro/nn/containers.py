@@ -68,6 +68,20 @@ class Sequential(Module):
             dout = layer.backward(dout)
         return dout
 
+    def backward_params(self, dout: np.ndarray) -> None:
+        """Backpropagate down to the earliest layer that holds parameters,
+        which skips its input gradient; the parameter-free layers below it
+        are not visited."""
+        first = next(
+            (i for i, layer in enumerate(self.layers) if next(layer.named_parameters(), None)),
+            None,
+        )
+        if first is None:
+            return
+        for layer in reversed(self.layers[first + 1 :]):
+            dout = layer.backward(dout)
+        self.layers[first].backward_params(dout)
+
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         shape = input_shape
         for layer in self.layers:

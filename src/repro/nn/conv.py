@@ -19,8 +19,8 @@ class Conv2d(Module):
 
     Weight shape is ``(out_channels, in_channels, kh, kw)``.  The forward pass
     unfolds the input into patch rows (:func:`~repro.nn.functional.im2col`)
-    and performs one matrix multiply — the single-big-BLAS-call strategy the
-    HPC guide recommends over per-pixel Python loops.
+    and performs one matrix multiply — one big BLAS call instead of
+    per-pixel Python loops.
     """
 
     def __init__(
@@ -67,19 +67,28 @@ class Conv2d(Module):
         return np.ascontiguousarray(out)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        dout_mat, x_shape = self._param_backward(dout)
+        dcols = dout_mat @ self.weight.data.reshape(self.out_channels, -1)
+        k = self.kernel_size
+        return col2im(dcols, x_shape, k, k, self.stride, self.padding)
+
+    def backward_params(self, dout: np.ndarray) -> None:
+        self._param_backward(dout)
+
+    def _param_backward(self, dout: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int, int, int]]:
+        """Accumulate the weight/bias gradients and release the forward
+        cache; returns ``dout`` as an ``(N*oh*ow, F)`` GEMM operand and the
+        input shape, for the input gradient."""
         if self._cols is None or self._x_shape is None or self._out_hw is None:
             raise RuntimeError("backward called without a cached training forward")
-        n = self._x_shape[0]
+        x_shape = self._x_shape
         oh, ow = self._out_hw
-        k = self.kernel_size
-        dout_mat = dout.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
+        dout_mat = dout.transpose(0, 2, 3, 1).reshape(x_shape[0] * oh * ow, self.out_channels)
         self.weight.grad += (self._cols.T @ dout_mat).T.reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += dout_mat.sum(axis=0)
-        dcols = dout_mat @ self.weight.data.reshape(self.out_channels, -1)
-        dx = col2im(dcols, self._x_shape, k, k, self.stride, self.padding)
         self._cols = self._x_shape = self._out_hw = None
-        return dx
+        return dout_mat, x_shape
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         c, h, w = input_shape

@@ -2,12 +2,12 @@
 
 Everything here is a pure function on NumPy arrays, fully vectorized; the
 im2col/col2im pair is the workhorse that turns convolution into one large
-GEMM (the standard CPU strategy — one big BLAS call instead of nested Python
-loops, per the HPC optimization guide).
+GEMM (one big BLAS call instead of nested Python loops over pixels).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -72,26 +72,38 @@ def im2col(
     """Unfold ``(N, C, H, W)`` into patch rows for GEMM-based convolution.
 
     Returns ``(cols, (oh, ow))`` where ``cols`` has shape
-    ``(N * oh * ow, C * kh * kw)``.  Built from a zero-copy strided view of
-    the padded input; the only copy is the final reshape into GEMM layout.
+    ``(N * oh * ow, C * kh * kw)``, rows ordered by sample then output
+    pixel.  With ``padding > 0`` the input is first copied into a zeroed,
+    padded buffer; then one ``np.take`` per batch gathers every sample's
+    patch elements through a cached index of flat offsets
+    (:func:`_patch_index`) — about twice as fast as copying a strided window
+    view, whose innermost runs are only ``kw`` long.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
+    hp, wp = h + 2 * padding, w + 2 * padding
     if padding > 0:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
     else:
-        xp = x
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    # (N, oh, ow, C, kh, kw) -> rows ordered by sample then output pixel.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), (oh, ow)
+        xp = np.ascontiguousarray(x)
+    index = _patch_index(c, hp, wp, kh, kw, stride, oh, ow)
+    cols = np.take(xp.reshape(n, c * hp * wp), index, axis=1)
+    return cols.reshape(n * oh * ow, c * kh * kw), (oh, ow)
+
+
+@functools.lru_cache(maxsize=64)
+def _patch_index(
+    c: int, hp: int, wp: int, kh: int, kw: int, stride: int, oh: int, ow: int
+) -> np.ndarray:
+    """Flat offsets into one padded ``(C, hp, wp)`` sample of every patch
+    element, in ``(oh, ow, C, kh, kw)`` order (read-only; one per geometry)."""
+    patch = (np.arange(c)[:, None, None] * hp + np.arange(kh)[:, None]) * wp + np.arange(kw)
+    origin = np.arange(oh)[:, None] * (stride * wp) + np.arange(ow) * stride
+    index = (origin[:, :, None, None, None] + patch).reshape(-1)
+    index.setflags(write=False)
+    return index
 
 
 def col2im(
@@ -105,19 +117,27 @@ def col2im(
     """Fold patch-row gradients back into an input-shaped gradient.
 
     Inverse scatter-add of :func:`im2col`: overlapping windows accumulate.
+    The adds are staged channels-last, in an ``(N, hp, wp, C)`` buffer:
+    at stride 1 one kernel offset's ``(ow, C)`` block is then one run
+    (contiguous in the buffer, evenly strided in ``cols``) instead of ``C``
+    runs of ``ow``.  Every element still receives its terms in kernel-offset
+    ``(i, j)`` order starting from ``+0.0``, so the values are those of a
+    channels-first fold, and the result is returned with that fold's
+    strides: an ``(N, C, h, w)`` window of an ``(N, C, hp, wp)`` block.
     """
     n, c, h, w = x_shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
-    dx_pad = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    staged = np.zeros((n, hp, wp, c), dtype=cols.dtype)
+    patches = cols.reshape(n, oh, ow, c, kh, kw)
     # Accumulate per kernel offset; kh*kw iterations of fully vectorized adds.
     for i in range(kh):
         i_max = i + stride * oh
         for j in range(kw):
             j_max = j + stride * ow
-            dx_pad[:, :, i:i_max:stride, j:j_max:stride] += patches[:, :, :, :, i, j]
-    if padding > 0:
-        return dx_pad[:, :, padding : padding + h, padding : padding + w]
-    return dx_pad
+            staged[:, i:i_max:stride, j:j_max:stride, :] += patches[:, :, :, :, i, j]
+    inner = (slice(None), slice(None), slice(padding, padding + h), slice(padding, padding + w))
+    dx = np.empty((n, c, hp, wp), dtype=cols.dtype)[inner]
+    dx[...] = staged.transpose(0, 3, 1, 2)[inner]
+    return dx

@@ -54,15 +54,17 @@ class Linear(Module):
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        self.backward_params(dout)
+        return dout @ self.weight.data.T
+
+    def backward_params(self, dout: np.ndarray) -> None:
         if self._x is None:
             raise RuntimeError("backward called without a cached training forward")
         x = self._x
         self.weight.grad += x.T @ dout
         if self.bias is not None:
             self.bias.grad += dout.sum(axis=0)
-        dx = dout @ self.weight.data.T
         self._x = None
-        return dx
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (self.out_features,)

@@ -5,7 +5,8 @@ The design is a deliberately small subset of ``torch.nn.Module``:
 * ``forward(x)`` computes the output and caches whatever the backward pass
   needs on ``self`` (activations, masks, im2col buffers).
 * ``backward(dout)`` consumes the cache, **accumulates** parameter gradients
-  into ``Parameter.grad`` and returns the gradient w.r.t. the layer input.
+  into ``Parameter.grad`` and returns the gradient w.r.t. the layer input;
+  ``backward_params(dout)`` does the same but may skip that input gradient.
 * ``parameters()`` walks the attribute tree to collect every
   :class:`~repro.nn.parameter.Parameter` in a deterministic order — that order
   defines the layout of the flat parameter vector used throughout
@@ -40,6 +41,12 @@ class Module:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def backward_params(self, dout: np.ndarray) -> None:
+        """:meth:`backward` for a caller that needs only the parameter
+        gradients, not the one w.r.t. the input.  Layers that can skip
+        computing the input gradient override this."""
+        self.backward(dout)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)

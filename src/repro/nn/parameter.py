@@ -3,7 +3,7 @@
 A :class:`Parameter` pairs a weight array with its gradient accumulator.  All
 arrays are C-contiguous ``float32`` by default: federated averaging and the
 regularizers stream over every parameter each round, so compact contiguous
-storage matters for cache behaviour (see the HPC guide's cache-effects notes).
+storage matters for cache behaviour.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ triplet term, FedDyn's linear correction, SCAFFOLD's control variates, ...)
 are *parameter-space* operations.  Representing a model state as either a
 single flat ``float64``/``float32`` vector or a list of per-layer arrays makes
 those regularizers one or two vectorized NumPy expressions — no Python loops
-over individual weights, per the HPC guide's "vectorize everything" idiom.
+over individual weights.
 
 The "tree" here is simply ``list[np.ndarray]`` in a fixed layer order; it
 avoids repeated concatenation when algorithms only need elementwise updates.

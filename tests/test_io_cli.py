@@ -116,7 +116,8 @@ class TestCLI:
         ])
         assert code == 0
         assert os.path.exists(out_path)
-        assert len(json.load(open(out_path))["records"]) == 2
+        with open(out_path) as fh:
+            assert len(json.load(fh)["records"]) == 2
         assert "best accuracy" in capsys.readouterr().out
 
     def test_compare_command(self, capsys):

@@ -269,6 +269,20 @@ class TestFramedChannel:
 # Coordinator handshake: cell_key gatekeeping, reconnect accounting.
 # ---------------------------------------------------------------------------
 
+class _ChannelRecordingClient(WorkerClient):
+    """A worker client that keeps every channel it opened, so a test can
+    check each one was closed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.channels = []
+
+    def _connect(self):
+        chan = super()._connect()
+        self.channels.append(chan)
+        return chan
+
+
 class TestHandshake:
     def _run_client(self, server, client):
         """Drive the server pump while the client runs its loop."""
@@ -311,6 +325,38 @@ class TestHandshake:
             assert server.n_connected == 0
         finally:
             server.shutdown()
+
+    @pytest.mark.parametrize("cell_key, want_code", [("cell-a", 0), ("cell-b", 1)])
+    def test_registration_outcomes_close_the_socket(self, cell_key, want_code):
+        """Nothing to serve (0) and a refused cell_key (1) both end the
+        client; neither may leave its socket open."""
+        server = CoordinatorServer("127.0.0.1:0", cell_key="cell-a")
+        try:
+            host, port = server.address
+            client = _ChannelRecordingClient(host, port, cell_key=cell_key,
+                                             connect_timeout_s=5.0, max_reconnects=0)
+            assert self._run_client(server, client) == want_code
+        finally:
+            server.shutdown()
+        assert len(client.channels) == 1
+        assert all(chan.fileno() == -1 for chan in client.channels)
+
+    def test_exhausted_reconnects_leave_no_socket_open(self):
+        """A peer that accepts connections but never answers HELLO: every
+        attempt's handshake times out, and each attempt's socket is closed
+        before the next one opens."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(8)
+            host, port = listener.getsockname()
+            client = _ChannelRecordingClient(host, port, connect_timeout_s=0.2,
+                                             backoff_base_s=0.01, max_reconnects=2)
+            assert client.run() == 1
+        finally:
+            listener.close()
+        assert len(client.channels) == 3
+        assert all(chan.fileno() == -1 for chan in client.channels)
 
     def test_frames_batched_behind_welcome_are_served(self):
         """The coordinator sends BROADCAST and the first TASK right behind
