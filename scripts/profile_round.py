@@ -25,8 +25,10 @@ table sourced from the metrics registry — the same numbers ``--trace`` /
 ``--client`` adds a breakdown of where *local-step* time goes — the
 client-side phases (forward, backward, attach ops, optimizer, clipping,
 broadcast adoption, upload) the plane-backed flat path accelerates, then
-forward and backward per layer kind (Conv2d, MaxPool2d, ReLU, Linear) —
-and restricts the raw listing to client-side code.
+the per-task harness around them (RNG derivation, round-context build,
+data loader, ``Module.train``, upload views), then forward and backward
+per layer kind (Conv2d, MaxPool2d, ReLU, Linear) — and restricts the raw
+listing to client-side code.
 
 See docs/performance.md and docs/observability.md for how to read the
 output.
@@ -57,6 +59,18 @@ CLIENT_PHASES = [
     ("upload snapshot", [("module.py", "get_weights_flat"),
                          ("types.py", "from_flat")]),
     ("strategy round hooks", [(None, "on_round_start"), (None, "on_round_end")]),
+]
+
+#: the per-task harness around local training, reported by --client:
+#: label -> (file basename, function | None for every function in the
+#: file) matchers.  Rows may nest (build_round_context derives no RNG, but
+#: Client.loader does), so each row is its own outermost total.
+HARNESS_ROWS = [
+    ("RNG derivation (rng.py)", [("rng.py", None)]),
+    ("build_round_context", [("executor.py", "build_round_context")]),
+    ("Client.loader", [("client.py", "loader")]),
+    ("Module.train", [("module.py", "train")]),
+    ("from_flat / _tree_views", [("types.py", "from_flat"), ("types.py", "_tree_views")]),
 ]
 
 #: layer kinds reported by --client, forward and backward each.  A layer's
@@ -103,9 +117,19 @@ def _outermost_seconds(stats: pstats.Stats, keys) -> float:
     return total
 
 
+def _harness_rows(stats: pstats.Stats):
+    """``(label, seconds)`` per :data:`HARNESS_ROWS` entry."""
+    rows = []
+    for label, matchers in HARNESS_ROWS:
+        keys = {key for key in stats.stats
+                if any(key[0] == mod and fn in (None, key[2]) for mod, fn in matchers)}
+        rows.append((label, _outermost_seconds(stats, keys)))
+    return rows
+
+
 def _client_breakdown(stats: pstats.Stats, rounds: int) -> None:
     """Print cumulative seconds per client-side phase (per profiled run),
-    then per layer kind."""
+    then per task-harness component, then per layer kind."""
     totals = {label: 0.0 for label, _ in CLIENT_PHASES}
     for (path, _line, func), (_cc, _nc, _tt, ct, _callers) in stats.stats.items():
         if path in ("callbacks.py", "engine.py"):
@@ -122,9 +146,10 @@ def _client_breakdown(stats: pstats.Stats, rounds: int) -> None:
         (k for k in stats.stats if k[2] == "execute_task"), None)
     task_total = stats.stats[total_key][3] if total_key else None
     layers = [(label, _outermost_seconds(stats, keys)) for label, keys in _layer_rows()]
+    harness = _harness_rows(stats)
     print("\n--- client-side breakdown (cumulative seconds, "
           f"{rounds} profiled rounds) ---")
-    width = max(len(label) for label, _ in CLIENT_PHASES + layers)
+    width = max(len(label) for label, _ in CLIENT_PHASES + layers + harness)
 
     def row(label: str, seconds: float) -> None:
         share = (f"  {100.0 * seconds / task_total:5.1f}% of client tasks"
@@ -135,6 +160,9 @@ def _client_breakdown(stats: pstats.Stats, rounds: int) -> None:
         row(label, totals[label])
     if task_total is not None:
         print(f"  {'client task total'.ljust(width)}  {task_total:8.4f}s")
+    print("\n--- task harness (cumulative seconds, rows may nest) ---")
+    for label, seconds in harness:
+        row(label, seconds)
     # Evaluation is kept out of the profiled rounds, so every layer call
     # here is inside a client task.
     print("\n--- per layer kind (cumulative seconds, slowest first) ---")
@@ -238,7 +266,7 @@ def main() -> int:
         stats.print_stats(
             r"client|executor|fed|scaffold|mime|moon|slowmo|losses|module"
             r"|parameter|linear|conv|pooling|functional|activations|sgd|adam"
-            r"|base|utils", args.top)
+            r"|base|utils|rng|types|dataset", args.top)
         _client_breakdown(stats, args.rounds)
     else:
         stats.print_stats(args.top)

@@ -25,8 +25,8 @@ and communication beyond the baseline down+up model exchange is declared via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,9 +52,12 @@ class ClientRoundContext:
     criterion: CrossEntropyLoss
     config: FLConfig
     state: Dict[str, Any]                # persistent per-client strategy state
-    rng: np.random.Generator
     n_samples: int                       # client's local dataset size
     fp_flops_per_sample: float           # forward cost of one sample
+    #: this client's round generator (see the :attr:`rng` property); when
+    #: not given, derived from ``rng_source`` on first access.
+    rng: InitVar[Optional[np.random.Generator]] = None
+    rng_source: Optional[Callable[[], np.random.Generator]] = field(default=None, repr=False)
     server_broadcast: Dict[str, Any] = field(default_factory=dict)
     upload_extras: Dict[str, Any] = field(default_factory=dict)
     extra_flops: float = 0.0             # attach-op + extra-forward FLOPs
@@ -66,6 +69,18 @@ class ClientRoundContext:
     #: the broadcast global weights as one ``(P,)`` vector (aliasing
     #: ``global_weights``); None when the executor shipped a plain tree.
     global_flat: Optional[np.ndarray] = None
+    #: the worker's scratch arrays, kept across the tasks it runs; a
+    #: context built without one gets a private dict.
+    workspace: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _rng: Optional[np.random.Generator] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self, rng: Optional[np.random.Generator]) -> None:
+        self._rng = rng
+
+    def _get_rng(self) -> Optional[np.random.Generator]:
+        if self._rng is None and self.rng_source is not None:
+            self._rng = self.rng_source()
+        return self._rng
 
     @property
     def n_params(self) -> int:
@@ -85,6 +100,16 @@ class ClientRoundContext:
         """True when both the worker model and the broadcast are flat —
         the precondition for every strategy's fused attach-op path."""
         return self.model.flat_grads is not None and self.global_flat is not None
+
+
+# Assigned after the decorator ran: in the class body the property would
+# become the ``rng`` InitVar's default.  Deriving a generator costs a
+# SeedSequence per task, and most strategies never draw from it.
+ClientRoundContext.rng = property(
+    ClientRoundContext._get_rng,
+    doc="The client's generator for this round (batch order etc.), derived "
+        "on first access unless one was passed to the constructor.",
+)
 
 
 class Strategy:

@@ -83,7 +83,11 @@ class FedTrip(Strategy):
         self.mu = float(mu)
         self.xi_mode = xi_mode
         self.xi_value = float(xi_value)
-        self.participation_rate = participation_rate
+        # A Python float keeps xi a weak scalar, so the attach op's
+        # temporaries stay in the model's dtype (see modify_gradients).
+        self.participation_rate = (
+            float(participation_rate) if participation_rate is not None else None
+        )
         self.historical_source = historical_source
 
     # ---------------- client ----------------
@@ -130,14 +134,26 @@ class FedTrip(Strategy):
             return
         xi = ctx.scratch["xi"]
         if ctx.has_flat():
+            # grads += mu * ((w - gw) + xi * (hist - w)), operation for
+            # operation, through two worker-resident buffers instead of five
+            # fresh (P,) temporaries.  Exact because every operand shares the
+            # plane dtype and mu, xi are Python floats (weak scalars): each
+            # temporary of the expression has that dtype too.
             grads, w, gw = ctx.flat_grads, ctx.flat_weights, ctx.global_flat
             hist = ctx.scratch.get("hist_flat")
+            ws = ctx.workspace  # one worker serves one model: shapes never change
+            if "fedtrip.pull" not in ws:
+                ws["fedtrip.pull"], ws["fedtrip.push"] = np.empty_like(w), np.empty_like(w)
+            pull = np.subtract(w, gw, out=ws["fedtrip.pull"])
             if xi > 0.0 and hist is not None:
-                grads += mu * ((w - gw) + xi * (hist - w))
+                push = np.subtract(hist, w, out=ws["fedtrip.push"])
+                np.multiply(xi, push, out=push)
+                np.add(pull, push, out=pull)
                 ctx.extra_flops += 4.0 * ctx.n_params
             else:
-                grads += mu * (w - gw)
                 ctx.extra_flops += 2.0 * ctx.n_params
+            np.multiply(mu, pull, out=pull)
+            grads += pull
             return
         hist = ctx.state.get("historical")
         params = ctx.model.parameters()

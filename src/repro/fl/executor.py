@@ -22,6 +22,7 @@ executor registry in :mod:`repro.api.registry` resolves backends by name
 
 from __future__ import annotations
 
+import functools
 import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -117,6 +118,9 @@ class WorkerContext:
     frozen: FedModel
     optimizer: Optimizer
     criterion: CrossEntropyLoss
+    #: scratch arrays strategies reuse across this worker's tasks (handed
+    #: to each task as ``ClientRoundContext.workspace``).
+    workspace: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def registry_model_fn(model_name: str, data_spec, seed: int) -> Callable[[], FedModel]:
@@ -393,12 +397,13 @@ def build_round_context(
         criterion=worker.criterion,
         config=runtime.config,
         state=state,
-        rng=client.round_rng(round_idx),
+        rng_source=functools.partial(client.round_rng, round_idx),
         n_samples=client.num_samples,
         fp_flops_per_sample=runtime.fp_flops,
         server_broadcast=dict(broadcast),
         xi_measured=xi_measured,
         global_flat=flat,
+        workspace=worker.workspace,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -139,7 +140,7 @@ def _tree_views(flat: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> List[np.
     out: List[np.ndarray] = []
     cursor = 0
     for shape in shapes:
-        size = int(np.prod(shape, dtype=np.int64))
+        size = math.prod(shape)
         out.append(flat[cursor : cursor + size].reshape(shape))
         cursor += size
     if cursor != flat.size:

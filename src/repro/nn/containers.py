@@ -68,14 +68,22 @@ class Sequential(Module):
             dout = layer.backward(dout)
         return dout
 
+    def _first_param_layer(self) -> Optional[int]:
+        return next(
+            (i for i, layer in enumerate(self.layers) if next(layer.named_parameters(), None)),
+            None,
+        )
+
+    def _cache_traversal(self) -> None:
+        super()._cache_traversal()
+        self._first_param = self._first_param_layer()
+
     def backward_params(self, dout: np.ndarray) -> None:
         """Backpropagate down to the earliest layer that holds parameters,
         which skips its input gradient; the parameter-free layers below it
         are not visited."""
-        first = next(
-            (i for i, layer in enumerate(self.layers) if next(layer.named_parameters(), None)),
-            None,
-        )
+        cache = self.__dict__  # filled by _cache_traversal once plane-backed
+        first = cache["_first_param"] if "_first_param" in cache else self._first_param_layer()
         if first is None:
             return
         for layer in reversed(self.layers[first + 1 :]):

@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn.functional import log_softmax, one_hot, softmax
+from repro.nn.functional import log_softmax, softmax
 
 __all__ = [
     "CrossEntropyLoss",
@@ -37,10 +37,16 @@ class CrossEntropyLoss:
         n = logits.shape[0]
         if labels.shape != (n,):
             raise ValueError(f"labels must be ({n},), got {labels.shape}")
-        logp = log_softmax(logits, axis=1)
-        loss = -float(np.mean(logp[np.arange(n), labels]))
-        grad = softmax(logits, axis=1)
-        grad[np.arange(n), labels] -= 1.0
+        # One pass of log_softmax and softmax's shared work: the same ops on
+        # the same operands as calling both, so the same bits.  Only the
+        # label entries of log p are ever read, so only those are formed.
+        shifted = logits - np.max(logits, axis=1, keepdims=True)
+        ex = np.exp(shifted)
+        total = np.sum(ex, axis=1, keepdims=True)
+        rows = np.arange(n)
+        loss = -float(np.mean(shifted[rows, labels] - np.log(total)[:, 0]))
+        grad = np.divide(ex, total, out=ex)
+        grad[rows, labels] -= 1.0
         grad /= n
         return loss, grad
 

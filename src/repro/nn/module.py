@@ -64,10 +64,24 @@ class Module:
 
     def modules(self) -> Iterator[Tuple[str, "Module"]]:
         """All modules in the subtree, depth-first, prefixed paths."""
+        cached = self.__dict__.get("_flat_modules")
+        if cached is not None:
+            return iter(cached)
+        return self._walk_modules()
+
+    def _walk_modules(self) -> Iterator[Tuple[str, "Module"]]:
         yield "", self
         for cname, child in self.children():
             for sub, mod in child.modules():
                 yield (f"{cname}.{sub}" if sub else cname), mod
+
+    def _cache_traversal(self) -> None:
+        """Freeze what traversal computes on this module, once its tree is
+        plane-backed and can no longer grow.  The module cache holds
+        ``(path, module)`` pairs, never bare modules: :meth:`children`
+        collects the Module items of list/tuple attributes, and a tuple
+        holding this very module would make the walk recurse forever."""
+        self._flat_modules = tuple(self._walk_modules())
 
     def named_parameters(self) -> Iterator[Tuple[str, Parameter]]:
         """Every parameter in the subtree with its dotted path."""
@@ -99,9 +113,10 @@ class Module:
         :attr:`flat_grads`, and the hot per-batch operations (``zero_grad``,
         optimizer steps, gradient clipping, the strategies' attach ops)
         collapse to single vector expressions.  Traversal order, shapes and
-        the current bytes are preserved exactly; parameter traversal is
-        cached from here on, so the module tree must not grow new parameters
-        afterwards.  Idempotent; a no-op on empty or mixed-dtype trees.
+        the current bytes are preserved exactly; parameter and module
+        traversal are cached from here on, so the module tree must not grow
+        new modules or parameters afterwards.  Idempotent; a no-op on empty
+        or mixed-dtype trees.
         """
         if getattr(self, "_flat_planes", None) is None:
             # Lazy import: nn is a lower layer than fl, and only plane-backed
@@ -115,6 +130,8 @@ class Module:
             self._flat_planes = planes
             self._flat_param_list = tuple(params)
             self._flat_shapes = tuple(p.data.shape for p in params)
+            for _, mod in tuple(self.modules()):
+                mod._cache_traversal()
         return self
 
     @property

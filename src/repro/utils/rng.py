@@ -9,18 +9,25 @@ instances spawned from named child seeds of one root ``SeedSequence``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 import numpy as np
 
 __all__ = ["RngStream", "spawn_rngs", "seed_everything"]
 
 
+@functools.lru_cache(maxsize=4096)
 def _name_to_entropy(name: str) -> int:
-    """Map a stream name to a stable 64-bit integer via blake2b."""
+    """Map a stream name to a stable 64-bit integer via blake2b (memoised:
+    names like ``"round"`` or ``"batches"`` recur on every task)."""
     digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def _hash_path(path: tuple) -> tuple:
+    return tuple(_name_to_entropy(str(p)) for p in path)
 
 
 class RngStream:
@@ -36,28 +43,32 @@ class RngStream:
     Children are derived from ``(seed, name, *indices)`` only, so two
     ``RngStream(0).child("data")`` calls always yield identical streams,
     regardless of what else was drawn in between.
+
+    A node's ``SeedSequence`` entropy is ``[seed, h(p0), h(p1), ...]`` over
+    its whole path; a child extends its parent's entropy tuple by the new
+    elements' hashes only, and nothing is seeded until :attr:`generator`
+    is first read, so intermediate nodes cost one tuple each.
     """
 
-    def __init__(self, seed: int = 0, _path: tuple = ()) -> None:
+    def __init__(self, seed: int = 0, _path: tuple = (), _entropy: tuple = ()) -> None:
         self.seed = int(seed)
         self._path = _path
-        entropy: List[int] = [self.seed]
-        entropy.extend(_name_to_entropy(str(p)) for p in _path)
-        self._seed_seq = np.random.SeedSequence(entropy)
+        self._entropy = _entropy or (self.seed,) + _hash_path(_path)
         self._generator: np.random.Generator | None = None
 
     @property
     def generator(self) -> np.random.Generator:
         """The lazily created generator for this node."""
         if self._generator is None:
-            self._generator = np.random.default_rng(self._seed_seq)
+            self._generator = np.random.default_rng(
+                np.random.SeedSequence(list(self._entropy)))
         return self._generator
 
     def child(self, *path) -> "RngStream":
         """Derive an independent child stream keyed by ``path``."""
         if not path:
             raise ValueError("child() requires at least one path element")
-        return RngStream(self.seed, self._path + tuple(path))
+        return RngStream(self.seed, self._path + path, self._entropy + _hash_path(path))
 
     # Convenience passthroughs ------------------------------------------------
     def integers(self, *args, **kwargs):

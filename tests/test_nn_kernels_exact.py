@@ -92,8 +92,16 @@ def maxpool_backward_oracle(dout, argmax, x_shape, k, s):
 
 SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf], dtype=np.float32)
 
+# The NaN the hardware makes of inf + -inf (sign set on x86).  Where an add
+# sees two different NaNs, which one survives depends on the operand order
+# numpy's inner loop picked, not on the kernel: inputs to col2im sums carry
+# only this NaN, so every NaN a fold can produce has the same bits.
+with np.errstate(invalid="ignore"):
+    SUM_NAN = np.float32(np.inf) + np.float32(-np.inf)
+FOLD_SPECIALS = np.array([0.0, -0.0, SUM_NAN, np.inf, -np.inf], dtype=np.float32)
 
-def awkward_values(rng, shape, relu=False):
+
+def awkward_values(rng, shape, relu=False, specials=SPECIALS):
     """Normals sprinkled with ±0.0, NaN and ±inf; ``relu=True`` clamps to
     post-ReLU values first, so many windows tie at zero."""
     x = rng.standard_normal(shape).astype(np.float32)
@@ -101,7 +109,7 @@ def awkward_values(rng, shape, relu=False):
         x = np.maximum(x, np.float32(0.0))
         x[rng.random(shape) < 0.1] = -0.0
     special = rng.random(shape) < 0.08
-    x[special] = rng.choice(SPECIALS, size=int(special.sum()))
+    x[special] = rng.choice(specials, size=int(special.sum()))
     return x
 
 
@@ -167,7 +175,8 @@ class TestUnfoldFold:
         assume(conv_geometry_ok(h, w, k, stride, padding))
         oh = conv_output_size(h, k, stride, padding)
         ow = conv_output_size(w, k, stride, padding)
-        cols = awkward_values(np.random.default_rng(seed), (n * oh * ow, c * k * k))
+        cols = awkward_values(np.random.default_rng(seed), (n * oh * ow, c * k * k),
+                              specials=FOLD_SPECIALS)
         got = col2im(cols, (n, c, h, w), k, k, stride, padding)
         want = col2im_oracle(cols, (n, c, h, w), k, k, stride, padding)
         assert_same_bits(got, want)
@@ -269,7 +278,7 @@ class TestLayers:
         conv.bias.data[...] = rng.standard_normal(out_channels)
         x = awkward_values(rng, (n, c, h, w))
         out = conv(x)
-        dout = awkward_values(rng, out.shape)
+        dout = awkward_values(rng, out.shape, specials=FOLD_SPECIALS)  # dx is a fold
         want_out, want_dw, want_db, want_dx = conv_oracle(conv, x, dout)
         assert_same_bits(out, want_out)
 
