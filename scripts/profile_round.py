@@ -16,6 +16,13 @@ Usage::
     PYTHONPATH=src python scripts/profile_round.py --mode semisync
     PYTHONPATH=src python scripts/profile_round.py --aggregator trimmed_mean
     PYTHONPATH=src python scripts/profile_round.py --client
+    PYTHONPATH=src python scripts/profile_round.py --workload fanout_serial --seed 3
+
+``--workload NAME`` profiles one of the benchmark's workloads instead: the
+exact ``ExperimentSpec`` that ``e2ebench/e2e_workloads.spec_kwargs`` gives
+for ``--seed`` (population, strategy overrides, server mode and evaluation
+cadence included), after the benchmark's own warm-up rounds.  The spec
+flags are ignored then.
 
 The profiled engine always carries a live :mod:`repro.obs` recorder, so
 every run ends with a per-phase wall breakdown and the metric summary
@@ -38,8 +45,11 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import os
 import pstats
 import sys
+
+E2EBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "e2ebench")
 
 #: client-side phases reported by --client: label -> (file basename | None,
 #: function) matchers.  Each matcher targets the phase's *top-level* function
@@ -79,12 +89,19 @@ HARNESS_ROWS = [
 LAYER_KINDS = ("Conv2d", "MaxPool2d", "ReLU", "Linear")
 
 
+def _workloads():
+    """The benchmark's workload table (``e2ebench/e2e_workloads.py``),
+    imported as is."""
+    sys.path.insert(0, E2EBENCH)
+    import e2e_workloads
+
+    return e2e_workloads
+
+
 def _layer_rows():
     """``(label, {stats key})`` per layer kind and direction, keyed by the
     methods' code objects (file, first line, name) so classes sharing a
     file (``MaxPool2d``/``AvgPool2d``, ``ReLU``/``Tanh``) stay apart."""
-    import os
-
     import repro.nn as nn
 
     rows = []
@@ -164,7 +181,8 @@ def _client_breakdown(stats: pstats.Stats, rounds: int) -> None:
     for label, seconds in harness:
         row(label, seconds)
     # Evaluation is kept out of the profiled rounds, so every layer call
-    # here is inside a client task.
+    # here is inside a client task; a --workload spec that evaluates in
+    # them adds its evaluation's forward passes.
     print("\n--- per layer kind (cumulative seconds, slowest first) ---")
     for label, seconds in sorted(layers, key=lambda item: -item[1]):
         row(label, seconds)
@@ -188,7 +206,12 @@ def _phase_breakdown(metrics, rounds: int) -> None:
 
 
 def main() -> int:
+    workloads = _workloads()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default=None, choices=sorted(workloads.WORKLOADS),
+                        help="profile this benchmark workload's exact spec "
+                             "(the spec flags below are ignored)")
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dataset", default="tiny")
     parser.add_argument("--model", default="mlp")
     parser.add_argument("--method", default="fedavg")
@@ -218,7 +241,6 @@ def main() -> int:
                         help="also print the full metric summary table")
     args = parser.parse_args()
 
-    import os
     import tempfile
 
     from repro.api import ExperimentSpec
@@ -230,22 +252,28 @@ def main() -> int:
     # itself is a throwaway; the breakdown below reads the live registry.
     fd, metrics_tmp = tempfile.mkstemp(prefix="profile_round_", suffix=".prom")
     os.close(fd)
-    spec = ExperimentSpec(
-        dataset=args.dataset, model=args.model, method=args.method,
-        n_clients=args.clients,
-        clients_per_round=args.clients_per_round or args.clients,
-        # One warmup round plus the profiled ones; the final round, which
-        # always evaluates, is never run.
-        rounds=args.rounds + 2, batch_size=args.batch_size,
-        eval_every=10_000,  # keep evaluation out of the profile
-        executor=args.executor, n_workers=args.workers,
-        mode=args.mode, aggregator=args.aggregator,
-        metrics_out=metrics_tmp,
-    )
-    engine = build_mode(args.mode, spec=spec, data=spec.build_data())
+    if args.workload:
+        kwargs = workloads.spec_kwargs(args.workload, args.seed)
+        warmup_rounds = workloads.WARMUP_ROUNDS
+    else:
+        kwargs = dict(
+            dataset=args.dataset, model=args.model, method=args.method,
+            n_clients=args.clients,
+            clients_per_round=args.clients_per_round or args.clients,
+            # One warmup round plus the profiled ones; the final round,
+            # which always evaluates, is never run.
+            rounds=args.rounds + 2, batch_size=args.batch_size,
+            eval_every=10_000,  # keep evaluation out of the profile
+            executor=args.executor, n_workers=args.workers,
+            mode=args.mode, aggregator=args.aggregator, seed=args.seed,
+        )
+        warmup_rounds = 1
+    spec = ExperimentSpec(**kwargs, metrics_out=metrics_tmp)
+    engine = build_mode(spec.mode, spec=spec, data=spec.build_data())
     recorder = engine.obs
     try:
-        engine.run_round()  # warmup: JIT-free, but primes caches and pools
+        for _ in range(warmup_rounds):  # JIT-free, but primes caches and pools
+            engine.run_round()
         recorder.metrics.drain()  # keep the breakdown to profiled rounds
 
         profiler = cProfile.Profile()

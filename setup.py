@@ -18,5 +18,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy>=1.21", "scipy>=1.7"],
+    install_requires=["numpy>=1.21"],
 )

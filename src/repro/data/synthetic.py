@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.specs import DatasetSpec, get_spec
 from repro.utils.rng import RngStream
@@ -59,6 +58,31 @@ class SyntheticImageData:
         return self.spec.num_classes
 
 
+def wrap_gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Periodic Gaussian blur of float64 ``x`` over its last two axes.
+
+    Bit for bit what ``scipy.ndimage.gaussian_filter(x, sigma=(0, ..., 0,
+    sigma, sigma), mode="wrap")`` returns, so the datasets stay the ones
+    SciPy used to build: one 1-D pass per axis, the second-last axis first,
+    each with SciPy's truncated kernel (radius ``int(4 sigma + 0.5)``,
+    normalised by its float64 sum) applied in the order of SciPy's
+    symmetric-kernel loop, centre tap first, then ``(left + right) * w``
+    per tap pair from the farthest pair inwards.  ``np.roll`` wraps any
+    offset, so a radius longer than the axis wraps around more than once,
+    as SciPy's wrap mode does.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    weights = phi / phi.sum()
+    for axis in (-2, -1):
+        out = x * weights[radius]
+        for k in range(radius, 0, -1):
+            out += (np.roll(x, k, axis) + np.roll(x, -k, axis)) * weights[radius - k]
+        x = out
+    return x
+
+
 def make_prototypes(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
     """Smooth random-field prototype per class, shape ``(classes, c, h, w)``.
 
@@ -69,7 +93,7 @@ def make_prototypes(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
     shape = (spec.num_classes, spec.channels, spec.height, spec.width)
     raw = rng.standard_normal(shape)
     sigma = max(spec.height / 6.0, 1.0)
-    smooth = ndimage.gaussian_filter(raw, sigma=(0, 0, sigma, sigma), mode="wrap")
+    smooth = wrap_gaussian_blur(raw, sigma)
     rms = np.sqrt(np.mean(smooth**2, axis=(1, 2, 3), keepdims=True))
     return (smooth / np.maximum(rms, 1e-9)).astype(np.float32)
 
