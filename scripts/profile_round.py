@@ -30,8 +30,8 @@ table sourced from the metrics registry — the same numbers ``--trace`` /
 ``--metrics-out`` runs export.
 
 ``--client`` adds a breakdown of where *local-step* time goes — the
-client-side phases (forward, backward, attach ops, optimizer, clipping,
-broadcast adoption, upload) the plane-backed flat path accelerates, then
+client-side phases (batch gather, forward, loss, backward, attach ops,
+optimizer, clipping, broadcast adoption, upload), then
 the per-task harness around them (RNG derivation, round-context build,
 data loader, ``Module.train``, upload views), then forward and backward
 per layer kind (Conv2d, MaxPool2d, ReLU, Linear) — and restricts the raw
@@ -56,9 +56,13 @@ E2EBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
 #: in the local-training call tree (stats are strip_dirs()'d), so summing
 #: cumulative times never double-counts across phases.
 CLIENT_PHASES = [
-    ("forward + loss", [("fedmodel.py", "forward"),
-                        ("fedmodel.py", "forward_with_features"),
-                        ("losses.py", "forward")]),
+    ("forward", [("fedmodel.py", "forward"),
+                 ("fedmodel.py", "forward_with_features")]),
+    # Every criterion in nn/losses.py: cross-entropy only, except under the
+    # strategies that add their own (MOON's contrastive, FedGKD's KL term).
+    ("loss (cross-entropy)", [("losses.py", "forward")]),
+    # The loader's permutation and each step's x[idx], y[idx] gather.
+    ("batch gather", [("dataset.py", "__iter__")]),
     ("backward", [("fedmodel.py", "backward")]),
     ("zero_grad", [("module.py", "zero_grad")]),
     ("attach ops (modify_gradients)", [(None, "modify_gradients")]),

@@ -113,67 +113,88 @@ class FedTrip(Strategy):
         return float(staleness)
 
     def on_round_start(self, ctx: ClientRoundContext) -> None:
-        ctx.scratch["xi"] = self._xi(ctx)
+        ctx.scratch["xi"] = xi = self._xi(ctx)
         # The historical anchor lives in whichever representation this run's
         # workers use; states crossing between plane-backed and tree runs
         # are converted once per round here, never once per batch.
         hist = ctx.state.get("historical")
-        if ctx.has_flat():
+        flat = ctx.has_flat()
+        if flat:
             if hist is not None and not isinstance(hist, np.ndarray):
                 hist = as_flat(hist)
-            ctx.scratch["hist_flat"] = hist
         elif isinstance(hist, np.ndarray):
-            ctx.state["historical"] = [
+            hist = ctx.state["historical"] = [
                 chunk.copy() for chunk in unflatten_like(hist, ctx.global_weights)
             ]
+        ctx.scratch["fedtrip.op"] = self._bind(ctx, flat, xi, hist)
+
+    def _bind(self, ctx: ClientRoundContext, flat: bool, xi: float, hist):
+        """Resolve everything the attach op reads into one tuple, once per
+        round: ``(grads, w, gw, hist, pull, push, xi, mu, flops)``.  ``hist``
+        is None when the push term is off, and the five vector slots are None
+        on the per-layer path; the whole binding is None when mu is zero.
+        The round's mu is read here, so a subclass setting
+        ``scratch["mu"]`` must do so before this runs."""
+        mu = ctx.scratch.get("mu", self.mu)
+        if mu == 0.0:
+            return None
+        if not (xi > 0.0 and hist is not None):
+            hist = None
+        flops = (4.0 if hist is not None else 2.0) * ctx.n_params
+        if not flat:
+            return None, None, None, hist, None, None, xi, mu, flops
+        ws = ctx.workspace  # one worker serves one model: shapes never change
+        w = ctx.flat_weights
+        if "fedtrip.pull" not in ws:
+            ws["fedtrip.pull"], ws["fedtrip.push"] = np.empty_like(w), np.empty_like(w)
+        return (ctx.flat_grads, w, ctx.global_flat, hist,
+                ws["fedtrip.pull"], ws["fedtrip.push"], xi, mu, flops)
 
     def modify_gradients(self, ctx: ClientRoundContext) -> None:
         """Algorithm 1 line 7: h += mu((w - w_glob) + xi(w_hist - w))."""
-        mu = ctx.scratch.get("mu", self.mu)
-        if mu == 0.0:
+        op = ctx.scratch["fedtrip.op"]
+        if op is None:
             return
-        xi = ctx.scratch["xi"]
-        if ctx.has_flat():
+        grads, w, gw, hist, pull, push, xi, mu, flops = op
+        ctx.extra_flops += flops
+        if grads is not None:
             # grads += mu * ((w - gw) + xi * (hist - w)), operation for
             # operation, through two worker-resident buffers instead of five
             # fresh (P,) temporaries.  Exact because every operand shares the
             # plane dtype and mu, xi are Python floats (weak scalars): each
             # temporary of the expression has that dtype too.
-            grads, w, gw = ctx.flat_grads, ctx.flat_weights, ctx.global_flat
-            hist = ctx.scratch.get("hist_flat")
-            ws = ctx.workspace  # one worker serves one model: shapes never change
-            if "fedtrip.pull" not in ws:
-                ws["fedtrip.pull"], ws["fedtrip.push"] = np.empty_like(w), np.empty_like(w)
-            pull = np.subtract(w, gw, out=ws["fedtrip.pull"])
-            if xi > 0.0 and hist is not None:
-                push = np.subtract(hist, w, out=ws["fedtrip.push"])
+            np.subtract(w, gw, out=pull)
+            if hist is not None:
+                np.subtract(hist, w, out=push)
                 np.multiply(xi, push, out=push)
                 np.add(pull, push, out=pull)
-                ctx.extra_flops += 4.0 * ctx.n_params
-            else:
-                ctx.extra_flops += 2.0 * ctx.n_params
             np.multiply(mu, pull, out=pull)
-            grads += pull
+            np.add(grads, pull, out=grads)
             return
-        hist = ctx.state.get("historical")
         params = ctx.model.parameters()
-        if xi > 0.0 and hist is not None:
+        if hist is not None:
             for p, gw, hw in zip(params, ctx.global_weights, hist):
                 p.grad += mu * ((p.data - gw) + xi * (hw - p.data))
-            ctx.extra_flops += 4.0 * ctx.n_params
         else:
             for p, gw in zip(params, ctx.global_weights):
                 p.grad += mu * (p.data - gw)
-            ctx.extra_flops += 2.0 * ctx.n_params
 
     def on_round_end(self, ctx: ClientRoundContext) -> None:
         # The freshly trained local model (paper) — or, under the ablation,
         # the received global model — becomes the historical anchor for this
         # client's next participation.  Plane-backed workers snapshot the
-        # whole model with one flat copy.
+        # whole model with one flat copy, written over the previous anchor
+        # when that is a writeable vector of the same layout: the client's
+        # state-arena slot then already holds the new bytes when the engine
+        # adopts the state, so nothing is copied a second time.
         if ctx.has_flat():
             source = ctx.flat_weights if self.historical_source == "last-local" else ctx.global_flat
-            ctx.state["historical"] = source.copy()
+            held = ctx.state.get("historical")
+            if (isinstance(held, np.ndarray) and held.shape == source.shape
+                    and held.dtype == source.dtype and held.flags.writeable):
+                np.copyto(held, source)
+            else:
+                ctx.state["historical"] = source.copy()
         elif self.historical_source == "last-local":
             ctx.state["historical"] = tree_copy(ctx.model.weight_refs())
         else:

@@ -84,11 +84,12 @@ class AdaptiveFedTrip(FedTrip):
 
     # ---------------- client ----------------
     def on_round_start(self, ctx: ClientRoundContext) -> None:
-        super().on_round_start(ctx)
-        # Use the server-adapted mu for this round (fall back to static);
-        # FedTrip.modify_gradients reads it from scratch, so the adaptive
-        # variant inherits both the fused flat path and the tree fallback.
+        # Use the server-adapted mu for this round (fall back to static).
+        # FedTrip binds its attach op, mu included, in on_round_start, so
+        # the adapted mu is set first; the adaptive variant then inherits
+        # both the fused flat path and the tree fallback.
         ctx.scratch["mu"] = float(ctx.server_broadcast.get("mu", self.mu))
+        super().on_round_start(ctx)
 
     def describe(self) -> Dict[str, Any]:
         base = super().describe()

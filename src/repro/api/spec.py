@@ -189,7 +189,7 @@ class ExperimentSpec:
         cli=False)
     eval_batch_size: int = _knob(
         256, "loop", "evaluation minibatch size", cli=False)
-    seed: int = _knob(0, "loop", "root seed of every random stream")
+    seed: int = _knob(0, "loop", "root seed of every random stream", domain=">= 0")
     target_accuracy: Optional[float] = _knob(
         None, "loop", "stop training once this test accuracy % is reached")
     max_grad_norm: Optional[float] = _knob(

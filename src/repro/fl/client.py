@@ -39,13 +39,13 @@ class Client:
 
     def round_rng(self, round_idx: int) -> np.random.Generator:
         """Independent generator for this client's round (batch order etc.)."""
-        return self._rng_root.child("round", round_idx).generator
+        return self._rng_root.child_generator("round", round_idx)
 
     def loader(self, batch_size: int, round_idx: int) -> DataLoader:
         return DataLoader(
             self.dataset,
             batch_size=batch_size,
-            rng=self._rng_root.child("batches", round_idx).generator,
+            rng=self._rng_root.child_generator("batches", round_idx),
             shuffle=True,
         )
 

@@ -75,7 +75,7 @@ def im2col(
     ``(N * oh * ow, C * kh * kw)``, rows ordered by sample then output
     pixel.  With ``padding > 0`` the input is first copied into a zeroed,
     padded buffer; then one ``np.take`` per batch gathers every sample's
-    patch elements through a cached index of flat offsets
+    patch elements through a cached, range-checked index of flat offsets
     (:func:`_patch_index`) — about twice as fast as copying a strided window
     view, whose innermost runs are only ``kw`` long.
     """
@@ -89,7 +89,9 @@ def im2col(
     else:
         xp = np.ascontiguousarray(x)
     index = _patch_index(c, hp, wp, kh, kw, stride, oh, ow)
-    cols = np.take(xp.reshape(n, c * hp * wp), index, axis=1)
+    # "wrap" never wraps: _patch_index checked its range once per geometry,
+    # which spares np.take the per-element bounds check of mode="raise".
+    cols = np.take(xp.reshape(n, c * hp * wp), index, axis=1, mode="wrap")
     return cols.reshape(n * oh * ow, c * kh * kw), (oh, ow)
 
 
@@ -98,10 +100,14 @@ def _patch_index(
     c: int, hp: int, wp: int, kh: int, kw: int, stride: int, oh: int, ow: int
 ) -> np.ndarray:
     """Flat offsets into one padded ``(C, hp, wp)`` sample of every patch
-    element, in ``(oh, ow, C, kh, kw)`` order (read-only; one per geometry)."""
+    element, in ``(oh, ow, C, kh, kw)`` order (read-only; one per geometry).
+    Its range is checked here, once, so :func:`im2col` may gather with
+    ``mode="wrap"``, which never wraps an in-range index."""
     patch = (np.arange(c)[:, None, None] * hp + np.arange(kh)[:, None]) * wp + np.arange(kw)
     origin = np.arange(oh)[:, None] * (stride * wp) + np.arange(ow) * stride
     index = (origin[:, :, None, None, None] + patch).reshape(-1)
+    if index.min() < 0 or index.max() >= c * hp * wp:
+        raise AssertionError(f"patch index leaves the (C, hp, wp) = ({c}, {hp}, {wp}) sample")
     index.setflags(write=False)
     return index
 

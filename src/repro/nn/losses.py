@@ -13,6 +13,7 @@ triplet term replaces.
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -28,6 +29,15 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=64)
+def _row_index(n: int) -> np.ndarray:
+    """``arange(n)``, read-only and shared: every batch of one size picks its
+    label entries through the same index."""
+    rows = np.arange(n)
+    rows.setflags(write=False)
+    return rows
+
+
 class CrossEntropyLoss:
     """Softmax cross-entropy over integer class labels."""
 
@@ -40,11 +50,15 @@ class CrossEntropyLoss:
         # One pass of log_softmax and softmax's shared work: the same ops on
         # the same operands as calling both, so the same bits.  Only the
         # label entries of log p are ever read, so only those are formed.
-        shifted = logits - np.max(logits, axis=1, keepdims=True)
+        # The reductions call the ufuncs np.max/np.sum/np.mean reach, and
+        # the mean is np.mean's own scalar path: one add.reduce, then the
+        # quotient cast back to the sum's dtype.
+        shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
         ex = np.exp(shifted)
-        total = np.sum(ex, axis=1, keepdims=True)
-        rows = np.arange(n)
-        loss = -float(np.mean(shifted[rows, labels] - np.log(total)[:, 0]))
+        total = np.add.reduce(ex, axis=1, keepdims=True)
+        rows = _row_index(n)
+        picked = np.add.reduce(shifted[rows, labels] - np.log(total)[:, 0])
+        loss = -float(picked.dtype.type(picked / n))
         grad = np.divide(ex, total, out=ex)
         grad[rows, labels] -= 1.0
         grad /= n

@@ -18,16 +18,36 @@ import numpy as np
 __all__ = ["RngStream", "spawn_rngs", "seed_everything"]
 
 
+def _int_words(value: int) -> tuple:
+    """``value`` as the little-endian 32-bit words ``SeedSequence`` coerces
+    an int entry of its entropy list into (``0`` is the one word ``0``)."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    if value == 0:
+        return (0,)
+    words = []
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return tuple(words)
+
+
 @functools.lru_cache(maxsize=4096)
-def _name_to_entropy(name: str) -> int:
-    """Map a stream name to a stable 64-bit integer via blake2b (memoised:
-    names like ``"round"`` or ``"batches"`` recur on every task)."""
+def _name_words(name: str) -> tuple:
+    """A stream name's stable 64-bit blake2b hash, as entropy words
+    (memoised: names like ``"round"`` or ``"batches"`` recur on every task)."""
     digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return _int_words(int.from_bytes(digest, "little"))
 
 
-def _hash_path(path: tuple) -> tuple:
-    return tuple(_name_to_entropy(str(p)) for p in path)
+def _path_words(path: tuple) -> tuple:
+    return sum((_name_words(str(p)) for p in path), ())
+
+
+def _seeded(words: tuple) -> np.random.Generator:
+    """What ``default_rng(SeedSequence(ints))`` builds, from the ints' words."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        np.array(words, dtype=np.uint32))))
 
 
 class RngStream:
@@ -45,30 +65,40 @@ class RngStream:
     regardless of what else was drawn in between.
 
     A node's ``SeedSequence`` entropy is ``[seed, h(p0), h(p1), ...]`` over
-    its whole path; a child extends its parent's entropy tuple by the new
-    elements' hashes only, and nothing is seeded until :attr:`generator`
-    is first read, so intermediate nodes cost one tuple each.
+    its whole path.  It is held as the uint32 words ``SeedSequence`` would
+    coerce that int list into (each int's little-endian 32-bit words, so
+    the seeding is the same bit for bit), which spares NumPy the per-int
+    coercion.  A child extends its parent's words by the new elements' only,
+    and nothing is seeded until :attr:`generator` is first read, so
+    intermediate nodes cost one tuple each.  A negative seed raises
+    ``SeedSequence``'s own ``ValueError`` at construction.
     """
 
-    def __init__(self, seed: int = 0, _path: tuple = (), _entropy: tuple = ()) -> None:
+    def __init__(self, seed: int = 0, _path: tuple = (), _words: tuple = ()) -> None:
         self.seed = int(seed)
         self._path = _path
-        self._entropy = _entropy or (self.seed,) + _hash_path(_path)
+        self._words = _words or _int_words(self.seed) + _path_words(_path)
         self._generator: np.random.Generator | None = None
 
     @property
     def generator(self) -> np.random.Generator:
         """The lazily created generator for this node."""
         if self._generator is None:
-            self._generator = np.random.default_rng(
-                np.random.SeedSequence(list(self._entropy)))
+            self._generator = _seeded(self._words)
         return self._generator
+
+    def child_generator(self, *path) -> np.random.Generator:
+        """``child(*path).generator`` without building the child node, for
+        one-shot streams such as a client's per-round batch order."""
+        if not path:
+            raise ValueError("child() requires at least one path element")
+        return _seeded(self._words + _path_words(path))
 
     def child(self, *path) -> "RngStream":
         """Derive an independent child stream keyed by ``path``."""
         if not path:
             raise ValueError("child() requires at least one path element")
-        return RngStream(self.seed, self._path + path, self._entropy + _hash_path(path))
+        return RngStream(self.seed, self._path + path, self._words + _path_words(path))
 
     # Convenience passthroughs ------------------------------------------------
     def integers(self, *args, **kwargs):

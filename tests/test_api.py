@@ -54,6 +54,12 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="unknown"):
             ExperimentSpec.from_dict({"dataset": "tiny", "typo_field": 1})
 
+    def test_negative_seed_rejected_at_validation(self):
+        # Not later, inside build_data, with NumPy's SeedSequence error.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ExperimentSpec(**{**TINY, "seed": -1})
+        assert ExperimentSpec(**{**TINY, "seed": 0}).seed == 0
+
     def test_overrides_normalized_to_sorted_pairs(self):
         a = ExperimentSpec(**TINY, overrides={"mu": 0.4, "alpha_lr": 0.1})
         b = ExperimentSpec(**TINY, overrides=(("mu", 0.4), ("alpha_lr", 0.1)))
@@ -369,3 +375,7 @@ class TestCLIFrontDoor:
     def test_bad_sampler_arg_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["train", *self.ARGS, "--sampler-arg", "not-a-pair"])
+
+    def test_negative_seed_flag_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            cli_main(["train", *self.ARGS, "--seed", "-1"])

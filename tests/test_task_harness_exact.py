@@ -4,11 +4,26 @@ Every client task builds a round context, derives RNG streams, flips the
 model into training mode, and then per step runs the cross-entropy loss, a
 parameter-only backward and, under FedTrip, the attach op.  Each of those
 was made cheaper without changing a single bit of any History: streams
-extend their parent's entropy instead of re-hashing the path, the round
-generator is derived only when read, traversal is cached once a model is
+extend their parent's entropy instead of re-hashing the path and hand
+``SeedSequence`` its entropy as ready-made uint32 words, the round generator
+is derived only when read, traversal is cached once a model is
 plane-backed, the loss shares one shifted/exp pass between ``log_softmax``
-and ``softmax``, and the attach op writes into worker-resident buffers.
-The oracles below are the plain versions, compared on raw bit patterns.
+and ``softmax`` and calls the reductions' ufuncs directly, and the attach op
+is resolved once per round into worker-resident buffers.  The oracles below
+are the plain versions, compared on raw bit patterns.
+
+Planted mutations each of these tests was seen to catch (in a scratch copy):
+
+* ``_int_words(0)`` returning no word instead of ``(0,)``: the seed-0 cases
+  of ``test_stream_words_match_the_int_entropy_oracle`` and
+  ``test_int_words_are_seedsequences_coercion``.
+* words emitted big-endian (most significant first): the same two tests and
+  ``test_chained_children_draw_like_the_full_path``.
+* the mean folded in float64 (``add.reduce(..., dtype=float64) / n``):
+  ``test_cross_entropy_matches_the_one_pass_oracle`` and
+  ``test_cross_entropy_matches_log_softmax_softmax_pair``.
+* ``AdaptiveFedTrip`` setting its mu after ``FedTrip.on_round_start`` bound
+  the op: ``test_adaptive_mu_reaches_the_bound_attach_op``.
 """
 
 from __future__ import annotations
@@ -20,8 +35,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import nn
-from repro.algorithms import FedTrip
+from repro import ExperimentSpec, nn, run_experiment
+from repro.algorithms import AdaptiveFedTrip, FedTrip
 from repro.algorithms.base import ClientRoundContext
 from repro.algorithms.fedbn import _bn_modules
 from repro.fl import FLConfig
@@ -31,7 +46,8 @@ from repro.data.dataset import ArrayDataset
 from repro.models import build_model
 from repro.models.zoo import build_cnn
 from repro.nn.functional import log_softmax, softmax
-from repro.utils.rng import RngStream
+from repro.nn.losses import _row_index
+from repro.utils.rng import RngStream, _int_words
 
 # ±inf logits are the point of the loss properties; their warnings are not.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -97,6 +113,59 @@ def test_cross_entropy_leaves_logits_untouched():
     assert_same_bits(logits, before)
 
 
+def cross_entropy_one_pass_oracle(logits, labels):
+    """The one-pass loss as it stood before its reductions went straight to
+    the ufuncs: the ``np.max``/``np.sum``/``np.mean`` wrappers and a fresh
+    ``arange`` per call."""
+    n = logits.shape[0]
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    total = np.sum(ex, axis=1, keepdims=True)
+    rows = np.arange(n)
+    loss = -float(np.mean(shifted[rows, labels] - np.log(total)[:, 0]))
+    grad = np.divide(ex, total, out=ex)
+    grad[rows, labels] -= 1.0
+    grad /= n
+    return loss, grad
+
+
+SPECIAL_LOGITS = [np.inf, -np.inf, 0.0, -0.0, 3.0e38, -3.0e38, 1.0e30, -1.0e30, 88.7, -103.9]
+
+
+@st.composite
+def batch_logits_and_labels(draw):
+    """Training-sized float32 batches: seeded normal logits at a drawn
+    scale (optionally rounded, for ties), with drawn entries overwritten
+    by ±inf, ±0.0 and huge magnitudes."""
+    n = draw(st.integers(1, 300))
+    c = draw(st.integers(2, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0, 1e4]))
+    logits = (rng.standard_normal((n, c)) * scale).astype(np.float32)
+    if draw(st.booleans()):
+        logits = np.round(logits).astype(np.float32)
+    for _ in range(draw(st.integers(0, 6))):
+        logits[draw(st.integers(0, n - 1)), draw(st.integers(0, c - 1))] = draw(
+            st.sampled_from(SPECIAL_LOGITS))
+    return logits, rng.integers(0, c, size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_logits_and_labels())
+def test_cross_entropy_matches_the_one_pass_oracle(case):
+    logits, labels = case
+    want_loss, want_grad = cross_entropy_one_pass_oracle(logits.copy(), labels)
+    got_loss, got_grad = nn.CrossEntropyLoss()(logits.copy(), labels)
+    assert_same_bits(np.float64(got_loss), np.float64(want_loss))
+    assert_same_bits(got_grad, want_grad)
+
+
+def test_cross_entropy_row_index_is_shared_and_read_only():
+    rows = _row_index(7)
+    assert rows is _row_index(7) and not rows.flags.writeable
+    np.testing.assert_array_equal(rows, np.arange(7))
+
+
 # ---------------------------------------------------------------------------
 # RngStream: extending the parent's entropy == hashing the whole path.
 # ---------------------------------------------------------------------------
@@ -132,6 +201,39 @@ def test_sibling_streams_stay_independent():
     draws = {r: root.child("round", r).random() for r in range(50)}
     assert len(set(draws.values())) == 50
     assert draws[4] == stream_oracle(3, ("client", 7, "round", 4)).random()
+
+
+#: seeds whose SeedSequence coercion is one word, the zero word, a word
+#: boundary, and two and three words.
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 70]
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("path", [("client", 0), (0,), (2 ** 32, "round", 2 ** 40 + 3), ("batches", 0, 0)])
+def test_stream_words_match_the_int_entropy_oracle(seed, path):
+    want = stream_oracle(seed, path).integers(0, 2 ** 62, size=8)
+    np.testing.assert_array_equal(RngStream(seed, path).integers(0, 2 ** 62, size=8), want)
+    np.testing.assert_array_equal(RngStream(seed).child(*path).integers(0, 2 ** 62, size=8), want)
+    head, tail = path[:1], path[1:]
+    if tail:
+        got = RngStream(seed).child(*head).child_generator(*tail)
+        np.testing.assert_array_equal(got.integers(0, 2 ** 62, size=8), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2 ** 130)), min_size=1, max_size=5))
+def test_int_words_are_seedsequences_coercion(ints):
+    """Concatenated words seed exactly what the int list seeds."""
+    words = np.array(sum((_int_words(v) for v in ints), ()), dtype=np.uint32)
+    want = np.random.SeedSequence(list(ints)).generate_state(8)
+    np.testing.assert_array_equal(np.random.SeedSequence(words).generate_state(8), want)
+
+
+def test_negative_seed_raises_like_seedsequence():
+    with pytest.raises(ValueError, match="expected non-negative integer") as numpy_error:
+        np.random.SeedSequence([-1])
+    with pytest.raises(ValueError, match=str(numpy_error.value)):
+        RngStream(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +275,108 @@ def test_fedtrip_attach_op_matches_the_expression(xi_mode, hist_present):
         if step == 0:
             held = {k: id(v) for k, v in workspace.items()}
     assert held and {k: id(v) for k, v in workspace.items()} == held
+
+
+@pytest.mark.parametrize("hist_present", [True, False])
+def test_bound_attach_op_charges_flops_per_step(hist_present):
+    strategy = FedTrip(mu=0.4)
+    ctx, w, grads, gw, hist = attach_ctx(np.random.default_rng(3), hist_present, 2, {})
+    strategy.on_round_start(ctx)
+    for _ in range(3):
+        strategy.modify_gradients(ctx)
+    per_step = (4.0 if hist_present else 2.0) * w.size
+    assert ctx.extra_flops == per_step + per_step + per_step
+
+
+def test_zero_mu_binds_no_attach_op():
+    strategy = FedTrip(mu=0.0)
+    ctx, w, grads, gw, hist = attach_ctx(np.random.default_rng(4), True, 2, {})
+    before = grads.copy()
+    strategy.on_round_start(ctx)
+    strategy.modify_gradients(ctx)
+    assert_same_bits(grads, before)
+    assert ctx.extra_flops == 0.0 and ctx.workspace == {}
+
+
+@pytest.mark.parametrize("hist_present", [True, False])
+def test_per_layer_attach_op_matches_the_expression(hist_present):
+    """The tree fallback (a plain broadcast, no global plane) binds too."""
+    strategy = FedTrip(mu=0.4)
+    ctx, w, grads, gw, hist = attach_ctx(np.random.default_rng(6), hist_present, 2, {})
+    params = ctx.model.parameters()
+    sizes = np.cumsum([p.size for p in params])[:-1]
+
+    def tree(v):
+        return [c.reshape(p.data.shape).copy() for c, p in zip(np.split(v, sizes), params)]
+
+    ctx.global_flat, ctx.global_weights = None, tree(gw)
+    ctx.state["historical"] = tree(hist) if hist_present else None
+    strategy.on_round_start(ctx)
+    xi = ctx.scratch["xi"]
+    want = [
+        g + 0.4 * ((p - q) + xi * (h - p)) if hist_present else g + 0.4 * (p - q)
+        for g, p, q, h in zip(tree(grads), tree(w), tree(gw), tree(hist))
+    ]
+    strategy.modify_gradients(ctx)
+    for p, expected in zip(params, want):
+        assert_same_bits(p.grad, expected)
+    assert ctx.extra_flops == (4.0 if hist_present else 2.0) * w.size
+
+
+def test_adaptive_mu_reaches_the_bound_attach_op():
+    """``AdaptiveFedTrip`` sets the round's mu before FedTrip binds the op,
+    so the server-adapted mu, not the constructor's, scales the pull."""
+    rng = np.random.default_rng(12)
+    strategy = AdaptiveFedTrip(mu=0.4, mu_min=0.01, mu_max=2.5)
+    ctx, w, grads, gw, hist = attach_ctx(rng, True, 2, {})
+    ctx.server_broadcast = {"mu": 1.7}
+    strategy.on_round_start(ctx)
+    xi = ctx.scratch["xi"]
+    want = grads + 1.7 * ((w - gw) + xi * (hist - w))
+    strategy.modify_gradients(ctx)
+    assert_same_bits(grads, want)
+
+
+def test_adaptive_fedtrip_at_a_pinned_mu_is_fedtrip():
+    """With mu_min = mu = mu_max the adaptive variant never moves mu, and
+    its History is FedTrip's, record for record."""
+    base = dict(dataset="tiny", model="mlp", n_clients=6, clients_per_round=3, rounds=4,
+                batch_size=20, lr=0.05, seed=2)
+    plain = run_experiment(ExperimentSpec(method="fedtrip", overrides={"mu": 0.7}, **base))
+    pinned = run_experiment(ExperimentSpec(
+        method="fedtrip_adaptive", overrides={"mu": 0.7, "mu_min": 0.7, "mu_max": 0.7}, **base))
+
+    def records(history):
+        out = []
+        for record in history.records:
+            d = record.to_dict()
+            d.pop("wall_seconds"), d.pop("phase_seconds")
+            out.append(d)
+        return out
+
+    assert len(plain.records) == 4
+    assert records(pinned) == records(plain)
+
+
+@pytest.mark.parametrize("source", ["last-local", "last-global"])
+def test_round_end_writes_the_new_anchor_over_the_old(source):
+    """A writeable anchor of the plane's layout is overwritten in place (so
+    the client's state-arena slot needs no second copy); anything else is
+    replaced by a fresh copy.  The bytes are the trained (or received)
+    model's either way."""
+    strategy = FedTrip(mu=0.4, historical_source=source)
+    ctx, w, grads, gw, hist = attach_ctx(np.random.default_rng(8), True, 2, {})
+    want = w if source == "last-local" else gw
+    strategy.on_round_end(ctx)
+    assert ctx.state["historical"] is hist
+    assert_same_bits(hist, want)
+    frozen = hist.copy()
+    frozen.setflags(write=False)
+    for held in (frozen, hist[:-1].copy(), hist.astype(np.float64), None):
+        ctx.state["historical"] = held
+        strategy.on_round_end(ctx)
+        assert ctx.state["historical"] is not held and ctx.state["historical"] is not want
+        assert_same_bits(ctx.state["historical"], want)
 
 
 def test_attach_buffers_live_on_the_worker_context():
