@@ -12,7 +12,8 @@ and ``softmax`` and calls the reductions' ufuncs directly, and the attach op
 is resolved once per round into worker-resident buffers.  The oracles below
 are the plain versions, compared on raw bit patterns.
 
-Planted mutations each of these tests was seen to catch (in a scratch copy):
+Planted mutations, each applied to a copy of the code, and the tests seen to
+catch them:
 
 * ``_int_words(0)`` returning no word instead of ``(0,)``: the seed-0 cases
   of ``test_stream_words_match_the_int_entropy_oracle`` and
