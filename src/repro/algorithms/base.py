@@ -67,7 +67,7 @@ class ClientRoundContext:
     #: where strategies fall back to round arithmetic.
     xi_measured: Optional[float] = None
     #: the broadcast global weights as one ``(P,)`` vector (aliasing
-    #: ``global_weights``); None when the executor shipped a plain tree.
+    #: ``global_weights``); every executor sets it.
     global_flat: Optional[np.ndarray] = None
     #: the worker's scratch arrays, kept across the tasks it runs; a
     #: context built without one gets a private dict.
@@ -87,19 +87,14 @@ class ClientRoundContext:
         return self.model.num_parameters()
 
     @property
-    def flat_weights(self) -> Optional[np.ndarray]:
-        """The model's live weight plane (None unless plane-backed)."""
+    def flat_weights(self) -> np.ndarray:
+        """The worker model's live weight plane."""
         return self.model.flat_weights
 
     @property
-    def flat_grads(self) -> Optional[np.ndarray]:
-        """The model's live gradient plane (None unless plane-backed)."""
+    def flat_grads(self) -> np.ndarray:
+        """The worker model's live gradient plane."""
         return self.model.flat_grads
-
-    def has_flat(self) -> bool:
-        """True when both the worker model and the broadcast are flat —
-        the precondition for every strategy's fused attach-op path."""
-        return self.model.flat_grads is not None and self.global_flat is not None
 
 
 # Assigned after the decorator ran: in the class body the property would
@@ -195,18 +190,12 @@ class Strategy:
     @staticmethod
     def maybe_clip(ctx: ClientRoundContext) -> None:
         """Apply the config's optional global gradient clipping — one norm
-        over the grad plane on plane-backed models, per-layer otherwise."""
+        over the grad plane."""
         if ctx.config.max_grad_norm is None:
             return
-        grads = ctx.model.flat_grads
-        if grads is not None:
-            from repro.nn.utils import clip_grad_norm_flat
+        from repro.nn.utils import clip_grad_norm_flat
 
-            clip_grad_norm_flat(grads, ctx.config.max_grad_norm)
-        else:
-            from repro.nn.utils import clip_grad_norm
-
-            clip_grad_norm(ctx.model.parameters(), ctx.config.max_grad_norm)
+        clip_grad_norm_flat(ctx.flat_grads, ctx.config.max_grad_norm)
 
     def modify_gradients(self, ctx: ClientRoundContext) -> None:
         """Inject the algorithm's regularization into the gradient buffers."""

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.algorithms.base import ClientRoundContext, Strategy
 from repro.fl.params import as_flat
-from repro.utils.vectorize import tree_copy, unflatten_like
 
 __all__ = ["FedDANE"]
 
@@ -36,10 +35,9 @@ class FedDANE(Strategy):
 
     # ---------------- preamble ----------------
     def client_preamble(self, ctx: ClientRoundContext, full_grad: List[np.ndarray]) -> Dict[str, Any]:
-        # Stash the local full gradient for the correction term (flat on
-        # plane-backed workers) and upload it for aggregation.
-        ctx.state["grad_at_global"] = (
-            as_flat(full_grad) if ctx.has_flat() else tree_copy(full_grad))
+        # Stash the local full gradient (flat) for the correction term and
+        # upload it for aggregation.
+        ctx.state["grad_at_global"] = as_flat(full_grad)
         return {"full_grad": full_grad}
 
     def server_preamble(self, server_state, preambles, global_weights, round_idx) -> None:
@@ -53,59 +51,28 @@ class FedDANE(Strategy):
     def server_broadcast(self, server_state: Dict[str, Any], round_idx: int) -> Dict[str, Any]:
         if "g_agg" not in server_state:
             return {}
-        # Flat vector staged once per round so flat-path clients never
-        # re-flatten the aggregated gradient per client.
-        payload: Dict[str, Any] = {"g_agg": server_state["g_agg"]}
-        agg_flat = as_flat(server_state["g_agg"])
-        if agg_flat is not None:
-            payload["g_agg_flat"] = agg_flat
-        return payload
+        # The aggregated gradient ships as one flat vector, staged once per
+        # round here so clients never flatten it per client.
+        return {"g_agg_flat": as_flat(server_state["g_agg"])}
 
     # ---------------- client ----------------
     def on_round_start(self, ctx: ClientRoundContext) -> None:
-        if not ctx.has_flat():
-            # A flat-stored preamble gradient reaching a tree-path run is
-            # converted once per round (the preamble refreshes it anyway).
-            g_loc = ctx.state.get("grad_at_global")
-            if isinstance(g_loc, np.ndarray):
-                ctx.state["grad_at_global"] = [
-                    chunk.copy() for chunk in unflatten_like(g_loc, ctx.global_weights)
-                ]
-            return
         # Combine the round's correction pair once; every local step's
-        # gradient surgery is then a single vector expression.  The server
-        # stages g_agg's flat vector with the payload; the client's own
-        # preamble gradient was stored flat by client_preamble.
-        g_agg = ctx.server_broadcast.get("g_agg")
+        # gradient surgery is then a single vector expression.  The client's
+        # own preamble gradient was stored flat by client_preamble.
+        agg_flat = ctx.server_broadcast.get("g_agg_flat")
         g_loc = ctx.state.get("grad_at_global")
-        if g_agg is not None and g_loc is not None:
-            agg_flat = ctx.server_broadcast.get("g_agg_flat")
-            if agg_flat is None:
-                agg_flat = as_flat(g_agg)
-            loc_flat = g_loc if isinstance(g_loc, np.ndarray) else as_flat(g_loc)
-            ctx.scratch["correction_flat"] = agg_flat - loc_flat
+        if agg_flat is not None and g_loc is not None:
+            ctx.scratch["correction_flat"] = agg_flat - g_loc
 
     def modify_gradients(self, ctx: ClientRoundContext) -> None:
-        g_agg = ctx.server_broadcast.get("g_agg")
-        g_loc = ctx.state.get("grad_at_global")
-        if ctx.has_flat():
-            grads = ctx.flat_grads
-            correction = ctx.scratch.get("correction_flat")
-            if correction is not None:
-                grads += correction + self.mu * (ctx.flat_weights - ctx.global_flat)
-                ctx.extra_flops += 4.0 * ctx.n_params
-            else:
-                grads += self.mu * (ctx.flat_weights - ctx.global_flat)
-                ctx.extra_flops += 2.0 * ctx.n_params
-            return
-        params = ctx.model.parameters()
-        if g_agg is not None and g_loc is not None:
-            for p, gw, ga, gl in zip(params, ctx.global_weights, g_agg, g_loc):
-                p.grad += ga - gl + self.mu * (p.data - gw)
+        grads = ctx.flat_grads
+        correction = ctx.scratch.get("correction_flat")
+        if correction is not None:
+            grads += correction + self.mu * (ctx.flat_weights - ctx.global_flat)
             ctx.extra_flops += 4.0 * ctx.n_params
         else:  # fall back to FedProx behaviour if the preamble was skipped
-            for p, gw in zip(params, ctx.global_weights):
-                p.grad += self.mu * (p.data - gw)
+            grads += self.mu * (ctx.flat_weights - ctx.global_flat)
             ctx.extra_flops += 2.0 * ctx.n_params
 
     # ---------------- cost model ----------------

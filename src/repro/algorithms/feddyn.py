@@ -20,9 +20,7 @@ import numpy as np
 
 from repro.algorithms.base import ClientRoundContext, Strategy
 from repro.fl.aggregation import fedavg_aggregate
-from repro.fl.params import as_flat
 from repro.fl.types import ClientUpdate, FLConfig
-from repro.utils.vectorize import unflatten_like
 
 __all__ = ["FedDyn"]
 
@@ -62,42 +60,18 @@ class FedDyn(Strategy):
         return {"h_k": None}
 
     def on_round_start(self, ctx: ClientRoundContext) -> None:
-        # The correction lives in whichever representation this run's
-        # workers use: one (P,) vector on the flat path, per-layer arrays on
-        # the fallback.  States crossing between the two (e.g. resumed from
-        # a differently-configured run) are converted once per round here.
-        h_k = ctx.state["h_k"]
-        if ctx.has_flat():
-            if h_k is None:
-                ctx.state["h_k"] = np.zeros_like(ctx.global_flat)
-            elif not isinstance(h_k, np.ndarray):
-                ctx.state["h_k"] = as_flat(h_k)
-        else:
-            if h_k is None:
-                ctx.state["h_k"] = [np.zeros_like(w) for w in ctx.global_weights]
-            elif isinstance(h_k, np.ndarray):
-                ctx.state["h_k"] = [
-                    chunk.copy() for chunk in unflatten_like(h_k, ctx.global_weights)
-                ]
+        # The correction is one (P,) vector, created on first participation.
+        if ctx.state["h_k"] is None:
+            ctx.state["h_k"] = np.zeros_like(ctx.global_flat)
 
     def modify_gradients(self, ctx: ClientRoundContext) -> None:
-        h_k = ctx.state["h_k"]
-        if ctx.has_flat():
-            grads = ctx.flat_grads
-            grads += self.alpha * (ctx.flat_weights - ctx.global_flat) - h_k
-        else:
-            for p, gw, hk in zip(ctx.model.parameters(), ctx.global_weights, h_k):
-                p.grad += self.alpha * (p.data - gw) - hk
+        grads = ctx.flat_grads
+        grads += self.alpha * (ctx.flat_weights - ctx.global_flat) - ctx.state["h_k"]
         ctx.extra_flops += 4.0 * ctx.n_params
 
     def on_round_end(self, ctx: ClientRoundContext) -> None:
         h_k = ctx.state["h_k"]
-        if ctx.has_flat():
-            h_k -= self.alpha * (ctx.flat_weights - ctx.global_flat)
-            return
-        for i, (p, gw) in enumerate(zip(ctx.model.parameters(), ctx.global_weights)):
-            h_k[i] = h_k[i] - self.alpha * (p.data - gw)
-        ctx.state["h_k"] = [np.asarray(h) for h in h_k]
+        h_k -= self.alpha * (ctx.flat_weights - ctx.global_flat)
 
     def attach_flops_per_iteration(self, n_params: int, batch_size: int, fp_flops: float) -> float:
         return 4.0 * n_params  # Table VIII: 4K|w|

@@ -73,24 +73,14 @@ class FedNova(Strategy):
         )
         # w <- w - sum_k scale_k (w - w_k) = (1 - sum scale) w + scales @ M:
         # the K client vectors stack into the pooled (K, P) matrix and the
-        # normalized reduction is a single GEMM (mixed dtypes fall back to
-        # the per-layer loop).
+        # normalized reduction is a single GEMM.
         from repro.fl.params import as_flat, stack_updates
         from repro.utils.vectorize import unflatten_like
 
         g = as_flat(global_weights)
-        if g is not None:
-            mat = stack_updates(
-                [u.weights for u in updates], flats=[u.flat for u in updates]
-            )
-            flat = (1.0 - scales.sum()) * g.astype(np.float64) + scales @ mat
-            dtype = np.asarray(global_weights[0]).dtype
-            return unflatten_like(flat.astype(dtype), global_weights)
-        out = [w.astype(np.float64, copy=True) for w in global_weights]
-        for u, scale in zip(updates, scales):
-            for i, (gw, lw) in enumerate(zip(global_weights, u.weights)):
-                out[i] -= scale * (gw.astype(np.float64) - lw.astype(np.float64))
-        return [o.astype(global_weights[i].dtype) for i, o in enumerate(out)]
+        mat = stack_updates([u.flat_vector() for u in updates])
+        flat = (1.0 - scales.sum()) * g.astype(np.float64) + scales @ mat
+        return unflatten_like(flat.astype(g.dtype), global_weights)
 
     def describe(self) -> Dict[str, Any]:
         return {

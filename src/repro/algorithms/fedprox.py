@@ -27,12 +27,8 @@ class FedProx(Strategy):
     def modify_gradients(self, ctx: ClientRoundContext) -> None:
         if self.mu == 0.0:
             return
-        if ctx.has_flat():
-            grads = ctx.flat_grads
-            grads += self.mu * (ctx.flat_weights - ctx.global_flat)
-        else:
-            for p, gw in zip(ctx.model.parameters(), ctx.global_weights):
-                p.grad += self.mu * (p.data - gw)
+        grads = ctx.flat_grads
+        grads += self.mu * (ctx.flat_weights - ctx.global_flat)
         ctx.extra_flops += 2.0 * ctx.n_params
 
     def attach_flops_per_iteration(self, n_params: int, batch_size: int, fp_flops: float) -> float:

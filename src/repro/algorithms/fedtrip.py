@@ -32,8 +32,6 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.algorithms.base import ClientRoundContext, Strategy
-from repro.fl.params import as_flat
-from repro.utils.vectorize import tree_copy, unflatten_like
 
 __all__ = ["FedTrip"]
 
@@ -114,26 +112,13 @@ class FedTrip(Strategy):
 
     def on_round_start(self, ctx: ClientRoundContext) -> None:
         ctx.scratch["xi"] = xi = self._xi(ctx)
-        # The historical anchor lives in whichever representation this run's
-        # workers use; states crossing between plane-backed and tree runs
-        # are converted once per round here, never once per batch.
-        hist = ctx.state.get("historical")
-        flat = ctx.has_flat()
-        if flat:
-            if hist is not None and not isinstance(hist, np.ndarray):
-                hist = as_flat(hist)
-        elif isinstance(hist, np.ndarray):
-            hist = ctx.state["historical"] = [
-                chunk.copy() for chunk in unflatten_like(hist, ctx.global_weights)
-            ]
-        ctx.scratch["fedtrip.op"] = self._bind(ctx, flat, xi, hist)
+        ctx.scratch["fedtrip.op"] = self._bind(ctx, xi, ctx.state.get("historical"))
 
-    def _bind(self, ctx: ClientRoundContext, flat: bool, xi: float, hist):
+    def _bind(self, ctx: ClientRoundContext, xi: float, hist):
         """Resolve everything the attach op reads into one tuple, once per
         round: ``(grads, w, gw, hist, pull, push, xi, mu, flops)``.  ``hist``
-        is None when the push term is off, and the five vector slots are None
-        on the per-layer path; the whole binding is None when mu is zero.
-        The round's mu is read here, so a subclass setting
+        is None when the push term is off; the whole binding is None when mu
+        is zero.  The round's mu is read here, so a subclass setting
         ``scratch["mu"]`` must do so before this runs."""
         mu = ctx.scratch.get("mu", self.mu)
         if mu == 0.0:
@@ -141,8 +126,6 @@ class FedTrip(Strategy):
         if not (xi > 0.0 and hist is not None):
             hist = None
         flops = (4.0 if hist is not None else 2.0) * ctx.n_params
-        if not flat:
-            return None, None, None, hist, None, None, xi, mu, flops
         ws = ctx.workspace  # one worker serves one model: shapes never change
         w = ctx.flat_weights
         if "fedtrip.pull" not in ws:
@@ -157,48 +140,34 @@ class FedTrip(Strategy):
             return
         grads, w, gw, hist, pull, push, xi, mu, flops = op
         ctx.extra_flops += flops
-        if grads is not None:
-            # grads += mu * ((w - gw) + xi * (hist - w)), operation for
-            # operation, through two worker-resident buffers instead of five
-            # fresh (P,) temporaries.  Exact because every operand shares the
-            # plane dtype and mu, xi are Python floats (weak scalars): each
-            # temporary of the expression has that dtype too.
-            np.subtract(w, gw, out=pull)
-            if hist is not None:
-                np.subtract(hist, w, out=push)
-                np.multiply(xi, push, out=push)
-                np.add(pull, push, out=pull)
-            np.multiply(mu, pull, out=pull)
-            np.add(grads, pull, out=grads)
-            return
-        params = ctx.model.parameters()
+        # grads += mu * ((w - gw) + xi * (hist - w)), operation for
+        # operation, through two worker-resident buffers instead of five
+        # fresh (P,) temporaries.  Exact because every operand shares the
+        # plane dtype and mu, xi are Python floats (weak scalars): each
+        # temporary of the expression has that dtype too.
+        np.subtract(w, gw, out=pull)
         if hist is not None:
-            for p, gw, hw in zip(params, ctx.global_weights, hist):
-                p.grad += mu * ((p.data - gw) + xi * (hw - p.data))
-        else:
-            for p, gw in zip(params, ctx.global_weights):
-                p.grad += mu * (p.data - gw)
+            np.subtract(hist, w, out=push)
+            np.multiply(xi, push, out=push)
+            np.add(pull, push, out=pull)
+        np.multiply(mu, pull, out=pull)
+        np.add(grads, pull, out=grads)
 
     def on_round_end(self, ctx: ClientRoundContext) -> None:
         # The freshly trained local model (paper) — or, under the ablation,
         # the received global model — becomes the historical anchor for this
-        # client's next participation.  Plane-backed workers snapshot the
-        # whole model with one flat copy, written over the previous anchor
-        # when that is a writeable vector of the same layout: the client's
-        # state-arena slot then already holds the new bytes when the engine
-        # adopts the state, so nothing is copied a second time.
-        if ctx.has_flat():
-            source = ctx.flat_weights if self.historical_source == "last-local" else ctx.global_flat
-            held = ctx.state.get("historical")
-            if (isinstance(held, np.ndarray) and held.shape == source.shape
-                    and held.dtype == source.dtype and held.flags.writeable):
-                np.copyto(held, source)
-            else:
-                ctx.state["historical"] = source.copy()
-        elif self.historical_source == "last-local":
-            ctx.state["historical"] = tree_copy(ctx.model.weight_refs())
+        # client's next participation.  The whole model is snapshot with one
+        # flat copy, written over the previous anchor when that is a
+        # writeable vector of the same layout: the client's state-arena slot
+        # then already holds the new bytes when the engine adopts the state,
+        # so nothing is copied a second time.
+        source = ctx.flat_weights if self.historical_source == "last-local" else ctx.global_flat
+        held = ctx.state.get("historical")
+        if (isinstance(held, np.ndarray) and held.shape == source.shape
+                and held.dtype == source.dtype and held.flags.writeable):
+            np.copyto(held, source)
         else:
-            ctx.state["historical"] = tree_copy(ctx.global_weights)
+            ctx.state["historical"] = source.copy()
         ctx.state["last_round"] = ctx.round_idx
 
     # ---------------- cost model ----------------

@@ -86,8 +86,7 @@ class AdaptiveFedTrip(FedTrip):
     def on_round_start(self, ctx: ClientRoundContext) -> None:
         # Use the server-adapted mu for this round (fall back to static).
         # FedTrip binds its attach op, mu included, in on_round_start, so
-        # the adapted mu is set first; the adaptive variant then inherits
-        # both the fused flat path and the tree fallback.
+        # the adapted mu is set first.
         ctx.scratch["mu"] = float(ctx.server_broadcast.get("mu", self.mu))
         super().on_round_start(ctx)
 

@@ -56,37 +56,19 @@ class MimeLite(Strategy):
     def server_broadcast(self, server_state: Dict[str, Any], round_idx: int) -> Dict[str, Any]:
         if "s" not in server_state:
             return {}
-        # Flat vector staged once per round so flat-path clients never
-        # re-flatten the momentum per client.
-        payload: Dict[str, Any] = {"s": server_state["s"]}
-        s_flat = as_flat(server_state["s"])
-        if s_flat is not None:
-            payload["s_flat"] = s_flat
-        return payload
+        # The momentum ships as one flat vector, staged once per round here;
+        # each local step's blend is then two vector ops on the grad plane.
+        return {"s_flat": as_flat(server_state["s"])}
 
     # ---------------- client ----------------
-    def on_round_start(self, ctx: ClientRoundContext) -> None:
-        s = ctx.server_broadcast.get("s")
-        if s is not None and ctx.has_flat():
-            # The server stages the flat momentum with the payload; each
-            # local step's blend is then two vector ops on the grad plane.
-            s_flat = ctx.server_broadcast.get("s_flat")
-            ctx.scratch["s_flat"] = s_flat if s_flat is not None else as_flat(s)
-
     def modify_gradients(self, ctx: ClientRoundContext) -> None:
-        s = ctx.server_broadcast.get("s")
-        if s is None:
+        s_flat = ctx.server_broadcast.get("s_flat")
+        if s_flat is None:
             return
         b = self.beta
-        s_flat = ctx.scratch.get("s_flat")
-        if s_flat is not None and ctx.has_flat():
-            grads = ctx.flat_grads
-            grads *= 1 - b
-            grads += b * s_flat
-        else:
-            for p, sk in zip(ctx.model.parameters(), s):
-                p.grad *= 1 - b
-                p.grad += b * sk
+        grads = ctx.flat_grads
+        grads *= 1 - b
+        grads += b * s_flat
         ctx.extra_flops += 2.0 * ctx.n_params
 
     # ---------------- cost model ----------------

@@ -36,13 +36,9 @@ class SCAFFOLD(Strategy):
         return {"c": [np.zeros_like(w) for w in global_weights]}
 
     def server_broadcast(self, server_state: Dict[str, Any], round_idx: int) -> Dict[str, Any]:
-        # Ship the variate's flat vector alongside the tree: staged once per
-        # round here, so flat-path clients never re-flatten it per client.
-        payload: Dict[str, Any] = {"c": server_state["c"]}
-        c_flat = as_flat(server_state["c"])
-        if c_flat is not None:
-            payload["c_flat"] = c_flat
-        return payload
+        # Ship the variate as one flat vector, staged once per round here so
+        # clients never flatten it per client.
+        return {"c_flat": as_flat(server_state["c"])}
 
     def post_aggregate(
         self,
@@ -55,11 +51,9 @@ class SCAFFOLD(Strategy):
         c = server_state["c"]
         scale = len(updates) / config.n_clients
         for upd in updates:
-            delta = upd.extras["c_delta"]
-            if isinstance(delta, np.ndarray):
-                # Flat-path clients upload one (P,) vector; apply it through
-                # zero-copy per-layer views so c keeps its tree layout.
-                delta = unflatten_like(delta, c)
+            # Clients upload one (P,) vector; apply it through zero-copy
+            # per-layer views so c keeps its tree layout.
+            delta = unflatten_like(upd.extras["c_delta"], c)
             for i in range(len(c)):
                 c[i] = c[i] + (scale / len(updates)) * delta[i]
         return new_weights
@@ -69,36 +63,13 @@ class SCAFFOLD(Strategy):
         return {"c_k": None}
 
     def on_round_start(self, ctx: ClientRoundContext) -> None:
-        c_k = ctx.state["c_k"]
-        if ctx.has_flat():
-            if c_k is None:
-                ctx.state["c_k"] = np.zeros_like(ctx.global_flat)
-            elif not isinstance(c_k, np.ndarray):
-                ctx.state["c_k"] = as_flat(c_k)
-            # The server stages the variate's flat vector with the payload;
-            # every local step's correction is then a single vector
-            # expression.  (Fallback flatten only for hand-built payloads.)
-            c_flat = ctx.server_broadcast.get("c_flat")
-            ctx.scratch["c_flat"] = (
-                c_flat if c_flat is not None else as_flat(ctx.server_broadcast["c"]))
-        else:
-            if c_k is None:
-                ctx.state["c_k"] = [np.zeros_like(w) for w in ctx.global_weights]
-            elif isinstance(c_k, np.ndarray):
-                ctx.state["c_k"] = [
-                    chunk.copy() for chunk in unflatten_like(c_k, ctx.global_weights)
-                ]
+        if ctx.state["c_k"] is None:
+            ctx.state["c_k"] = np.zeros_like(ctx.global_flat)
         ctx.scratch["steps"] = 0
 
     def modify_gradients(self, ctx: ClientRoundContext) -> None:
-        c_k = ctx.state["c_k"]
-        if ctx.has_flat():
-            grads = ctx.flat_grads
-            grads += ctx.scratch["c_flat"] - c_k
-        else:
-            c = ctx.server_broadcast["c"]
-            for p, ck, cg in zip(ctx.model.parameters(), c_k, c):
-                p.grad += cg - ck
+        grads = ctx.flat_grads
+        grads += ctx.server_broadcast["c_flat"] - ctx.state["c_k"]
         ctx.scratch["steps"] += 1
         ctx.extra_flops += 2.0 * ctx.n_params
 
@@ -106,20 +77,10 @@ class SCAFFOLD(Strategy):
         c_k = ctx.state["c_k"]
         steps = max(ctx.scratch["steps"], 1)
         inv = 1.0 / (steps * ctx.config.lr)
-        if ctx.has_flat():
-            c_k_new = c_k - ctx.scratch["c_flat"] + inv * (ctx.global_flat - ctx.flat_weights)
-            ctx.state["c_k"] = c_k_new
-            ctx.upload_extras["c_delta"] = c_k_new - c_k
-            return
-        c = ctx.server_broadcast["c"]
-        c_k_new: List[np.ndarray] = []
-        delta: List[np.ndarray] = []
-        for p, gw, ck, cg in zip(ctx.model.parameters(), ctx.global_weights, c_k, c):
-            new = ck - cg + inv * (gw - p.data)
-            c_k_new.append(new)
-            delta.append(new - ck)
+        c = ctx.server_broadcast["c_flat"]
+        c_k_new = c_k - c + inv * (ctx.global_flat - ctx.flat_weights)
         ctx.state["c_k"] = c_k_new
-        ctx.upload_extras["c_delta"] = delta
+        ctx.upload_extras["c_delta"] = c_k_new - c_k
 
     # ---------------- cost model ----------------
     def extra_comm_units(self) -> float:

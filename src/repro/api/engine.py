@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import ClientRoundContext, Strategy
+from repro.algorithms.base import Strategy
 from repro.data.federated import FederatedData
 from repro.fl.client import Client
 from repro.fl.evaluation import evaluate_model, full_batch_gradient
@@ -47,7 +47,6 @@ from repro.fl.executor import (
     ClientTaskSpec,
     TaskResult,
     TaskRuntime,
-    WorkerContext,
     WorkerSpec,
     build_clients,
     build_round_context,
@@ -345,7 +344,8 @@ class Engine:
             strategy=strategy,
             config=config,
             fp_flops=float(self.profile.forward_flops),
-            global_weights=self.server.weights,
+            global_weights=self.server.plane.tree,
+            global_flat=self.server.plane.flat,
             adversary=adversary,
             fault_injector=fault_injector,
             recorder=self.obs,
@@ -429,14 +429,6 @@ class Engine:
     # ------------------------------------------------------------------
     # phases
     # ------------------------------------------------------------------
-    def _build_ctx(self, worker: WorkerContext, client: Client, round_idx: int,
-                   broadcast: Dict) -> ClientRoundContext:
-        self.runtime.global_weights = self.server.weights
-        self.runtime.global_flat = self.server.plane.flat
-        return build_round_context(
-            worker, self.runtime, client.id, round_idx, broadcast, client.state
-        )
-
     def _phase_sample(self, round_idx: int) -> List[int]:
         """Phase 1: pick this round's K participants."""
         return self.sampler.select(round_idx)
@@ -462,7 +454,9 @@ class Engine:
         preamble_flops: Dict[int, float] = {}
         for k in selected:
             client = self.clients[k]
-            ctx = self._build_ctx(worker, client, round_idx, broadcast)
+            ctx = build_round_context(
+                worker, self.runtime, client.id, round_idx, broadcast, client.state
+            )
             grad = full_batch_gradient(worker.model, client.dataset, self.config.eval_batch_size)
             payloads[k] = self.strategy.client_preamble(ctx, grad)
             # full-batch grad = one fwd+bwd pass over the shard (3x forward).
@@ -908,12 +902,8 @@ class Engine:
     # inspection / lifecycle
     # ------------------------------------------------------------------
     def _load_global(self, model: FedModel) -> FedModel:
-        """Copy the server's weights into ``model`` (flat when possible)."""
-        flat = self.server.plane.flat
-        if flat is not None:
-            model.set_weights_flat(flat)
-        else:  # pragma: no cover - models in this codebase are uniform f32
-            model.set_weights(self.server.weights)
+        """Copy the server's flat weights into ``model``."""
+        model.set_weights_flat(self.server.plane.flat)
         return model
 
     def evaluate_global(self) -> Tuple[float, float]:

@@ -33,10 +33,11 @@ default set by :func:`set_default_aggregation_block_size` (the conftest
 rows, the historical behaviour.
 
 ``weighted_average_trees`` keeps its list-of-arrays signature — every
-strategy's ``aggregate`` continues to work unchanged — and dispatches to
-the staged fold whenever the tree has one dtype.  The loop implementation
-survives as :func:`weighted_average_trees_loop`: it is the reference the
-equivalence tests and ``benchmarks/bench_hot_path.py`` compare against.
+strategy's ``aggregate`` continues to work unchanged — and always runs the
+staged fold: a weight tree has one dtype (see
+:func:`repro.fl.params.tree_dtype`).  The loop implementation survives as
+:func:`weighted_average_trees_loop`: it is the reference the equivalence
+tests and ``benchmarks/bench_hot_path.py`` compare against.
 
 Numerics: both paths accumulate in float64 and cast back to the tree dtype
 once.  Rows are upcast to float64 *before* the scalar multiply (staging
@@ -54,8 +55,9 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.fl.params import MatrixPool, _default_pool
+from repro.fl.params import MatrixPool, _default_pool, tree_dtype
 from repro.fl.types import ClientUpdate
+from repro.utils.vectorize import flatten_into
 
 __all__ = [
     "aggregation_block",
@@ -141,8 +143,8 @@ def _resolve_block(block_size: Optional[int], k: int) -> int:
 def _normalized(weights: Sequence[float], n: int) -> np.ndarray:
     """Validate and sum-normalize aggregation weights.
 
-    Shared by the staged-fold path and the tree-loop fallback, so both
-    raise the same, specific error: non-finite weights, negative weights,
+    Shared by the staged fold and the reference loop, so both raise the
+    same, specific error: non-finite weights, negative weights,
     and an all-zero sum (e.g. every client reported zero samples) each get
     their own message instead of a silent divide producing NaN weights.
     ``n = 1`` degenerates to the single weight normalizing to exactly 1.0,
@@ -236,8 +238,6 @@ def _streamed_weighted_sum(
     the per-row multiply/add sequence never depends on the block
     (see :func:`_fold_rows` for the pinned-order contract).
     """
-    from repro.fl.params import flatten_into
-
     k = len(trees)
     sizes = [int(np.asarray(a).size) for a in trees[0]]
     p = sum(sizes)
@@ -274,19 +274,16 @@ def weighted_average_trees(
     :class:`~repro.fl.types.ClientUpdate` fast path) so staging skips
     re-flattening.  ``block_size`` caps how many rows are staged at once
     (``None`` defers to :func:`aggregation_block` / the module default);
-    the result is byte-identical for every block size.  Mixed-dtype trees
-    fall back to the per-layer loop.
+    the result is byte-identical for every block size.  A mixed-dtype tree
+    raises ``ValueError``.
     """
     if not trees:
         raise ValueError("no trees to aggregate")
     first = trees[0]
-    dtypes = {np.asarray(a).dtype for a in first}
-    if len(dtypes) != 1:
-        return weighted_average_trees_loop(trees, weights)
+    dtype = tree_dtype(first)
     w = _normalized(weights, len(trees))
     _check_structure(trees, flats)
     flat = _streamed_weighted_sum(trees, flats, w, block_size)
-    dtype = next(iter(dtypes))
     out: List[np.ndarray] = []
     cursor = 0
     for a in first:
@@ -301,8 +298,8 @@ def weighted_average_trees_loop(
 ) -> List[np.ndarray]:
     """Reference per-layer loop implementation (pre-GEMM server path).
 
-    Kept for the loop-vs-fold equivalence tests, as the baseline leg of
-    ``benchmarks/bench_hot_path.py``, and as the mixed-dtype fallback.
+    Kept for the loop-vs-fold equivalence tests and as the baseline leg of
+    ``benchmarks/bench_hot_path.py``.
     """
     if not trees:
         raise ValueError("no trees to aggregate")

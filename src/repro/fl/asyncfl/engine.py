@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.algorithms.base import Strategy
 from repro.data.federated import FederatedData
-from repro.fl.aggregation import weighted_average_trees
 from repro.fl.robust.aggregators import robust_aggregate
 from repro.fl.asyncfl.clock import Event, EventQueue, VirtualClock
 from repro.fl.asyncfl.timing import ClientTimingModel
@@ -362,8 +361,7 @@ class AsyncFLEngine(Engine):
         global model with weight ``alpha * (1 + staleness)^(-poly)``.
 
         Runs on the flat parameter vectors — one float64 accumulator folds
-        the whole batch, written back to the server's plane once — with the
-        tree-pair average kept as the mixed-dtype fallback.
+        the whole batch, written back to the server's plane once.
 
         With a robust aggregator attached the per-update fold is replaced by
         *reduce-then-mix*: the robust rule reduces the healthy batch to one
@@ -386,24 +384,13 @@ class AsyncFLEngine(Engine):
         if self.server.aggregator is not None:
             self._apply_async_robust(healthy)
             return
-        flat = self.server.plane.flat
-        if flat is not None and all(a.update.flat_vector() is not None for a in healthy):
-            acc = flat.astype(np.float64)
-            for a in healthy:
-                alpha = self.async_alpha * (1.0 + a.staleness) ** (-self.async_poly)
-                acc *= 1.0 - alpha
-                # cast before scaling so the product is formed in float64,
-                # matching the tree fallback's precision
-                acc += alpha * a.update.flat_vector().astype(np.float64)
-            self.server.plane.copy_from_flat(acc)
-        else:  # pragma: no cover - models are uniformly float32
-            weights = self.server.weights
-            for a in healthy:
-                alpha = self.async_alpha * (1.0 + a.staleness) ** (-self.async_poly)
-                weights = weighted_average_trees(
-                    [weights, a.update.weights], [1.0 - alpha, alpha]
-                )
-            self.server.weights = weights
+        acc = self.server.plane.flat.astype(np.float64)
+        for a in healthy:
+            alpha = self.async_alpha * (1.0 + a.staleness) ** (-self.async_poly)
+            acc *= 1.0 - alpha
+            # cast before scaling so the product is formed in float64
+            acc += alpha * a.update.flat_vector().astype(np.float64)
+        self.server.plane.copy_from_flat(acc)
         self.server.round_idx += 1
 
     def _apply_async_robust(self, healthy: List[_Arrival]) -> None:
@@ -425,18 +412,12 @@ class AsyncFLEngine(Engine):
         # so `accepted` is never empty here.
         stale = min(a.staleness for a in accepted)
         alpha = self.async_alpha * (1.0 + stale) ** (-self.async_poly)
-        flat = server.plane.flat
-        if flat is not None:
-            reduced = np.concatenate(
-                [np.asarray(a, np.float64).ravel() for a in new_tree]
-            )
-            server.plane.copy_from_flat(
-                (1.0 - alpha) * flat.astype(np.float64) + alpha * reduced
-            )
-        else:  # pragma: no cover - models are uniformly float32
-            server.weights = weighted_average_trees(
-                [server.weights, new_tree], [1.0 - alpha, alpha]
-            )
+        reduced = np.concatenate(
+            [np.asarray(a, np.float64).ravel() for a in new_tree]
+        )
+        server.plane.copy_from_flat(
+            (1.0 - alpha) * server.plane.flat.astype(np.float64) + alpha * reduced
+        )
         server.round_idx += 1
 
     # ------------------------------------------------------------------

@@ -187,44 +187,24 @@ class CompressedUploadWrapper:
     def aggregate(self, updates, global_weights, server_state, config):
         from repro.fl.types import ClientUpdate  # local import, no cycle
 
-        n_params = sum(w.size for w in global_weights)
-        # Flat fast path: the round-trip (delta -> encode -> decode ->
-        # reconstruct) is four vector expressions per update; the per-layer
-        # loop remains as the mixed-dtype fallback.
+        # The round-trip (delta -> encode -> decode -> reconstruct) is four
+        # vector expressions per update.
         g_flat = as_flat(global_weights)
         shapes = [np.shape(g) for g in global_weights]
         reconstructed = []
         for u in updates:
-            u_flat = u.flat_vector()
-            if g_flat is not None and u_flat is not None:
-                payload, nbytes = self.compressor.encode_flat(u_flat - g_flat)
-                back = self.compressor.decode_flat(payload).astype(g_flat.dtype)
-                back += g_flat
-                u.comm_bytes = n_params * 4.0 + float(nbytes)
-                reconstructed.append(
-                    ClientUpdate.from_flat(
-                        back,
-                        shapes,
-                        client_id=u.client_id,
-                        num_samples=u.num_samples,
-                        train_loss=u.train_loss,
-                        extras=u.extras,
-                        flops=u.flops,
-                        comm_bytes=u.comm_bytes,
-                    )
-                )
-                continue
-            delta = [w - g for w, g in zip(u.weights, global_weights)]
-            payload, nbytes = self.compressor.encode(delta)
-            back = self.compressor.decode(payload, delta)
+            payload, nbytes = self.compressor.encode_flat(u.flat_vector() - g_flat)
+            back = self.compressor.decode_flat(payload).astype(g_flat.dtype)
+            back += g_flat
             # Re-charge the original update's communication so the history's
             # cost tracking reflects the compressed uplink (the simulation
             # reads these same objects for bookkeeping after aggregation).
-            u.comm_bytes = n_params * 4.0 + float(nbytes)
+            u.comm_bytes = g_flat.size * 4.0 + float(nbytes)
             reconstructed.append(
-                ClientUpdate(
+                ClientUpdate.from_flat(
+                    back,
+                    shapes,
                     client_id=u.client_id,
-                    weights=[g + d for g, d in zip(global_weights, back)],
                     num_samples=u.num_samples,
                     train_loss=u.train_loss,
                     extras=u.extras,

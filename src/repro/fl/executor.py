@@ -43,7 +43,6 @@ from repro.obs import NULL_RECORDER, WorkerShardRecorder
 from repro.models import build_model
 from repro.models.fedmodel import FedModel
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.module import Module
 from repro.optim import SGD, Adam
 from repro.optim.base import Optimizer
 from repro.utils.rng import RngStream
@@ -56,8 +55,6 @@ __all__ = [
     "TaskRuntime",
     "SerialExecutor",
     "ThreadedExecutor",
-    "broadcast_tree",
-    "broadcast_flat",
     "build_clients",
     "build_round_context",
     "build_worker_half",
@@ -69,37 +66,16 @@ __all__ = [
 ]
 
 
-def broadcast_tree(weights) -> List[np.ndarray]:
-    """Normalize a broadcast argument — a :class:`~repro.fl.params.ParamPlane`
-    (the engine's zero-churn path) or a plain weight tree — to the per-layer
-    view list executors hand to workers."""
-    if isinstance(weights, ParamPlane):
-        return weights.tree
-    return weights
-
-
-def broadcast_flat(weights) -> Optional[np.ndarray]:
-    """The broadcast argument's ``(P,)`` vector when it has one (a packed
-    :class:`~repro.fl.params.ParamPlane`), else None — plain weight trees
-    keep workers on the per-layer adoption fallback."""
-    if isinstance(weights, ParamPlane):
-        return weights.flat
-    return None
-
-
-def make_optimizer(name: str, params, config: FLConfig):
+def make_optimizer(name: str, model: FedModel, config: FLConfig):
     """Build the local optimizer the paper pairs with each method.
 
-    ``params`` is either a parameter sequence (per-layer optimizer) or a
-    whole model: models are materialized onto weight/grad planes first and
-    the optimizer gets their flat state, enabling the fused ``(P,)`` update
-    path every worker context uses.
+    The model is materialized onto weight/grad planes first and the
+    optimizer gets their flat state: the fused ``(P,)`` update path every
+    worker context uses.
     """
-    flat_state = None
-    if isinstance(params, Module):
-        model = params.materialize_flat()
-        flat_state = model.flat_state()
-        params = model.parameters()
+    model.materialize_flat()
+    flat_state = model.flat_state()
+    params = model.parameters()
     key = name.lower()
     if key == "sgdm":
         return SGD(params, lr=config.lr, momentum=config.momentum, flat_state=flat_state)
@@ -239,11 +215,12 @@ class TaskRuntime:
     """Everything a backend needs to turn a :class:`ClientTaskSpec` into a
     :class:`TaskResult`.
 
-    In-process executors share the engine's runtime (``global_weights`` and
-    ``server_broadcast`` are rebound by :meth:`SerialExecutor.broadcast`
-    each round); each out-of-process worker builds its own from the
-    picklable :class:`WorkerSpec`, with ``global_weights`` pointing at
-    read-only views of its broadcast buffer and ``server_broadcast``
+    In-process executors share the engine's runtime (``global_weights``,
+    ``global_flat`` and ``server_broadcast`` are rebound by
+    :meth:`SerialExecutor.broadcast` each round); each out-of-process worker
+    builds its own from the picklable :class:`WorkerSpec`, with
+    ``global_weights``/``global_flat`` pointing at read-only views of its
+    broadcast buffer and ``server_broadcast``
     refreshed once per round from the ``BROADCAST`` frame.
     """
 
@@ -256,11 +233,10 @@ class TaskRuntime:
     config: FLConfig
     fp_flops: float
     global_weights: List[np.ndarray]
-    server_broadcast: Dict[str, Any] = field(default_factory=dict)
     #: the same global weights as one ``(P,)`` vector (aliasing
-    #: ``global_weights``); None when the broadcast was a plain tree, in
-    #: which case workers take the per-layer adoption fallback.
-    global_flat: Optional[np.ndarray] = None
+    #: ``global_weights``); workers adopt each broadcast with one flat copy.
+    global_flat: np.ndarray
+    server_broadcast: Dict[str, Any] = field(default_factory=dict)
     #: optional :class:`~repro.fl.robust.adversaries.Adversary` corrupting
     #: roster clients' uploads inside :func:`execute_task` — the one code
     #: path every backend shares, so the attack composes identically with
@@ -352,11 +328,7 @@ def build_worker_half(
         config=spec.config,
         fp_flops=spec.fp_flops,
         global_weights=layout.views(buf, writeable=False),
-        # Packed layouts also expose the buffer as one (P,) vector, so
-        # worker models adopt each round's broadcast with a single flat copy.
-        global_flat=(
-            layout.flat_view(buf, writeable=False) if layout.is_packed else None
-        ),
+        global_flat=layout.flat_view(buf, writeable=False),
         adversary=spec.adversary,
         fault_injector=spec.fault_injector,
         in_pool_worker=in_pool_worker,
@@ -378,15 +350,11 @@ def build_round_context(
     """Load the global weights into the worker model and assemble the
     per-client round context every strategy hook receives.
 
-    Broadcast adoption on a plane-backed worker is one ``np.copyto`` of the
-    flat vector into the model's weight plane; non-plane models (or tree
-    broadcasts) copy per layer as before."""
+    Broadcast adoption is one ``np.copyto`` of the flat vector into the
+    worker model's weight plane."""
     client = runtime.clients[client_id]
     flat = runtime.global_flat
-    if flat is not None and worker.model.flat_weights is not None:
-        worker.model.set_weights_flat(flat)
-    else:
-        worker.model.set_weights(runtime.global_weights)
+    worker.model.set_weights_flat(flat)
     return ClientRoundContext(
         client_id=client.id,
         round_idx=round_idx,
@@ -411,11 +379,7 @@ def upload_nbytes(update: ClientUpdate) -> int:
     """Actual bytes an update puts on the (simulated) uplink: the flat
     weight vector plus any ndarray extras.  Distinct from the cost model's
     ``comm_bytes`` (which prices a whole round trip per the paper)."""
-    flat = update.flat
-    if flat is not None:
-        total = int(flat.nbytes)
-    else:
-        total = sum(int(np.asarray(w).nbytes) for w in update.weights)
+    total = int(update.flat_vector().nbytes)
     for value in update.extras.values():
         if isinstance(value, np.ndarray):
             total += int(value.nbytes)
@@ -493,14 +457,13 @@ class _InProcessExecutor:
             raise RuntimeError("executor was constructed without a TaskRuntime")
         return self.runtime
 
-    def broadcast(self, weights,
+    def broadcast(self, plane: ParamPlane,
                   payload: Optional[Dict[str, Any]] = None) -> None:
-        """Point this round's tasks at the new global weights (a
-        :class:`~repro.fl.params.ParamPlane` or weight tree) and server
-        broadcast payload (no copies)."""
+        """Point this round's tasks at the server's global weight plane and
+        server broadcast payload (no copies)."""
         runtime = self._require_runtime()
-        runtime.global_weights = broadcast_tree(weights)
-        runtime.global_flat = broadcast_flat(weights)
+        runtime.global_weights = plane.tree
+        runtime.global_flat = plane.flat
         runtime.server_broadcast = payload if payload is not None else {}
 
 

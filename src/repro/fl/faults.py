@@ -266,16 +266,10 @@ class CorruptFault(FaultInjector):
 
     def _corrupt_payload(self, task, runtime) -> ClientUpdate:
         flat = runtime.global_flat
-        if flat is not None:
-            n_params = int(flat.size)
-            dtype = flat.dtype
-        else:  # pragma: no cover - models in this codebase are uniform f32
-            n_params = int(sum(np.asarray(w).size for w in runtime.global_weights))
-            dtype = np.asarray(runtime.global_weights[0]).dtype
         if self.mode == "truncate":
-            payload = np.zeros(max(1, n_params // 2), dtype=dtype)
+            payload = np.zeros(max(1, flat.size // 2), dtype=flat.dtype)
         else:
-            payload = np.full(n_params, np.nan, dtype=dtype)
+            payload = np.full(flat.size, np.nan, dtype=flat.dtype)
         client = runtime.clients[task.client_id]
         return ClientUpdate(
             client_id=task.client_id,

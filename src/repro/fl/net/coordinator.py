@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.fl import net
 from repro.fl.compression import QuantizationCompressor, TopKCompressor
-from repro.fl.executor import ClientTaskSpec, TaskResult, broadcast_tree
+from repro.fl.executor import ClientTaskSpec, TaskResult
 from repro.fl.faults import TaskFailure
 from repro.fl.net import WIRE_CODECS, frames
 from repro.fl.net.frames import ProtocolError, pack_blob_payload
@@ -584,10 +584,7 @@ class NetworkExecutor:
         if codec is not None and codec not in WIRE_CODECS:
             raise ValueError(f"unknown net codec {codec!r}; available: {list(WIRE_CODECS)}")
         spec = engine.worker_spec()  # also rejects custom model_fn
-        layout: WeightLayout = spec.layout
-        if codec is not None and not layout.is_packed:
-            raise ValueError("net codecs need a packed (uniform-dtype) weight layout")
-        self._layout = layout
+        self._layout: WeightLayout = spec.layout
         self._n_workers = int(n_workers)
         self._codec = codec
         self._codec_kwargs = dict(codec_kwargs or {})
@@ -665,27 +662,14 @@ class NetworkExecutor:
         """Worker contexts live in other processes; nothing to lend."""
         return None
 
-    def broadcast(self, weights, payload: Optional[Dict[str, Any]] = None) -> None:
-        """Ship the round's global weights as one contiguous flat byte run
-        (plus the pickled server payload) to every registered worker."""
-        if isinstance(weights, ParamPlane) and weights.layout == self._layout:
-            blob = weights.bytes_view().tobytes()
-        else:
-            buf = bytearray(self._layout.total_bytes)
-            views = self._layout.views(buf, writeable=True)
-            tree = broadcast_tree(weights)
-            if len(tree) != len(views):
-                raise ValueError(
-                    f"weight tree has {len(tree)} arrays, layout expects {len(views)}"
-                )
-            for view, w in zip(views, tree):
-                np.copyto(view, w)
-            blob = bytes(buf)
+    def broadcast(self, plane: ParamPlane, payload: Optional[Dict[str, Any]] = None) -> None:
+        """Ship the server's global weight plane as one contiguous flat byte
+        run (plus the pickled server payload) to every registered worker."""
+        if plane.layout != self._layout:
+            raise ValueError("broadcast plane's weight tree does not match the worker layout")
+        blob = plane.bytes_view().tobytes()
         # Kept for codec decode: coded uploads are deltas against this.
-        self._bcast_flat = (
-            np.frombuffer(blob, dtype=self._layout.dtype)
-            if self._layout.is_packed else None
-        )
+        self._bcast_flat = np.frombuffer(blob, dtype=self._layout.dtype)
         self._server.set_broadcast(payload or {}, blob)
 
     def run(self, tasks: Sequence[ClientTaskSpec]) -> List[TaskResult]:
@@ -708,20 +692,15 @@ class NetworkExecutor:
         update: Optional[ClientUpdate] = None
         if upd is not None:
             mode = upd["mode"]
-            if mode == "pickle":  # pragma: no cover - uniform-f32 models
-                update = upd["update"]
+            if mode == "flat":
+                flat = np.frombuffer(upd["blob"], dtype=upd["dtype"]).copy()
+            elif mode == "codec":
+                if self._bcast_flat is None:
+                    raise ProtocolError("coded result before any broadcast")
+                flat = self._bcast_flat + self._decode_codec(upd["enc"])
             else:
-                if mode == "flat":
-                    flat = np.frombuffer(upd["blob"], dtype=upd["dtype"]).copy()
-                elif mode == "codec":
-                    if self._bcast_flat is None:
-                        raise ProtocolError("coded result before any broadcast")
-                    flat = self._bcast_flat + self._decode_codec(upd["enc"])
-                else:
-                    raise ProtocolError(f"unknown update wire mode {mode!r}")
-                update = ClientUpdate.from_flat(
-                    flat, self._layout.shapes, **upd["meta"]
-                )
+                raise ProtocolError(f"unknown update wire mode {mode!r}")
+            update = ClientUpdate.from_flat(flat, self._layout.shapes, **upd["meta"])
         return TaskResult(
             update=update,
             state=wire["state"],

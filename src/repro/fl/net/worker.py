@@ -163,9 +163,7 @@ class _WorkerState:
             "comm_bytes": update.comm_bytes,
         }
         flat = update.flat_vector()
-        if flat is None:  # pragma: no cover - models here are uniform f32
-            wire["update"] = {"mode": "pickle", "update": update}
-        elif self.codec is not None and self.runtime.global_flat is not None:
+        if self.codec is not None:
             delta = np.asarray(flat, dtype=np.float32) - self.runtime.global_flat
             enc, nbytes = self._make_codec(task).encode_flat(delta)
             wire["update"] = {

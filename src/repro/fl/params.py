@@ -8,25 +8,26 @@ This module makes **one contiguous buffer** the canonical in-memory form of
 a weight tree so the hot path collapses to single vectorized operations:
 
 * :class:`WeightLayout` — the immutable byte layout of a weight tree
-  (shape/dtype/offset per array).  When every array shares one dtype the
-  layout is *packed*: zero padding, and the whole buffer is addressable as
-  a single 1-D ``flat`` vector of ``total_elems`` elements.
+  (shape/dtype/offset per array).  Every array shares one dtype — a
+  construction invariant checked by :func:`tree_dtype` — so the layout has
+  zero padding and the whole buffer is addressable as a single 1-D
+  ``flat`` vector of ``total_elems`` elements.
 * :class:`ParamPlane` — a layout plus one owned buffer, exposing the same
   memory as (a) per-layer reshaped views (``plane.tree`` — drop-in for the
   old list-of-arrays) and (b) the flat vector (``plane.flat``).  Writing
   through either view is visible through the other; broadcast is one
   ``np.copyto``.
-* :func:`stack_updates` — gather K client updates into a ``(K, P)`` float64
+* :func:`stack_updates` — gather K client vectors into a ``(K, P)`` float64
   matrix (reused across rounds via :class:`MatrixPool`), the input format
-  of the GEMM aggregation in :mod:`repro.fl.aggregation`.
+  of the robust aggregation rules in :mod:`repro.fl.robust`.
 
 The out-of-process executor's ``BROADCAST`` frame uses the same layout, so
 the server->worker broadcast is a single flat copy as well (see
 :mod:`repro.fl.net`).
 
-Mixed-dtype trees (rare — models in this codebase are uniformly float32)
-remain fully supported: the layout falls back to max-itemsize alignment and
-``flat`` is unavailable, in which case callers use the per-layer views.
+A mixed-dtype tree (say one float64 layer in a float32 model) is rejected
+with a ``ValueError`` naming its dtypes: there is one weight representation,
+the flat vector, and no per-layer fallback beside it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.vectorize import flatten_arrays, flatten_into
+from repro.utils.vectorize import flatten_arrays
 
 __all__ = [
     "WeightLayout",
@@ -49,7 +50,27 @@ __all__ = [
     "materialize_parameters",
     "reset_default_pool",
     "stack_updates",
+    "tree_dtype",
 ]
+
+
+def tree_dtype(tree: Sequence[np.ndarray]) -> np.dtype:
+    """The one dtype every array of a weight tree shares.
+
+    The single check behind the one-dtype invariant: a layout, a plane, a
+    plane-backed model and every flat vector are built only from trees that
+    pass it.  Raises ``ValueError`` naming the dtypes of a mixed tree (and
+    on an empty one, which has no dtype).
+    """
+    dtypes = {np.asarray(a).dtype for a in tree}
+    if len(dtypes) != 1:
+        if not dtypes:
+            raise ValueError("weight tree is empty")
+        raise ValueError(
+            f"weight tree mixes dtypes {sorted(d.name for d in dtypes)}; "
+            "every array of a model must share one dtype"
+        )
+    return dtypes.pop()
 
 
 @dataclass(frozen=True)
@@ -57,9 +78,9 @@ class WeightLayout:
     """Flat-buffer layout of a weight tree: (shape, dtype, offset) triples.
 
     ``offsets`` are byte offsets into the buffer; ``sizes`` are element
-    counts per array.  A *packed* layout (single dtype, no padding) also
-    defines the element-space view: array ``i`` occupies elements
-    ``[elem_offsets[i], elem_offsets[i] + sizes[i])`` of the flat vector.
+    counts per array.  Every array shares one dtype and the arrays sit back
+    to back, so the buffer is also one flat vector: array ``i`` occupies
+    elements ``[sum(sizes[:i]), sum(sizes[:i + 1]))`` of it.
     """
 
     shapes: Tuple[Tuple[int, ...], ...]
@@ -70,14 +91,10 @@ class WeightLayout:
     @classmethod
     def from_weights(cls, weights: Sequence[np.ndarray]) -> "WeightLayout":
         arrays = [np.asarray(w) for w in weights]
-        # Align each array to the largest itemsize present.  For the common
-        # homogeneous case every offset is a dtype multiple already, so the
-        # layout packs with zero padding and stays flat-addressable.
-        align = max((a.dtype.itemsize for a in arrays), default=1)
+        tree_dtype(arrays)
         shapes, dtypes, offsets = [], [], []
         cursor = 0
         for a in arrays:
-            cursor = (cursor + align - 1) // align * align
             shapes.append(tuple(a.shape))
             dtypes.append(a.dtype.str)
             offsets.append(cursor)
@@ -98,25 +115,8 @@ class WeightLayout:
         return sum(self.sizes)
 
     @property
-    def is_packed(self) -> bool:
-        """Single dtype, zero padding: the buffer is one flat vector."""
-        if not self.shapes:
-            return False
-        if len(set(self.dtypes)) != 1:
-            return False
-        itemsize = np.dtype(self.dtypes[0]).itemsize
-        cursor = 0
-        for offset, size in zip(self.offsets, self.sizes):
-            if offset != cursor:
-                return False
-            cursor += size * itemsize
-        return True
-
-    @property
     def dtype(self) -> np.dtype:
-        """The common dtype of a packed layout."""
-        if not self.is_packed:
-            raise ValueError("layout is not packed (mixed dtypes or padding)")
+        """The dtype every array of the layout shares."""
         return np.dtype(self.dtypes[0])
 
     # -- views over an external buffer -------------------------------------
@@ -130,7 +130,7 @@ class WeightLayout:
         return out
 
     def flat_view(self, buf, writeable: bool) -> np.ndarray:
-        """The whole buffer as one 1-D vector (packed layouts only)."""
+        """The whole buffer as one 1-D vector."""
         view = np.ndarray((self.total_elems,), dtype=self.dtype, buffer=buf)
         view.flags.writeable = writeable
         return view
@@ -165,7 +165,7 @@ class ParamPlane:
     """One contiguous buffer holding a whole weight tree.
 
     The plane owns its memory; ``tree`` (per-layer views) and ``flat``
-    (the 1-D vector, packed layouts only) alias it, so an in-place write
+    (the 1-D vector) alias it, so an in-place write
     through any of the three is immediately visible through the others.
     This is what lets the server keep *one* global weight buffer for the
     lifetime of a run: aggregation writes it once per round, and every
@@ -178,10 +178,8 @@ class ParamPlane:
         self._buf = np.zeros(layout.total_bytes, dtype=np.uint8)
         #: stable per-layer views; identity is preserved across rounds.
         self.tree: List[np.ndarray] = layout.views(self._buf.data, writeable=True)
-        #: the canonical flat vector (None for mixed-dtype layouts).
-        self.flat: Optional[np.ndarray] = (
-            layout.flat_view(self._buf.data, writeable=True) if layout.is_packed else None
-        )
+        #: the canonical flat vector.
+        self.flat: np.ndarray = layout.flat_view(self._buf.data, writeable=True)
 
     @classmethod
     def from_tree(cls, tree: Sequence[np.ndarray]) -> "ParamPlane":
@@ -205,9 +203,7 @@ class ParamPlane:
             np.copyto(view, w, casting="same_kind")
 
     def copy_from_flat(self, flat: np.ndarray) -> None:
-        """Copy a flat vector into the plane (packed layouts only)."""
-        if self.flat is None:
-            raise ValueError("layout is not packed; use copy_from_tree")
+        """Copy a flat vector into the plane."""
         np.copyto(self.flat, flat, casting="same_kind")
 
     # -- reads -------------------------------------------------------------
@@ -215,8 +211,6 @@ class ParamPlane:
         return [np.array(v, copy=True) for v in self.tree]
 
     def flat_copy(self) -> np.ndarray:
-        if self.flat is None:
-            raise ValueError("layout is not packed")
         return self.flat.copy()
 
 
@@ -232,30 +226,22 @@ class GradPlane(ParamPlane):
 
     def zero_(self) -> None:
         """Reset every gradient in the plane with one vectorized write."""
-        if self.flat is not None:
-            self.flat[...] = 0.0
-        else:  # pragma: no cover - mixed-dtype models are never plane-backed
-            for view in self.tree:
-                view[...] = 0.0
+        self.flat[...] = 0.0
 
 
-def materialize_parameters(params) -> Optional[Tuple[ParamPlane, "GradPlane"]]:
+def materialize_parameters(params) -> Tuple[ParamPlane, "GradPlane"]:
     """Re-home a list of :class:`~repro.nn.parameter.Parameter` objects onto
     one weight plane and one gradient plane.
 
     Each parameter's ``data``/``grad`` becomes a zero-copy view into the
     corresponding plane, preserving the current bytes, shapes, dtypes and
-    traversal order exactly.  Returns ``None`` (and leaves the parameters
-    untouched) when the tree is empty or mixed-dtype — callers then stay on
-    the per-layer fallback paths.  This is the plane-backed-module
-    constructor behind :meth:`repro.nn.module.Module.materialize_flat`.
+    traversal order exactly.  Raises ``ValueError`` (leaving the parameters
+    untouched) when the tree is empty or mixes dtypes.  This is the
+    plane-backed-module constructor behind
+    :meth:`repro.nn.module.Module.materialize_flat`.
     """
     params = list(params)
-    if not params:
-        return None
     layout = WeightLayout.from_weights([p.data for p in params])
-    if not layout.is_packed:
-        return None
     weight_plane = ParamPlane(layout)
     grad_plane = GradPlane(layout)
     for p, wview, gview in zip(params, weight_plane.tree, grad_plane.tree):
@@ -336,40 +322,30 @@ def reset_default_pool() -> None:
         pool.clear()
 
 
-def as_flat(tree: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-    """One freshly allocated flat copy of a homogeneous-dtype tree, or
-    ``None`` when dtypes are mixed (callers then take their per-layer
-    fallback).  The shared predicate behind every flat fast path."""
+def as_flat(tree: Sequence[np.ndarray]) -> np.ndarray:
+    """One freshly allocated flat copy of a weight tree (``ValueError`` on
+    a mixed-dtype tree, see :func:`tree_dtype`)."""
     arrays = [np.asarray(a) for a in tree]
-    if arrays and len({a.dtype for a in arrays}) == 1:
-        return flatten_arrays(arrays)
-    return None
+    tree_dtype(arrays)
+    return flatten_arrays(arrays)
 
 
 def stack_updates(
-    trees: Sequence[Sequence[np.ndarray]],
-    flats: Optional[Sequence[Optional[np.ndarray]]] = None,
-    pool: Optional[MatrixPool] = None,
+    flats: Sequence[np.ndarray], pool: Optional[MatrixPool] = None
 ) -> np.ndarray:
-    """Stack K weight trees into the pooled ``(K, P)`` float64 matrix.
+    """Stack K flat client vectors (e.g. ``ClientUpdate.flat_vector()``)
+    into the pooled ``(K, P)`` float64 matrix.
 
-    ``flats`` optionally supplies a precomputed flat vector per tree (the
-    :class:`~repro.fl.types.ClientUpdate` fast path); rows with ``None``
-    fall back to flattening the tree.  The returned matrix is pool scratch
-    (see :class:`MatrixPool`): reduce it before stacking again.
+    The returned matrix is pool scratch (see :class:`MatrixPool`): reduce
+    it before stacking again.
     """
-    if not trees:
-        raise ValueError("no trees to stack")
-    sizes = [int(np.asarray(a).size) for a in trees[0]]
-    p = sum(sizes)
+    if not flats:
+        raise ValueError("no vectors to stack")
+    p = int(flats[0].size)
+    if any(f.size != p for f in flats):
+        raise ValueError("vectors to stack differ in size")
     pool = pool if pool is not None else _default_pool()
-    mat = pool.take(len(trees), p)
-    for i, tree in enumerate(trees):
-        flat = flats[i] if flats is not None else None
-        if flat is not None and flat.size == p:
-            mat[i] = flat
-        else:
-            if len(tree) != len(sizes):
-                raise ValueError("tree structure mismatch")
-            flatten_into(mat[i], tree)
+    mat = pool.take(len(flats), p)
+    for row, flat in zip(mat, flats):
+        row[...] = flat
     return mat

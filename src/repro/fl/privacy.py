@@ -25,7 +25,7 @@ from repro.algorithms.base import Strategy
 from repro.fl.params import as_flat
 from repro.fl.types import ClientUpdate, FLConfig
 from repro.utils.rng import RngStream
-from repro.utils.vectorize import tree_copy, tree_sq_norm, unflatten_like
+from repro.utils.vectorize import unflatten_like
 
 __all__ = ["GaussianMechanism", "PrivacyAccountant", "PrivateAggregationWrapper"]
 
@@ -40,10 +40,7 @@ class GaussianMechanism:
 
     The mechanism natively operates on one flat vector
     (:meth:`clip_flat` / :meth:`privatize_flat` — two vectorized
-    expressions, no per-layer loops); the tree API wraps the flat path,
-    falling back to per-layer arithmetic only for mixed-dtype trees.  Both
-    produce identical values: a generator draws the same normal stream
-    whether requested per layer or in one flat call.
+    expressions, no per-layer loops); the tree API wraps the flat path.
     """
 
     def __init__(self, clip_norm: float, noise_multiplier: float, seed: int = 0) -> None:
@@ -84,32 +81,15 @@ class GaussianMechanism:
     # ---- tree compatibility API ------------------------------------------
     def clip(self, update: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Scale the tree so its global L2 norm is at most ``clip_norm``."""
-        flat = as_flat(update)
-        if flat is not None:  # as_flat returned fresh memory: clip in place
-            return unflatten_like(self.clip_flat(flat, copy=False), update)
-        norm = math.sqrt(tree_sq_norm(update))
-        out = tree_copy(update)
-        if norm > self.clip_norm:
-            scale = self.clip_norm / norm
-            for arr in out:
-                arr *= scale
-        return out
+        # as_flat returns fresh memory: clip it in place
+        return unflatten_like(self.clip_flat(as_flat(update), copy=False), update)
 
     def privatize(
         self, update: Sequence[np.ndarray], round_idx: int, client_id: int
     ) -> List[np.ndarray]:
         """Clip then add N(0, (sigma C)^2) per coordinate."""
-        flat = as_flat(update)
-        if flat is not None:
-            return unflatten_like(
-                self.privatize_flat(flat, round_idx, client_id, copy=False), update)
-        out = self.clip(update)
-        if self.noise_multiplier > 0:
-            rng = self._root.child(round_idx, client_id).generator
-            std = self.noise_multiplier * self.clip_norm
-            for arr in out:
-                arr += std * rng.standard_normal(arr.shape).astype(arr.dtype)
-        return out
+        return unflatten_like(
+            self.privatize_flat(as_flat(update), round_idx, client_id, copy=False), update)
 
 
 class PrivacyAccountant:
@@ -226,32 +206,16 @@ class PrivateAggregationWrapper(Strategy):
         shapes = [np.shape(g) for g in global_weights]
         private_updates = []
         for u in updates:
-            u_flat = u.flat_vector()
-            if g_flat is not None and u_flat is not None:
-                # the delta is a fresh temporary; privatize it in place
-                noised = self.mechanism.privatize_flat(
-                    u_flat - g_flat, round_idx, u.client_id, copy=False
-                )
-                noised += g_flat
-                private_updates.append(
-                    ClientUpdate.from_flat(
-                        noised,
-                        shapes,
-                        client_id=u.client_id,
-                        num_samples=u.num_samples,
-                        train_loss=u.train_loss,
-                        extras=u.extras,
-                        flops=u.flops,
-                        comm_bytes=u.comm_bytes,
-                    )
-                )
-                continue
-            delta = [w - g for w, g in zip(u.weights, global_weights)]
-            noised = self.mechanism.privatize(delta, round_idx, u.client_id)
+            # the delta is a fresh temporary; privatize it in place
+            noised = self.mechanism.privatize_flat(
+                u.flat_vector() - g_flat, round_idx, u.client_id, copy=False
+            )
+            noised += g_flat
             private_updates.append(
-                ClientUpdate(
+                ClientUpdate.from_flat(
+                    noised,
+                    shapes,
                     client_id=u.client_id,
-                    weights=[g + d for g, d in zip(global_weights, noised)],
                     num_samples=u.num_samples,
                     train_loss=u.train_loss,
                     extras=u.extras,

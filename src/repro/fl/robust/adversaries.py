@@ -40,7 +40,7 @@ the round started from, ``d = w - g`` the honest delta):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class Adversary:
         self,
         update: ClientUpdate,
         round_idx: int,
-        global_flat: Optional[np.ndarray],
+        global_flat: np.ndarray,
         global_weights: Sequence[np.ndarray],
     ) -> ClientUpdate:
         """Rewrite an adversarial client's update at upload time.
@@ -122,8 +122,7 @@ class Adversary:
     def _rewrite(
         self,
         update: ClientUpdate,
-        global_flat: Optional[np.ndarray],
-        global_weights: Sequence[np.ndarray],
+        global_flat: np.ndarray,
         fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ) -> ClientUpdate:
         """Apply ``fn(w_f64, g_f64) -> crafted_f64`` and rebuild the update.
@@ -131,38 +130,14 @@ class Adversary:
         Computes in float64, casts back to the model dtype, and preserves
         all metadata (sample count, loss, extras, cost counters) so the
         crafted update is indistinguishable from an honest one everywhere
-        except its parameter values.  Falls back to the per-layer tree path
-        when the update has no flat vector (mixed-dtype models).
+        except its parameter values.
         """
         flat = update.flat_vector()
-        if flat is not None:
-            w = flat.astype(np.float64)
-            if global_flat is not None:
-                g = global_flat.astype(np.float64)
-            else:
-                g = np.concatenate(
-                    [np.asarray(a, np.float64).ravel() for a in global_weights]
-                )
-            crafted = fn(w, g).astype(flat.dtype)
-            return ClientUpdate.from_flat(
-                crafted,
-                [tuple(np.shape(a)) for a in update.weights],
-                client_id=update.client_id,
-                num_samples=update.num_samples,
-                train_loss=update.train_loss,
-                extras=update.extras,
-                flops=update.flops,
-                comm_bytes=update.comm_bytes,
-            )
-        # Tree fallback: per-layer, same arithmetic.
-        out: List[np.ndarray] = []
-        for w_layer, g_layer in zip(update.weights, global_weights):
-            w64 = np.asarray(w_layer, np.float64)
-            g64 = np.asarray(g_layer, np.float64)
-            out.append(fn(w64, g64).astype(np.asarray(w_layer).dtype))
-        return ClientUpdate(
+        crafted = fn(flat.astype(np.float64), global_flat.astype(np.float64))
+        return ClientUpdate.from_flat(
+            crafted.astype(flat.dtype),
+            [tuple(np.shape(a)) for a in update.weights],
             client_id=update.client_id,
-            weights=out,
             num_samples=update.num_samples,
             train_loss=update.train_loss,
             extras=update.extras,
@@ -192,10 +167,7 @@ class SignFlip(Adversary):
         self.gamma = float(gamma)
 
     def corrupt_update(self, update, round_idx, global_flat, global_weights):
-        return self._rewrite(
-            update, global_flat, global_weights,
-            lambda w, g: g - self.gamma * (w - g),
-        )
+        return self._rewrite(update, global_flat, lambda w, g: g - self.gamma * (w - g))
 
 
 class Scale(Adversary):
@@ -212,10 +184,7 @@ class Scale(Adversary):
         self.gamma = float(gamma)
 
     def corrupt_update(self, update, round_idx, global_flat, global_weights):
-        return self._rewrite(
-            update, global_flat, global_weights,
-            lambda w, g: g + self.gamma * (w - g),
-        )
+        return self._rewrite(update, global_flat, lambda w, g: g + self.gamma * (w - g))
 
 
 class GaussNoise(Adversary):
@@ -234,8 +203,7 @@ class GaussNoise(Adversary):
     def corrupt_update(self, update, round_idx, global_flat, global_weights):
         rng = self._rng(update.client_id, round_idx)
         return self._rewrite(
-            update, global_flat, global_weights,
-            lambda w, g: w + self.sigma * rng.standard_normal(w.shape),
+            update, global_flat, lambda w, g: w + self.sigma * rng.standard_normal(w.shape)
         )
 
 
@@ -278,7 +246,7 @@ class Collude(Adversary):
             norm = float(np.sqrt((z * z).sum()))
             return g + self.gamma * z / max(norm, np.finfo(np.float64).tiny)
 
-        return self._rewrite(update, global_flat, global_weights, craft)
+        return self._rewrite(update, global_flat, craft)
 
 
 # ---------------------------------------------------------------------------

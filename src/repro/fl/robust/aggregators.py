@@ -25,9 +25,7 @@ rule                   idea                                   breakdown
 Every rule consumes the same input as the GEMM hot path — the pooled
 ``(K, P)`` float64 matrix from :func:`~repro.fl.params.stack_updates` — so a
 robust round costs one extra pass over memory the server already touches
-(plus one ``K x K`` Gram GEMM for the Krum family).  Mixed-dtype trees take
-the same code path: stacking flattens each layer into the float64 row and
-:func:`robust_aggregate` casts the reduced vector back per layer.
+(plus one ``K x K`` Gram GEMM for the Krum family).
 
 Rules are *deterministic* (sorts are stable, ties break by row index), so
 the repository's byte-identity contract — fixed seed => identical History
@@ -48,7 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fl.aggregation import weighted_average_flat
-from repro.fl.params import MatrixPool, stack_updates
+from repro.fl.params import MatrixPool, as_flat, stack_updates
 from repro.fl.types import ClientUpdate
 
 __all__ = [
@@ -259,11 +257,11 @@ def robust_aggregate(
 ) -> Tuple[List[np.ndarray], List[int]]:
     """Run one robust rule over a batch of client updates.
 
-    Stacks the updates into the pooled ``(K, P)`` float64 matrix (flat
-    vectors feed rows directly; mixed-dtype trees flatten per layer — the
-    tree-path fallback), hands it to ``aggregator.reduce`` together with the
-    current global model, and reshapes the reduced vector back onto the
-    first update's tree structure.  Returns ``(new_weights, screened_ids)``
+    Stacks the updates' flat vectors into the pooled ``(K, P)`` float64
+    matrix, hands it to ``aggregator.reduce`` together with the current
+    global model (``global_flat``, else flattened from ``global_weights``),
+    and reshapes the reduced vector back onto the first update's tree
+    structure.  Returns ``(new_weights, screened_ids)``
     where ``screened_ids`` are the client ids the rule excluded, sorted.
     """
     if not updates:
@@ -275,13 +273,10 @@ def robust_aggregate(
             np.shape(a) != s for a, s in zip(tree, shapes)
         ):
             raise ValueError("tree structure mismatch")
-    mat = stack_updates(trees, flats=[u.flat_vector() for u in updates], pool=pool)
-    if global_flat is not None:
-        g = global_flat.astype(np.float64)
-    else:
-        g = np.concatenate(
-            [np.asarray(w, dtype=np.float64).ravel() for w in global_weights]
-        )
+    mat = stack_updates([u.flat_vector() for u in updates], pool=pool)
+    if global_flat is None:
+        global_flat = as_flat(global_weights)
+    g = global_flat.astype(np.float64)
     if g.size != mat.shape[1]:
         raise ValueError(
             f"global model has {g.size} parameters, updates have {mat.shape[1]}"

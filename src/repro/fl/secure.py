@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.fl.params import as_flat
 from repro.utils.rng import RngStream
-from repro.utils.vectorize import tree_copy, unflatten_like
+from repro.utils.vectorize import unflatten_like
 
 __all__ = ["PairwiseMasker", "secure_sum"]
 
@@ -62,31 +62,19 @@ class PairwiseMasker:
     ) -> List[np.ndarray]:
         """Return the client's masked upload.
 
-        Flat fast path: one mask draw + one fused axpy per pair on the whole
-        parameter vector (a generator yields the same normal stream whether
-        drawn per layer or in one flat call, so values match the historical
-        per-layer loop exactly); per-layer fallback for mixed-dtype trees.
+        One mask draw + one fused axpy per pair on the whole parameter
+        vector.
         """
         if client_id not in cohort:
             raise ValueError(f"client {client_id} not in cohort {list(cohort)}")
         flat = as_flat(update)
-        if flat is not None:
-            for other in cohort:
-                if other == client_id:
-                    continue
-                rng = self._pair_rng(round_idx, client_id, other)
-                sign = 1.0 if client_id < other else -1.0
-                flat += (sign * self.scale) * rng.standard_normal(flat.size).astype(flat.dtype)
-            return unflatten_like(flat, update)
-        masked = tree_copy(update)
         for other in cohort:
             if other == client_id:
                 continue
             rng = self._pair_rng(round_idx, client_id, other)
             sign = 1.0 if client_id < other else -1.0
-            for arr in masked:
-                arr += sign * self.scale * rng.standard_normal(arr.shape).astype(arr.dtype)
-        return masked
+            flat += (sign * self.scale) * rng.standard_normal(flat.size).astype(flat.dtype)
+        return unflatten_like(flat, update)
 
     def unmask_sum(
         self, masked_uploads: Dict[int, Sequence[np.ndarray]], round_idx: int
@@ -99,18 +87,10 @@ class PairwiseMasker:
         if not masked_uploads:
             raise ValueError("no uploads")
         uploads = list(masked_uploads.values())
-        flats = [as_flat(u) for u in uploads]
-        if all(f is not None for f in flats):
-            total = flats[0]
-            for f in flats[1:]:
-                total += f
-            return unflatten_like(total, uploads[0])
-        it = iter(uploads)
-        total = tree_copy(next(it))
-        for upload in it:
-            for acc, arr in zip(total, upload):
-                acc += arr
-        return total
+        total = as_flat(uploads[0])
+        for upload in uploads[1:]:
+            total += as_flat(upload)
+        return unflatten_like(total, uploads[0])
 
 
 def secure_sum(

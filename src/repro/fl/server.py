@@ -25,11 +25,13 @@ class Server:
     the paper's "transmit the global model / aggregate uploaded models"
     protocol.
 
-    Since the flat-parameter refactor the weight state is one contiguous
-    buffer (:class:`~repro.fl.params.ParamPlane`): :attr:`weights` exposes
-    stable per-layer views into it, and each aggregation writes the buffer
-    in place — broadcast consumers (executors, evaluation) alias the same
-    memory round after round instead of chasing freshly allocated trees.
+    The weight state is one contiguous single-dtype buffer
+    (:class:`~repro.fl.params.ParamPlane`): :attr:`flat_weights` is its
+    ``(P,)`` vector, :attr:`weights` exposes stable per-layer views into it,
+    and each aggregation writes the buffer in place — broadcast consumers
+    (executors, evaluation) alias the same memory round after round instead
+    of chasing freshly allocated trees.  A mixed-dtype initial model is
+    rejected here, with a ``ValueError`` naming its dtypes.
     Strategy hooks keep receiving/returning plain lists of arrays; anything
     needing a snapshot across rounds copies explicitly (as they all did
     already, since the old code also rebound ``weights`` every round).
@@ -100,8 +102,6 @@ class Server:
     @property
     def flat_weights(self) -> np.ndarray:
         """The global model as one flat vector (aliases :attr:`weights`)."""
-        if self.plane.flat is None:  # pragma: no cover - models are uniform f32
-            raise ValueError("global weights have mixed dtypes; no flat view")
         return self.plane.flat
 
     @property
@@ -117,10 +117,7 @@ class Server:
 
     @staticmethod
     def _finite(update: ClientUpdate) -> bool:
-        flat = update.flat_vector()
-        if flat is not None:
-            return bool(np.isfinite(flat).all())
-        return all(np.isfinite(w).all() for w in update.weights)
+        return bool(np.isfinite(update.flat_vector()).all())
 
     def reset_report(self) -> None:
         """Clear the per-round report fields before an aggregation attempt."""
@@ -182,9 +179,8 @@ class Server:
             return
         old = self.weights
         if self.aggregator is not None:
-            flat = self.plane.flat
             new, screened = robust_aggregate(
-                self.aggregator, healthy, old, global_flat=flat
+                self.aggregator, healthy, old, global_flat=self.plane.flat
             )
             if screened:
                 self.last_screened = screened

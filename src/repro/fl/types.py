@@ -8,6 +8,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.fl.params import as_flat
+
 __all__ = ["FLConfig", "ClientUpdate", "RoundRecord"]
 
 
@@ -108,16 +110,11 @@ class ClientUpdate:
             flat=flat,
         )
 
-    def flat_vector(self) -> Optional[np.ndarray]:
-        """The update as one flat vector (cached; ``None`` on mixed dtypes)."""
+    def flat_vector(self) -> np.ndarray:
+        """The update as one flat vector (cached; ``ValueError`` on a
+        mixed-dtype tree)."""
         if self.flat is None:
-            arrays = [np.asarray(w) for w in self.weights]
-            if arrays and len({a.dtype for a in arrays}) == 1:
-                self.flat = (
-                    np.concatenate([a.ravel() for a in arrays])
-                    if len(arrays) > 1
-                    else arrays[0].reshape(-1).copy()
-                )
+            self.flat = as_flat(self.weights)
         return self.flat
 
     # -- pickling: ship the flat buffer once, not flat + L layer copies ----

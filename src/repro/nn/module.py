@@ -115,8 +115,9 @@ class Module:
         collapse to single vector expressions.  Traversal order, shapes and
         the current bytes are preserved exactly; parameter and module
         traversal are cached from here on, so the module tree must not grow
-        new modules or parameters afterwards.  Idempotent; a no-op on empty
-        or mixed-dtype trees.
+        new modules or parameters afterwards.  Idempotent; a no-op on a
+        module without parameters; raises ``ValueError`` on a mixed-dtype
+        tree.
         """
         if getattr(self, "_flat_planes", None) is None:
             # Lazy import: nn is a lower layer than fl, and only plane-backed
@@ -124,10 +125,9 @@ class Module:
             from repro.fl.params import materialize_parameters
 
             params = self.parameters()
-            planes = materialize_parameters(params)
-            if planes is None:
+            if not params:
                 return self
-            self._flat_planes = planes
+            self._flat_planes = materialize_parameters(params)
             self._flat_param_list = tuple(params)
             self._flat_shapes = tuple(p.data.shape for p in params)
             for _, mod in tuple(self.modules()):

@@ -23,6 +23,7 @@ from repro.algorithms import (
     paper_defaults,
 )
 from repro.fl import FLConfig, Simulation
+from repro.fl.params import as_flat
 
 
 def _run(data, strategy, config, rounds=None, **kw):
@@ -149,7 +150,7 @@ class TestFedTripMath:
         from repro.nn.losses import CrossEntropyLoss
         from repro.optim import SGD
 
-        model = build_mlp((1, 2, 2), 2, hidden=3, rng=rng)
+        model = build_mlp((1, 2, 2), 2, hidden=3, rng=rng).materialize_flat()
         wg = [w + 0.1 for w in model.get_weights()]
         wh = [w - 0.2 for w in model.get_weights()]
         strat = FedTrip(mu=0.5)
@@ -158,8 +159,9 @@ class TestFedTripMath:
             optimizer=SGD(model.parameters(), lr=0.1),
             criterion=CrossEntropyLoss(),
             config=FLConfig(rounds=1, n_clients=1, clients_per_round=1),
-            state={"historical": wh, "last_round": 2},
+            state={"historical": as_flat(wh), "last_round": 2},
             rng=rng, n_samples=10, fp_flops_per_sample=1.0,
+            global_flat=as_flat(wg),
         )
         strat.on_round_start(ctx)
         assert ctx.scratch["xi"] == 3.0
@@ -231,7 +233,7 @@ class TestFedDyn:
         from repro.nn.losses import CrossEntropyLoss
         from repro.optim import SGD
 
-        model = build_mlp((1, 2, 2), 2, hidden=3, rng=rng)
+        model = build_mlp((1, 2, 2), 2, hidden=3, rng=rng).materialize_flat()
         wg = model.get_weights()
         strat = FedDyn(alpha=0.5)
         state = strat.init_client_state(0)
@@ -240,6 +242,7 @@ class TestFedDyn:
             optimizer=SGD(model.parameters(), lr=0.1), criterion=CrossEntropyLoss(),
             config=FLConfig(rounds=1, n_clients=1, clients_per_round=1),
             state=state, rng=rng, n_samples=10, fp_flops_per_sample=1.0,
+            global_flat=as_flat(wg),
         )
         strat.on_round_start(ctx)
         # Pretend training moved the weights.

@@ -18,7 +18,7 @@ from repro.api import (
 )
 from repro.api.engine import Engine
 from repro.fl.executor import ClientTaskSpec, SerialExecutor
-from repro.fl.params import WeightLayout
+from repro.fl.params import ParamPlane, WeightLayout
 
 TINY = dict(dataset="tiny", model="mlp", method="fedavg", n_clients=4,
             clients_per_round=2, rounds=2, batch_size=20, lr=0.05)
@@ -194,8 +194,8 @@ class TestProcessExecutorContracts:
 
     def test_weight_layout_round_trip(self):
         weights = [np.arange(6, dtype=np.float32).reshape(2, 3),
-                   np.ones(3, dtype=np.float64),
-                   np.array(2.5, dtype=np.float32)]  # 0-d, odd offsets
+                   np.ones(3, dtype=np.float32),
+                   np.array(2.5, dtype=np.float32)]  # 0-d
         layout = WeightLayout.from_weights(weights)
         buf = bytearray(layout.total_bytes)
         views = layout.views(buf, writeable=True)
@@ -230,6 +230,6 @@ class TestProcessExecutorContracts:
                         model_name="mlp", n_workers=2, executor="process")
         try:
             with pytest.raises(ValueError, match="weight tree"):
-                engine.executor.broadcast(engine.server.weights[:-1])
+                engine.executor.broadcast(ParamPlane.from_tree(engine.server.weights[:-1]))
         finally:
             engine.close()

@@ -72,7 +72,6 @@ class TestWeightLayout:
     @settings(max_examples=40, deadline=None)
     def test_homogeneous_layout_is_packed_and_flat_addressable(self, tree):
         layout = WeightLayout.from_weights(tree)
-        assert layout.is_packed
         assert layout.total_elems == sum(w.size for w in tree)
         assert layout.total_bytes == 4 * layout.total_elems
         buf = bytearray(layout.total_bytes)
@@ -85,19 +84,12 @@ class TestWeightLayout:
                 view.ravel(), np.arange(cursor, cursor + view.size, dtype=np.float32))
             cursor += view.size
 
-    def test_mixed_dtype_layout_not_packed(self):
+    def test_mixed_dtype_layout_raises(self):
         tree = [np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float64)]
-        layout = WeightLayout.from_weights(tree)
-        assert not layout.is_packed
-        with pytest.raises(ValueError, match="not packed"):
-            _ = layout.dtype
-        # per-array views still round-trip (8-byte alignment)
-        buf = bytearray(layout.total_bytes)
-        for view, w in zip(layout.views(buf, writeable=True), tree):
-            np.copyto(view, w)
-        for view, w in zip(layout.views(buf, writeable=False), tree):
-            np.testing.assert_array_equal(view, w)
-            assert view.dtype == w.dtype
+        with pytest.raises(ValueError, match=r"\['float32', 'float64'\]"):
+            WeightLayout.from_weights(tree)
+        with pytest.raises(ValueError, match=r"\['float32', 'float64'\]"):
+            ParamPlane.from_tree(tree)
 
     def test_tree_of_rejects_wrong_size(self):
         layout = WeightLayout.from_weights(random_tree(SHAPES, 0))
@@ -176,9 +168,10 @@ class TestClientUpdateFlat:
         np.testing.assert_array_equal(flat, np.concatenate([w.ravel() for w in tree]))
         assert u.flat_vector() is flat
 
-    def test_flat_vector_none_on_mixed_dtypes(self):
+    def test_flat_vector_raises_on_mixed_dtypes(self):
         u = ClientUpdate(0, [np.ones(2, np.float32), np.ones(2, np.float64)], 5, 0.1)
-        assert u.flat_vector() is None
+        with pytest.raises(ValueError, match=r"\['float32', 'float64'\]"):
+            u.flat_vector()
 
     def test_pickle_round_trip_rebuilds_views(self):
         u, tree = self._flat_update()
@@ -220,8 +213,7 @@ class TestAggregationEquivalence:
             flat = np.concatenate([w.ravel() for w in tree])
             updates.append(ClientUpdate.from_flat(
                 flat, SHAPES, client_id=cid, num_samples=cid + 1, train_loss=0.0))
-        mat = stack_updates([u.weights for u in updates],
-                            flats=[u.flat for u in updates])
+        mat = stack_updates([u.flat_vector() for u in updates])
         assert mat.shape == (5, sum(int(np.prod(s)) for s in SHAPES))
         for row, u in enumerate(updates):
             np.testing.assert_array_equal(mat[row], u.flat.astype(np.float64))
@@ -235,11 +227,6 @@ class TestAggregationEquivalence:
         mat = np.arange(12, dtype=np.float64).reshape(3, 4)
         out = weighted_average_flat(mat, [1.0, 1.0, 2.0])
         np.testing.assert_allclose(out, (mat[0] + mat[1] + 2 * mat[2]) / 4.0)
-
-    def test_mixed_dtype_falls_back_to_loop(self):
-        trees = [[np.ones(2, np.float32), np.ones(3, np.float64)] for _ in range(3)]
-        out = weighted_average_trees(trees, [1.0, 1.0, 1.0])
-        assert out[0].dtype == np.float32 and out[1].dtype == np.float64
 
     def test_validation_preserved(self):
         with pytest.raises(ValueError, match="no trees"):

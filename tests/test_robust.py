@@ -161,9 +161,9 @@ class TestAggregators:
         with pytest.raises(ValueError, match="f \\+ 3"):
             robust_aggregate(MultiKrum(f=1), updates, updates[0].weights)
 
-    def test_mixed_dtype_tree_fallback(self):
-        # Mixed-dtype trees have no flat vector; stacking must take the
-        # per-layer path and the output must restore per-layer dtypes.
+    def test_mixed_dtype_tree_raises(self):
+        # A mixed-dtype tree has no flat vector to stack: rejected, naming
+        # its dtypes, instead of reduced per layer.
         trees = []
         for v in (1.0, 2.0, 3.0):
             trees.append([
@@ -172,12 +172,8 @@ class TestAggregators:
             ClientUpdate(client_id=i, weights=t, num_samples=10, train_loss=0.1)
             for i, t in enumerate(trees)
         ]
-        assert all(u.flat_vector() is None for u in updates)
-        tree, screened = robust_aggregate(
-            build_aggregator("coordinate_median"), updates, trees[0])
-        assert tree[0].dtype == np.float32 and tree[1].dtype == np.float64
-        np.testing.assert_allclose(tree[0], np.full((3, 2), 2.0))
-        np.testing.assert_allclose(tree[1], np.full(4, 2.0))
+        with pytest.raises(ValueError, match=r"\['float32', 'float64'\]"):
+            robust_aggregate(build_aggregator("coordinate_median"), updates, trees[0])
 
     def test_structure_mismatch_raises(self):
         a = make_updates(np.ones((1, P), np.float32))[0]
@@ -329,8 +325,7 @@ class TestAdversaries:
             name = "zeroer"
 
             def corrupt_update(self, update, round_idx, global_flat, global_weights):
-                return self._rewrite(update, global_flat, global_weights,
-                                     lambda w, g: np.zeros_like(w))
+                return self._rewrite(update, global_flat, lambda w, g: np.zeros_like(w))
 
         register_adversary("zeroer", Zeroer)
         try:

@@ -299,31 +299,6 @@ def test_zero_mu_binds_no_attach_op():
     assert ctx.extra_flops == 0.0 and ctx.workspace == {}
 
 
-@pytest.mark.parametrize("hist_present", [True, False])
-def test_per_layer_attach_op_matches_the_expression(hist_present):
-    """The tree fallback (a plain broadcast, no global plane) binds too."""
-    strategy = FedTrip(mu=0.4)
-    ctx, w, grads, gw, hist = attach_ctx(np.random.default_rng(6), hist_present, 2, {})
-    params = ctx.model.parameters()
-    sizes = np.cumsum([p.size for p in params])[:-1]
-
-    def tree(v):
-        return [c.reshape(p.data.shape).copy() for c, p in zip(np.split(v, sizes), params)]
-
-    ctx.global_flat, ctx.global_weights = None, tree(gw)
-    ctx.state["historical"] = tree(hist) if hist_present else None
-    strategy.on_round_start(ctx)
-    xi = ctx.scratch["xi"]
-    want = [
-        g + 0.4 * ((p - q) + xi * (h - p)) if hist_present else g + 0.4 * (p - q)
-        for g, p, q, h in zip(tree(grads), tree(w), tree(gw), tree(hist))
-    ]
-    strategy.modify_gradients(ctx)
-    for p, expected in zip(params, want):
-        assert_same_bits(p.grad, expected)
-    assert ctx.extra_flops == (4.0 if hist_present else 2.0) * w.size
-
-
 def test_adaptive_mu_reaches_the_bound_attach_op():
     """``AdaptiveFedTrip`` sets the round's mu before FedTrip binds the op,
     so the server-adapted mu, not the constructor's, scales the pull."""
@@ -415,6 +390,7 @@ def test_lazy_round_rng_draws_like_round_rng():
     runtime = TaskRuntime(
         clients=clients, strategy=FedTrip(), config=FLConfig(rounds=1, n_clients=3, clients_per_round=1),
         fp_flops=1.0, global_weights=worker.model.get_weights(),
+        global_flat=worker.model.get_weights_flat()[0],
     )
     for cid, round_idx in ((0, 0), (2, 7), (1, 7)):
         ctx = build_round_context(worker, runtime, cid, round_idx, {}, {})
