@@ -21,7 +21,7 @@ from repro.costs import (
 )
 from repro.models import build_alexnet, build_cnn, build_mlp, profile_model
 
-TABLE8_METHODS = ("scaffold", "mimelite", "moon", "fedprox", "feddyn", "fedtrip")
+TABLE8_METHODS = ("scaffold", "mimelite", "feddane", "moon", "fedprox", "feddyn", "fedtrip")
 
 
 def _profiles():
@@ -89,6 +89,9 @@ def test_table8_overhead_model(benchmark):
         assert t == 2 * ev[m]["fedprox"]["attach_flops_per_round"]
         assert ev[m]["fedtrip"]["extra_comm_units"] == 0
         assert ev[m]["scaffold"]["extra_comm_units"] == 2
+        # FedDANE: FedTrip's 4K|w| plus the full-batch preamble, 2|w| comm.
+        assert ev[m]["feddane"]["attach_flops_per_round"] > t
+        assert ev[m]["feddane"]["extra_comm_units"] == 2
     # The MOON/FedTrip ratio must grow with model compute intensity.
     r = [ev[m]["_moon_over_fedtrip_per_iteration"] for m in ("mlp", "cnn", "alexnet")]
     assert r[0] < r[1] < r[2]

@@ -12,7 +12,6 @@ from repro.algorithms.feddane import FedDANE
 from repro.algorithms.mimelite import MimeLite
 from repro.algorithms.fedgkd import FedGKD
 from repro.algorithms.fednova import FedNova
-from repro.algorithms.fedavgm import FedAvgM
 from repro.algorithms.fedtrip_adaptive import AdaptiveFedTrip
 from repro.algorithms.fedbn import FedBN
 from repro.algorithms.registry import (
@@ -37,7 +36,6 @@ __all__ = [
     "MimeLite",
     "FedGKD",
     "FedNova",
-    "FedAvgM",
     "AdaptiveFedTrip",
     "FedBN",
     "STRATEGY_CLASSES",

@@ -120,7 +120,12 @@ class Strategy:
     needs_preamble: bool = False
 
     # ---------------- server side ----------------
-    def server_init(self, global_weights: List[np.ndarray], config: FLConfig) -> Dict[str, Any]:
+    # Every server hook speaks the server plane's ``(P,)`` vector, in the
+    # plane's dtype: the global model arrives as ``global_flat`` (the live
+    # plane, which hooks must not write into), ``aggregate`` and
+    # ``post_aggregate`` return one flat vector, and server state and
+    # preamble payloads hold flat vectors too.
+    def server_init(self, global_flat: np.ndarray, config: FLConfig) -> Dict[str, Any]:
         """Create server-side state (e.g. SCAFFOLD's control variate)."""
         return {}
 
@@ -134,7 +139,7 @@ class Strategy:
         self,
         server_state: Dict[str, Any],
         preambles: Dict[int, Dict[str, Any]],
-        global_weights: List[np.ndarray],
+        global_flat: np.ndarray,
         round_idx: int,
     ) -> None:
         """Combine per-client preamble payloads (only if ``needs_preamble``)."""
@@ -142,34 +147,34 @@ class Strategy:
     def aggregate(
         self,
         updates: Sequence[ClientUpdate],
-        global_weights: List[np.ndarray],
+        global_flat: np.ndarray,
         server_state: Dict[str, Any],
         config: FLConfig,
-    ) -> List[np.ndarray]:
+    ) -> np.ndarray:
         """Combine client models into the next global model (Eq. 2)."""
         return fedavg_aggregate(updates)
 
     def post_aggregate(
         self,
-        new_weights: List[np.ndarray],
-        old_weights: List[np.ndarray],
+        new_flat: np.ndarray,
+        old_flat: np.ndarray,
         updates: Sequence[ClientUpdate],
         server_state: Dict[str, Any],
         config: FLConfig,
-    ) -> List[np.ndarray]:
+    ) -> np.ndarray:
         """Adjust the aggregated model (SlowMo momentum, FedDyn h-shift)."""
-        return new_weights
+        return new_flat
 
     # ---------------- client side ----------------
     def init_client_state(self, client_id: int) -> Dict[str, Any]:
         return {}
 
-    def client_preamble(self, ctx: ClientRoundContext, full_grad: List[np.ndarray]) -> Dict[str, Any]:
+    def client_preamble(self, ctx: ClientRoundContext, full_grad: np.ndarray) -> Dict[str, Any]:
         """Payload computed at the global model before training starts.
 
         ``full_grad`` is the client's full-batch gradient at the global
-        weights (the simulation computes it once and shares it, since both
-        preamble users need exactly that).
+        weights as one ``(P,)`` vector (the simulation computes it once and
+        shares it, since both preamble users need exactly that).
         """
         return {}
 

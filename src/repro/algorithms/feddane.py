@@ -10,16 +10,19 @@ at the global model — collected in an extra communication half-round before
 local training (the preamble phase of the simulation).  The paper's related
 work notes FedDANE "consistently underperforms FedProx" despite the stronger
 theory; reproducing that behaviour is part of the baseline suite.
+
+``g_agg`` and each preamble gradient are one ``(P,)`` vector; the
+broadcast ships ``g_agg`` itself, which the server rebinds every round and
+never writes into in place.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 import numpy as np
 
 from repro.algorithms.base import ClientRoundContext, Strategy
-from repro.fl.params import as_flat
 
 __all__ = ["FedDANE"]
 
@@ -34,26 +37,23 @@ class FedDANE(Strategy):
         self.mu = float(mu)
 
     # ---------------- preamble ----------------
-    def client_preamble(self, ctx: ClientRoundContext, full_grad: List[np.ndarray]) -> Dict[str, Any]:
-        # Stash the local full gradient (flat) for the correction term and
-        # upload it for aggregation.
-        ctx.state["grad_at_global"] = as_flat(full_grad)
+    def client_preamble(self, ctx: ClientRoundContext, full_grad: np.ndarray) -> Dict[str, Any]:
+        # Stash the local full gradient for the correction term and upload
+        # it for aggregation.
+        ctx.state["grad_at_global"] = full_grad
         return {"full_grad": full_grad}
 
-    def server_preamble(self, server_state, preambles, global_weights, round_idx) -> None:
+    def server_preamble(self, server_state, preambles, global_flat, round_idx) -> None:
         grads = [p["full_grad"] for p in preambles.values()]
-        agg = [np.zeros_like(w) for w in global_weights]
+        agg = np.zeros_like(global_flat)
         for g in grads:
-            for i in range(len(agg)):
-                agg[i] += g[i] / len(grads)
+            agg += g / len(grads)
         server_state["g_agg"] = agg
 
     def server_broadcast(self, server_state: Dict[str, Any], round_idx: int) -> Dict[str, Any]:
         if "g_agg" not in server_state:
             return {}
-        # The aggregated gradient ships as one flat vector, staged once per
-        # round here so clients never flatten it per client.
-        return {"g_agg_flat": as_flat(server_state["g_agg"])}
+        return {"g_agg_flat": server_state["g_agg"]}
 
     # ---------------- client ----------------
     def on_round_start(self, ctx: ClientRoundContext) -> None:

@@ -9,12 +9,14 @@ so the local gradient is ``g - h_k + alpha (w - w_glob)``.  After training,
 ``h_k <- h_k - alpha (w_k - w_glob)``.  The server keeps the running mean
 ``h`` of all clients' corrections and sets the next global model to
 ``mean(w_k) - h/alpha``, which makes local optima asymptotically consistent
-with the global optimum.  Runs on plain SGD per the paper's setup.
+with the global optimum.  Runs on plain SGD per the paper's setup.  Both
+``h`` and each ``h_k`` are one ``(P,)`` vector; the server rebinds ``h``
+on every update.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -35,25 +37,26 @@ class FedDyn(Strategy):
         self.alpha = float(alpha)
 
     # ---------------- server ----------------
-    def server_init(self, global_weights, config: FLConfig) -> Dict[str, Any]:
-        return {"h": [np.zeros_like(w) for w in global_weights]}
+    def server_init(self, global_flat: np.ndarray, config: FLConfig) -> Dict[str, Any]:
+        return {"h": np.zeros_like(global_flat)}
 
-    def aggregate(self, updates, global_weights, server_state, config) -> List[np.ndarray]:
+    def aggregate(self, updates, global_flat, server_state, config) -> np.ndarray:
+        # The base mean, declared here so that a robust aggregator (which
+        # replaces only the default aggregate) is refused at construction.
         return fedavg_aggregate(updates)
 
     def post_aggregate(
         self,
-        new_weights: List[np.ndarray],
-        old_weights: List[np.ndarray],
+        new_flat: np.ndarray,
+        old_flat: np.ndarray,
         updates: Sequence[ClientUpdate],
         server_state: Dict[str, Any],
         config: FLConfig,
-    ) -> List[np.ndarray]:
-        h = server_state["h"]
+    ) -> np.ndarray:
         scale = self.alpha * len(updates) / config.n_clients
-        for i, (new, old) in enumerate(zip(new_weights, old_weights)):
-            h[i] = h[i] - scale * (new - old)
-        return [new - hk / self.alpha for new, hk in zip(new_weights, h)]
+        h = server_state["h"] - scale * (new_flat - old_flat)
+        server_state["h"] = h
+        return new_flat - h / self.alpha
 
     # ---------------- client ----------------
     def init_client_state(self, client_id: int) -> Dict[str, Any]:

@@ -11,15 +11,23 @@ update by its *effective* step count before averaging:
 
 with ``tau_eff = sum_k p_k tau_k`` (the paper's momentum-corrected tau is
 used when clients run SGDm: ``tau_k' = (tau_k - m(1-m^tau_k)/(1-m))/(1-m)``).
+
+The server step expands to ``(1 - sum_k s_k) w_glob + sum_k s_k w_k`` with
+``s_k = tau_eff p_k / tau_k``, which runs through the pinned row fold of
+:func:`repro.fl.aggregation.fold_rows`: the client rows in cohort order
+with their raw ``s_k``, then the one ``(1 - sum_k s_k) w_glob`` row, in
+float64 and O(P) memory — no stacked matrix and no BLAS, so the result
+does not depend on the BLAS build or its thread count.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
 from repro.algorithms.base import ClientRoundContext, Strategy
+from repro.fl.aggregation import fold_rows
 from repro.fl.types import ClientUpdate, FLConfig
 
 __all__ = ["FedNova"]
@@ -59,10 +67,10 @@ class FedNova(Strategy):
     def aggregate(
         self,
         updates: Sequence[ClientUpdate],
-        global_weights: List[np.ndarray],
+        global_flat: np.ndarray,
         server_state: Dict[str, Any],
         config: FLConfig,
-    ) -> List[np.ndarray]:
+    ) -> np.ndarray:
         total = sum(u.num_samples for u in updates)
         ps = [u.num_samples / total for u in updates]
         taus = [float(u.extras["tau_eff"]) for u in updates]
@@ -71,16 +79,10 @@ class FedNova(Strategy):
             [tau_eff * p / max(tau, 1e-12) for p, tau in zip(ps, taus)],
             dtype=np.float64,
         )
-        # w <- w - sum_k scale_k (w - w_k) = (1 - sum scale) w + scales @ M:
-        # the K client vectors stack into the pooled (K, P) matrix and the
-        # normalized reduction is a single GEMM.
-        from repro.fl.params import as_flat, stack_updates
-        from repro.utils.vectorize import unflatten_like
-
-        g = as_flat(global_weights)
-        mat = stack_updates([u.flat_vector() for u in updates])
-        flat = (1.0 - scales.sum()) * g.astype(np.float64) + scales @ mat
-        return unflatten_like(flat.astype(g.dtype), global_weights)
+        # w <- w - sum_k scale_k (w - w_k) = sum_k scale_k w_k + (1 - sum scale) w
+        rows = [u.flat_vector() for u in updates] + [global_flat]
+        coefs = np.append(scales, 1.0 - scales.sum())
+        return fold_rows(rows, coefs, global_flat.size).astype(global_flat.dtype)
 
     def describe(self) -> Dict[str, Any]:
         return {

@@ -18,7 +18,7 @@ The adapted mu is broadcast with the round payload, so it costs nothing.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class AdaptiveFedTrip(FedTrip):
         self.patience = int(patience)
 
     # ---------------- server ----------------
-    def server_init(self, global_weights, config: FLConfig) -> Dict[str, Any]:
+    def server_init(self, global_flat: np.ndarray, config: FLConfig) -> Dict[str, Any]:
         return {"mu": self.mu, "prev_loss": None, "good_streak": 0}
 
     def server_broadcast(self, server_state: Dict[str, Any], round_idx: int) -> Dict[str, Any]:
@@ -62,12 +62,12 @@ class AdaptiveFedTrip(FedTrip):
 
     def post_aggregate(
         self,
-        new_weights: List[np.ndarray],
-        old_weights: List[np.ndarray],
+        new_flat: np.ndarray,
+        old_flat: np.ndarray,
         updates: Sequence[ClientUpdate],
         server_state: Dict[str, Any],
         config: FLConfig,
-    ) -> List[np.ndarray]:
+    ) -> np.ndarray:
         loss = float(np.mean([u.train_loss for u in updates]))
         prev = server_state["prev_loss"]
         if prev is not None:
@@ -80,7 +80,7 @@ class AdaptiveFedTrip(FedTrip):
                     server_state["mu"] = max(server_state["mu"] / self.growth, self.mu_min)
                     server_state["good_streak"] = 0
         server_state["prev_loss"] = loss
-        return new_weights
+        return new_flat
 
     # ---------------- client ----------------
     def on_round_start(self, ctx: ClientRoundContext) -> None:

@@ -10,17 +10,18 @@ momentum during local steps instead of building their own::
 Clients therefore run plain SGD with a blended gradient.  The full-batch
 gradient collection reuses the simulation's preamble phase (cost
 ``n(FP+BP)``, Appendix A Table VIII) and adds ``2|w|`` communication
-(s down, gradient up).
+(s down, gradient up).  ``s`` and each preamble gradient are one ``(P,)``
+vector; the broadcast ships ``s`` itself, so the server rebinds ``s`` on
+every update and never writes into it in place.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 import numpy as np
 
 from repro.algorithms.base import ClientRoundContext, Strategy
-from repro.fl.params import as_flat
 
 __all__ = ["MimeLite"]
 
@@ -36,29 +37,22 @@ class MimeLite(Strategy):
         self.beta = float(beta)
 
     # ---------------- preamble / server ----------------
-    def client_preamble(self, ctx: ClientRoundContext, full_grad: List[np.ndarray]) -> Dict[str, Any]:
+    def client_preamble(self, ctx: ClientRoundContext, full_grad: np.ndarray) -> Dict[str, Any]:
         return {"full_grad": full_grad}
 
-    def server_preamble(self, server_state, preambles, global_weights, round_idx) -> None:
+    def server_preamble(self, server_state, preambles, global_flat, round_idx) -> None:
         grads = [p["full_grad"] for p in preambles.values()]
-        mean_grad = [np.zeros_like(w) for w in global_weights]
+        mean_grad = np.zeros_like(global_flat)
         for g in grads:
-            for i in range(len(mean_grad)):
-                mean_grad[i] += g[i] / len(grads)
+            mean_grad += g / len(grads)
         s = server_state.get("s")
-        if s is None:
-            server_state["s"] = mean_grad
-        else:
-            server_state["s"] = [
-                (1 - self.beta) * mg + self.beta * sk for mg, sk in zip(mean_grad, s)
-            ]
+        server_state["s"] = (
+            mean_grad if s is None else (1 - self.beta) * mean_grad + self.beta * s)
 
     def server_broadcast(self, server_state: Dict[str, Any], round_idx: int) -> Dict[str, Any]:
         if "s" not in server_state:
             return {}
-        # The momentum ships as one flat vector, staged once per round here;
-        # each local step's blend is then two vector ops on the grad plane.
-        return {"s_flat": as_flat(server_state["s"])}
+        return {"s_flat": server_state["s"]}
 
     # ---------------- client ----------------
     def modify_gradients(self, ctx: ClientRoundContext) -> None:

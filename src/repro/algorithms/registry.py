@@ -16,7 +16,6 @@ from repro.algorithms.feddane import FedDANE
 from repro.algorithms.mimelite import MimeLite
 from repro.algorithms.fedgkd import FedGKD
 from repro.algorithms.fednova import FedNova
-from repro.algorithms.fedavgm import FedAvgM
 from repro.algorithms.fedtrip_adaptive import AdaptiveFedTrip
 from repro.algorithms.fedbn import FedBN
 
@@ -40,7 +39,6 @@ STRATEGY_CLASSES: Dict[str, Callable[..., Strategy]] = {
     "mimelite": MimeLite,
     "fedgkd": FedGKD,
     "fednova": FedNova,
-    "fedavgm": FedAvgM,
     "fedtrip_adaptive": AdaptiveFedTrip,
     "fedbn": FedBN,
 }

@@ -11,18 +11,20 @@ and uploads ``delta_k = c_k_new - c_k`` alongside the model; the server
 applies ``c += (K_selected / N) * mean(delta_k)``.  Communication is
 ``2|w|`` extra per round (c down, delta up) — Appendix A Table VIII's
 ``2(K+1)|w| + ...`` computation row and ``2|w|`` communication row.
+
+``c`` and every ``c_k`` are one ``(P,)`` vector.  The broadcast ships the
+server's ``c`` itself, so the server rebinds ``c`` on every update and
+never writes in place into an array a payload has handed out.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
 from repro.algorithms.base import ClientRoundContext, Strategy
-from repro.fl.params import as_flat
 from repro.fl.types import ClientUpdate, FLConfig
-from repro.utils.vectorize import unflatten_like
 
 __all__ = ["SCAFFOLD"]
 
@@ -32,31 +34,26 @@ class SCAFFOLD(Strategy):
     local_optimizer = "sgd"
 
     # ---------------- server ----------------
-    def server_init(self, global_weights, config: FLConfig) -> Dict[str, Any]:
-        return {"c": [np.zeros_like(w) for w in global_weights]}
+    def server_init(self, global_flat: np.ndarray, config: FLConfig) -> Dict[str, Any]:
+        return {"c": np.zeros_like(global_flat)}
 
     def server_broadcast(self, server_state: Dict[str, Any], round_idx: int) -> Dict[str, Any]:
-        # Ship the variate as one flat vector, staged once per round here so
-        # clients never flatten it per client.
-        return {"c_flat": as_flat(server_state["c"])}
+        return {"c_flat": server_state["c"]}
 
     def post_aggregate(
         self,
-        new_weights: List[np.ndarray],
-        old_weights: List[np.ndarray],
+        new_flat: np.ndarray,
+        old_flat: np.ndarray,
         updates: Sequence[ClientUpdate],
         server_state: Dict[str, Any],
         config: FLConfig,
-    ) -> List[np.ndarray]:
+    ) -> np.ndarray:
         c = server_state["c"]
         scale = len(updates) / config.n_clients
         for upd in updates:
-            # Clients upload one (P,) vector; apply it through zero-copy
-            # per-layer views so c keeps its tree layout.
-            delta = unflatten_like(upd.extras["c_delta"], c)
-            for i in range(len(c)):
-                c[i] = c[i] + (scale / len(updates)) * delta[i]
-        return new_weights
+            c = c + (scale / len(updates)) * upd.extras["c_delta"]
+        server_state["c"] = c
+        return new_flat
 
     # ---------------- client ----------------
     def init_client_state(self, client_id: int) -> Dict[str, Any]:

@@ -9,17 +9,17 @@ momentum to it::
     w_glob <- w_glob - slow_lr * lr * u_t
 
 With ``beta=0, slow_lr=1`` this reduces exactly to FedAvg (a property the
-tests pin down).
+tests pin down).  The momentum ``u`` is one ``(P,)`` vector, rebound (never
+written in place) on every update.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
 from repro.algorithms.base import Strategy
-from repro.fl.aggregation import fedavg_aggregate
 from repro.fl.types import ClientUpdate, FLConfig
 
 __all__ = ["SlowMo"]
@@ -37,25 +37,21 @@ class SlowMo(Strategy):
         self.beta = float(beta)
         self.slow_lr = float(slow_lr)
 
-    def server_init(self, global_weights, config: FLConfig) -> Dict[str, Any]:
-        return {"u": [np.zeros_like(w) for w in global_weights]}
+    def server_init(self, global_flat: np.ndarray, config: FLConfig) -> Dict[str, Any]:
+        return {"u": np.zeros_like(global_flat)}
 
     def post_aggregate(
         self,
-        new_weights: List[np.ndarray],
-        old_weights: List[np.ndarray],
+        new_flat: np.ndarray,
+        old_flat: np.ndarray,
         updates: Sequence[ClientUpdate],
         server_state: Dict[str, Any],
         config: FLConfig,
-    ) -> List[np.ndarray]:
-        u = server_state["u"]
+    ) -> np.ndarray:
         lr = config.lr
-        out: List[np.ndarray] = []
-        for i, (new, old) in enumerate(zip(new_weights, old_weights)):
-            d = (old - new) / lr
-            u[i] = self.beta * u[i] + d
-            out.append(old - self.slow_lr * lr * u[i])
-        return out
+        u = self.beta * server_state["u"] + (old_flat - new_flat) / lr
+        server_state["u"] = u
+        return old_flat - self.slow_lr * lr * u
 
     def describe(self) -> Dict[str, Any]:
         return {

@@ -56,7 +56,7 @@ from repro.fl.executor import (
 )
 from repro.fl.faults import TaskFailure
 from repro.fl.history import History
-from repro.fl.params import default_pool, reset_default_pool
+from repro.fl.params import as_flat, default_pool, reset_default_pool
 from repro.fl.population import ClientDirectory, FlatStateArena, PopulationSampler
 from repro.fl.sampling import UniformSampler
 from repro.fl.server import Server
@@ -82,8 +82,10 @@ _log = get_logger("api.engine")
 #: curve.
 RETRY_BACKOFF_BASE_S = 1.0
 
-#: engine snapshot format written by :meth:`Engine.snapshot`.
-SNAPSHOT_FORMAT = 1
+#: engine snapshot format written by :meth:`Engine.snapshot`.  Format 2:
+#: strategy server state holds ``(P,)`` vectors (format 1 held per-layer
+#: lists, which the flat server hooks cannot read; restore refuses it).
+SNAPSHOT_FORMAT = 2
 
 
 class Engine:
@@ -457,7 +459,8 @@ class Engine:
             ctx = build_round_context(
                 worker, self.runtime, client.id, round_idx, broadcast, client.state
             )
-            grad = full_batch_gradient(worker.model, client.dataset, self.config.eval_batch_size)
+            grad = as_flat(full_batch_gradient(
+                worker.model, client.dataset, self.config.eval_batch_size))
             payloads[k] = self.strategy.client_preamble(ctx, grad)
             # full-batch grad = one fwd+bwd pass over the shard (3x forward).
             preamble_flops[k] = 3.0 * client.num_samples * self.profile.forward_flops

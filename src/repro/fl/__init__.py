@@ -22,7 +22,6 @@ from repro.fl.aggregation import (
     fedavg_aggregate,
     get_aggregation_block_size,
     set_default_aggregation_block_size,
-    uniform_aggregate,
     weighted_average_flat,
     weighted_average_trees,
     weighted_average_trees_loop,
@@ -89,7 +88,6 @@ __all__ = [
     "get_aggregation_block_size",
     "set_default_aggregation_block_size",
     "fedavg_aggregate",
-    "uniform_aggregate",
     "weighted_average_flat",
     "weighted_average_trees",
     "weighted_average_trees_loop",

@@ -1,57 +1,50 @@
 """Server-side model aggregation.
 
 The weighted average (Eq. 2) is the server's arithmetic hot path: every
-round it reduces K client models of P parameters each.  The historical
-implementation was a Python loop — K x L ``acc += w_k * arr`` axpys — whose
-interpreter overhead dominates once models are small relative to the cohort
-(exactly the paper's resource-efficiency regime).  The flat path stages
-client vectors into a pooled float64 matrix (see
-:class:`~repro.fl.params.MatrixPool`) and reduces them into one running
-``(P,)`` accumulator.
+round it reduces K client models of P parameters each.  The server speaks
+flat: :func:`fedavg_aggregate` folds the updates' cached ``(P,)`` vectors
+into one float64 accumulator and returns the result as one vector in their
+dtype, cast once.  Every other server-side combination (FedNova's
+normalized average, the robust rules' :func:`weighted_average_flat`) runs
+through the same :func:`fold_rows`.
 
-Streaming and the pinned reduction order
-----------------------------------------
+The pinned reduction order
+--------------------------
 
-The reduction is a *row-sequential left fold*: rows are staged in cohort
-order and folded one at a time (``acc += w_k * row_k``), never via a
-single BLAS GEMM/GEMV.  BLAS is free to reorder a K-way sum, so a GEMM
-result would depend on how many rows it sees at once — the fold makes the
-float64 bit pattern a function of the row *sequence* only.  That buys the
-streaming property for free: staging ``block_size`` rows at a time and
-folding each block in order produces byte-identical output for *every*
-block size (1, 3, K, K + 7, ...), because the per-row operation sequence
-is unchanged.  Peak staging memory is ``O(block_size x P)`` instead of
-``O(K x P)``, which is what lets a cohort stream out of a million-client
-:class:`~repro.fl.population.Population` without materializing a dense
-matrix.
+The reduction is a *row-sequential left fold*: rows are folded one at a
+time in cohort order (``acc += w_k * row_k``), never via a single BLAS
+GEMM/GEMV.  BLAS is free to reorder a K-way sum, so a GEMM result would
+depend on the BLAS build, its thread count and how many rows it sees at
+once — the fold makes the float64 bit pattern a function of the row
+*sequence* only.  It also needs only O(P) memory.  Rows are upcast to
+float64 *before* the scalar multiply, so a float32 row contributes exactly
+what a staged float64 copy of it would.
 
-The effective block size resolves in priority order: the explicit
-``block_size`` argument, the innermost :func:`aggregation_block` context
-(thread-local, used by :class:`~repro.fl.server.Server`), the module
-default set by :func:`set_default_aggregation_block_size` (the conftest
-``--agg-block-size`` hook), and finally ``None`` — dense staging of all K
-rows, the historical behaviour.
+Tree staging and the block size
+-------------------------------
 
-``weighted_average_trees`` keeps its list-of-arrays signature — every
-strategy's ``aggregate`` continues to work unchanged — and always runs the
-staged fold: a weight tree has one dtype (see
-:func:`repro.fl.params.tree_dtype`).  The loop implementation survives as
-:func:`weighted_average_trees_loop`: it is the reference the equivalence
-tests and ``benchmarks/bench_hot_path.py`` compare against.
-
-Numerics: both paths accumulate in float64 and cast back to the tree dtype
-once.  Rows are upcast to float64 *before* the scalar multiply (staging
-buffer), matching what dense stacking always did — multiplying a float32
-row by a float64 scalar directly would compute in single precision under
-value-based casting.  Determinism holds because every executor and server
-mode shares this single code path.
+:func:`weighted_average_trees` keeps a list-of-arrays signature for callers
+holding plain weight trees.  It is the only path that stages rows: a tree
+without a cached flat vector is flattened into a pooled float64 buffer of
+at most ``block_size`` rows (see :class:`~repro.fl.params.MatrixPool`), and
+every block size gives the same bits because the per-row operation
+sequence is unchanged.  The block size resolves in priority order: the
+explicit ``block_size`` argument, the innermost :func:`aggregation_block`
+context (thread-local), the module default set by
+:func:`set_default_aggregation_block_size` (the conftest
+``--agg-block-size`` hook), and finally ``None`` — all K rows.  No engine
+path reaches this staging: every update arrives with a cached flat vector,
+so ``ExperimentSpec.agg_block_size`` stages nothing in a run.  The loop
+implementation survives as :func:`weighted_average_trees_loop`: it is the
+reference the equivalence tests and ``benchmarks/bench_hot_path.py``
+compare against.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -62,9 +55,9 @@ from repro.utils.vectorize import flatten_into
 __all__ = [
     "aggregation_block",
     "fedavg_aggregate",
+    "fold_rows",
     "get_aggregation_block_size",
     "set_default_aggregation_block_size",
-    "uniform_aggregate",
     "weighted_average_flat",
     "weighted_average_trees",
     "weighted_average_trees_loop",
@@ -167,16 +160,24 @@ def _normalized(weights: Sequence[float], n: int) -> np.ndarray:
     return w / total
 
 
-def _fold_rows(rows: np.ndarray, w: np.ndarray, acc: np.ndarray, scratch: np.ndarray) -> None:
-    """``acc += sum_k w[k] * rows[k]``, folded strictly row-by-row.
+def fold_rows(rows: Iterable[np.ndarray], coefs: Sequence[float], p: int) -> np.ndarray:
+    """``sum_k coefs[k] * rows[k]`` as a ``(P,)`` float64 vector, folded
+    strictly row by row.
 
-    This is *the* pinned reduction order: every aggregation entry point
-    funnels K float64 rows through this loop in cohort order, so the
-    result is bitwise independent of how the rows were batched upstream.
+    This is *the* pinned reduction order: every server-side combination
+    funnels its rows through this loop in cohort order, never through a
+    BLAS GEMV, so the result is bitwise a function of the row sequence
+    only.  ``dtype=float64`` pins the double-precision ufunc loop, so a
+    float32 row is upcast element-wise before the scalar multiply.
     """
-    for k in range(rows.shape[0]):
-        np.multiply(rows[k], w[k], out=scratch)
+    acc = np.zeros(p, dtype=np.float64)
+    scratch = np.empty(p, dtype=np.float64)
+    for row, c in zip(rows, coefs):
+        if row.size != p:
+            raise ValueError(f"row has {row.size} values, expected {p}")
+        np.multiply(row, c, out=scratch, dtype=np.float64)
         acc += scratch
+    return acc
 
 
 def weighted_average_flat(mat: np.ndarray, weights: Sequence[float]) -> np.ndarray:
@@ -188,13 +189,7 @@ def weighted_average_flat(mat: np.ndarray, weights: Sequence[float]) -> np.ndarr
     float64 rows sequentially in row order.
     """
     mat = np.asarray(mat)
-    w = _normalized(weights, mat.shape[0])
-    if mat.dtype != np.float64:
-        mat = mat.astype(np.float64)
-    acc = np.zeros(mat.shape[1], dtype=np.float64)
-    scratch = np.empty(mat.shape[1], dtype=np.float64)
-    _fold_rows(mat, w, acc, scratch)
-    return acc
+    return fold_rows(mat, _normalized(weights, mat.shape[0]), mat.shape[1])
 
 
 def _check_structure(
@@ -228,38 +223,32 @@ def _streamed_weighted_sum(
     """Fold K client trees into one ``(P,)`` float64 vector, staging at most
     ``block`` rows of scratch at a time.
 
-    The fold multiplies each row straight out of its cached flat vector when
-    one is available — ``dtype=float64`` pins the double-precision ufunc
-    loop, which upcasts a float32 row element-wise exactly as a staging
-    copy would, minus the extra memory pass.  Only rows *without* a cached
-    flat are staged (``flatten_into`` needs a float64 destination), and the
-    pooled staging buffer is at most ``block`` rows, reused cyclically.
-    Dense (``block == K``) and every smaller block produce the same bits:
-    the per-row multiply/add sequence never depends on the block
-    (see :func:`_fold_rows` for the pinned-order contract).
+    A row with a cached flat vector is folded straight out of it; only rows
+    *without* one are staged (``flatten_into`` needs a float64
+    destination), into a pooled buffer of at most ``block`` rows reused
+    cyclically.  Dense (``block == K``) and every smaller block produce the
+    same bits: the per-row multiply/add sequence never depends on the block
+    (see :func:`fold_rows` for the pinned-order contract).
     """
     k = len(trees)
     sizes = [int(np.asarray(a).size) for a in trees[0]]
     p = sum(sizes)
     block = _resolve_block(block_size, k)
-    stage = None  # allocated lazily: all-flat cohorts never touch the pool
-    acc = np.zeros(p, dtype=np.float64)
-    scratch = np.empty(p, dtype=np.float64)
-    for i in range(k):
-        flat = flats[i] if flats is not None else None
-        if flat is not None and flat.size == p:
-            src = flat
-        else:
+
+    def rows() -> Iterator[np.ndarray]:
+        stage = None  # allocated lazily: all-flat cohorts never touch the pool
+        for i in range(k):
+            flat = flats[i] if flats is not None else None
+            if flat is not None and flat.size == p:
+                yield flat
+                continue
             if len(trees[i]) != len(sizes):
                 raise ValueError("tree structure mismatch")
             if stage is None:
-                pool = pool if pool is not None else _default_pool()
-                stage = pool.take(block, p)
-            src = stage[i % block]
-            flatten_into(src, trees[i])
-        np.multiply(src, w[i], out=scratch, dtype=np.float64)
-        acc += scratch
-    return acc
+                stage = (pool if pool is not None else _default_pool()).take(block, p)
+            yield flatten_into(stage[i % block], trees[i])
+
+    return fold_rows(rows(), w, p)
 
 
 def weighted_average_trees(
@@ -296,7 +285,7 @@ def weighted_average_trees(
 def weighted_average_trees_loop(
     trees: Sequence[Sequence[np.ndarray]], weights: Sequence[float]
 ) -> List[np.ndarray]:
-    """Reference per-layer loop implementation (pre-GEMM server path).
+    """Reference per-layer loop implementation (the pre-fold server path).
 
     Kept for the loop-vs-fold equivalence tests and as the baseline leg of
     ``benchmarks/bench_hot_path.py``.
@@ -313,23 +302,11 @@ def weighted_average_trees_loop(
     return [a.astype(trees[0][i].dtype) for i, a in enumerate(out)]
 
 
-def _average_updates(updates: Sequence[ClientUpdate], weights: Sequence[float]) -> List[np.ndarray]:
-    return weighted_average_trees(
-        [u.weights for u in updates],
-        weights,
-        flats=[u.flat for u in updates],
-    )
-
-
-def fedavg_aggregate(updates: Sequence[ClientUpdate]) -> List[np.ndarray]:
-    """FedAvg: weights proportional to client sample counts (Eq. 2)."""
+def fedavg_aggregate(updates: Sequence[ClientUpdate]) -> np.ndarray:
+    """FedAvg (Eq. 2): the sample-count-weighted mean of the updates' flat
+    vectors, as one ``(P,)`` vector in their dtype (cast once)."""
     if not updates:
         raise ValueError("no client updates to aggregate")
-    return _average_updates(updates, [u.num_samples for u in updates])
-
-
-def uniform_aggregate(updates: Sequence[ClientUpdate]) -> List[np.ndarray]:
-    """Unweighted mean over participating clients."""
-    if not updates:
-        raise ValueError("no client updates to aggregate")
-    return _average_updates(updates, [1.0] * len(updates))
+    flats = [u.flat_vector() for u in updates]
+    w = _normalized([u.num_samples for u in updates], len(updates))
+    return fold_rows(flats, w, flats[0].size).astype(flats[0].dtype)

@@ -147,9 +147,10 @@ class AsyncFLEngine(Engine):
             )
         if mode == "async":
             # Async mixing replaces server aggregation entirely: strategies
-            # that maintain server state through aggregate/post_aggregate
-            # (SCAFFOLD's c, SlowMo's momentum, FedDyn's h, FedNova, FedBN's
-            # masked averaging) would silently train a different algorithm.
+            # that override aggregate/post_aggregate (SCAFFOLD's c, SlowMo's
+            # momentum, FedDyn's h, FedNova's normalized average,
+            # AdaptiveFedTrip's mu schedule) would silently train a
+            # different algorithm.
             overrides_server = (
                 type(strategy).aggregate is not Strategy.aggregate
                 or type(strategy).post_aggregate is not Strategy.post_aggregate
@@ -397,12 +398,8 @@ class AsyncFLEngine(Engine):
         """Reduce-then-mix for robust rules in the async mode (see
         :meth:`_apply_async`); ``healthy`` is non-empty and finite."""
         server = self.server
-        new_tree, screened = robust_aggregate(
-            server.aggregator,
-            [a.update for a in healthy],
-            server.weights,
-            global_flat=server.plane.flat,
-        )
+        reduced, screened = robust_aggregate(
+            server.aggregator, [a.update for a in healthy], server.plane.flat)
         if screened:
             server.last_screened = screened
             _log.info("round %d: %s screened client(s): %s",
@@ -412,11 +409,9 @@ class AsyncFLEngine(Engine):
         # so `accepted` is never empty here.
         stale = min(a.staleness for a in accepted)
         alpha = self.async_alpha * (1.0 + stale) ** (-self.async_poly)
-        reduced = np.concatenate(
-            [np.asarray(a, np.float64).ravel() for a in new_tree]
-        )
         server.plane.copy_from_flat(
-            (1.0 - alpha) * server.plane.flat.astype(np.float64) + alpha * reduced
+            (1.0 - alpha) * server.plane.flat.astype(np.float64)
+            + alpha * reduced.astype(np.float64)
         )
         server.round_idx += 1
 

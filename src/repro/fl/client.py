@@ -99,7 +99,7 @@ def run_client_round(
     # Snapshot the trained model as one flat vector: on plane-backed
     # workers this is a single memcpy of the weight plane (no concatenate,
     # no per-layer ravel), the update's tree becomes zero-copy views of it,
-    # and the server-side hot path (finite check, GEMM aggregation,
+    # and the server-side hot path (finite check, pinned-fold aggregation,
     # privacy/compression wrappers) consumes the vector directly.
     flat, shapes = model.get_weights_flat()
     return ClientUpdate.from_flat(

@@ -23,7 +23,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.fl.params import as_flat
 from repro.utils.vectorize import flatten_arrays, unflatten_like
 
 __all__ = ["QuantizationCompressor", "TopKCompressor", "CompressedExchange"]
@@ -141,14 +140,14 @@ class CompressedUploadWrapper:
         self.needs_preamble = base.needs_preamble
 
     # Forwarded hooks ------------------------------------------------------
-    def server_init(self, global_weights, config):
-        return self.base.server_init(global_weights, config)
+    def server_init(self, global_flat, config):
+        return self.base.server_init(global_flat, config)
 
     def server_broadcast(self, server_state, round_idx):
         return self.base.server_broadcast(server_state, round_idx)
 
-    def server_preamble(self, server_state, preambles, global_weights, round_idx):
-        return self.base.server_preamble(server_state, preambles, global_weights, round_idx)
+    def server_preamble(self, server_state, preambles, global_flat, round_idx):
+        return self.base.server_preamble(server_state, preambles, global_flat, round_idx)
 
     def client_preamble(self, ctx, full_grad):
         return self.base.client_preamble(ctx, full_grad)
@@ -174,8 +173,8 @@ class CompressedUploadWrapper:
     def attach_flops_per_iteration(self, n_params, batch_size, fp_flops):
         return self.base.attach_flops_per_iteration(n_params, batch_size, fp_flops)
 
-    def post_aggregate(self, new_weights, old_weights, updates, server_state, config):
-        return self.base.post_aggregate(new_weights, old_weights, updates, server_state, config)
+    def post_aggregate(self, new_flat, old_flat, updates, server_state, config):
+        return self.base.post_aggregate(new_flat, old_flat, updates, server_state, config)
 
     def describe(self):
         d = self.base.describe()
@@ -184,26 +183,24 @@ class CompressedUploadWrapper:
         return d
 
     # The compression boundary ----------------------------------------------
-    def aggregate(self, updates, global_weights, server_state, config):
+    def aggregate(self, updates, global_flat, server_state, config):
         from repro.fl.types import ClientUpdate  # local import, no cycle
 
         # The round-trip (delta -> encode -> decode -> reconstruct) is four
         # vector expressions per update.
-        g_flat = as_flat(global_weights)
-        shapes = [np.shape(g) for g in global_weights]
         reconstructed = []
         for u in updates:
-            payload, nbytes = self.compressor.encode_flat(u.flat_vector() - g_flat)
-            back = self.compressor.decode_flat(payload).astype(g_flat.dtype)
-            back += g_flat
+            payload, nbytes = self.compressor.encode_flat(u.flat_vector() - global_flat)
+            back = self.compressor.decode_flat(payload).astype(global_flat.dtype)
+            back += global_flat
             # Re-charge the original update's communication so the history's
             # cost tracking reflects the compressed uplink (the simulation
             # reads these same objects for bookkeeping after aggregation).
-            u.comm_bytes = g_flat.size * 4.0 + float(nbytes)
+            u.comm_bytes = global_flat.size * 4.0 + float(nbytes)
             reconstructed.append(
                 ClientUpdate.from_flat(
                     back,
-                    shapes,
+                    [np.shape(w) for w in u.weights],
                     client_id=u.client_id,
                     num_samples=u.num_samples,
                     train_loss=u.train_loss,
@@ -212,4 +209,4 @@ class CompressedUploadWrapper:
                     comm_bytes=u.comm_bytes,
                 )
             )
-        return self.base.aggregate(reconstructed, global_weights, server_state, config)
+        return self.base.aggregate(reconstructed, global_flat, server_state, config)

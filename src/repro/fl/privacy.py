@@ -163,14 +163,14 @@ class PrivateAggregationWrapper(Strategy):
         )
 
     # ---- forwarded hooks -------------------------------------------------
-    def server_init(self, global_weights, config: FLConfig) -> Dict[str, Any]:
-        return self.base.server_init(global_weights, config)
+    def server_init(self, global_flat, config: FLConfig) -> Dict[str, Any]:
+        return self.base.server_init(global_flat, config)
 
     def server_broadcast(self, server_state, round_idx):
         return self.base.server_broadcast(server_state, round_idx)
 
-    def server_preamble(self, server_state, preambles, global_weights, round_idx):
-        return self.base.server_preamble(server_state, preambles, global_weights, round_idx)
+    def server_preamble(self, server_state, preambles, global_flat, round_idx):
+        return self.base.server_preamble(server_state, preambles, global_flat, round_idx)
 
     def client_preamble(self, ctx, full_grad):
         return self.base.client_preamble(ctx, full_grad)
@@ -197,24 +197,21 @@ class PrivateAggregationWrapper(Strategy):
         return self.base.attach_flops_per_iteration(n_params, batch_size, fp_flops)
 
     # ---- the privacy boundary ---------------------------------------------
-    def aggregate(self, updates: Sequence[ClientUpdate], global_weights, server_state, config):
+    def aggregate(self, updates: Sequence[ClientUpdate], global_flat, server_state, config):
         round_idx = server_state.get("_dp_round", 0)
-        # Flatten the global model once per round; each update is then three
-        # vector expressions (delta, privatize, reassemble) instead of
-        # 3 x L per-layer loops.
-        g_flat = as_flat(global_weights)
-        shapes = [np.shape(g) for g in global_weights]
+        # Each update is three vector expressions: delta, privatize,
+        # reassemble.
         private_updates = []
         for u in updates:
             # the delta is a fresh temporary; privatize it in place
             noised = self.mechanism.privatize_flat(
-                u.flat_vector() - g_flat, round_idx, u.client_id, copy=False
+                u.flat_vector() - global_flat, round_idx, u.client_id, copy=False
             )
-            noised += g_flat
+            noised += global_flat
             private_updates.append(
                 ClientUpdate.from_flat(
                     noised,
-                    shapes,
+                    [np.shape(w) for w in u.weights],
                     client_id=u.client_id,
                     num_samples=u.num_samples,
                     train_loss=u.train_loss,
@@ -226,10 +223,10 @@ class PrivateAggregationWrapper(Strategy):
         server_state["_dp_round"] = round_idx + 1
         if self.accountant is not None:
             self.accountant.record_round()
-        return self.base.aggregate(private_updates, global_weights, server_state, config)
+        return self.base.aggregate(private_updates, global_flat, server_state, config)
 
-    def post_aggregate(self, new_weights, old_weights, updates, server_state, config):
-        return self.base.post_aggregate(new_weights, old_weights, updates, server_state, config)
+    def post_aggregate(self, new_flat, old_flat, updates, server_state, config):
+        return self.base.post_aggregate(new_flat, old_flat, updates, server_state, config)
 
     def describe(self) -> Dict[str, Any]:
         d = self.base.describe()

@@ -22,10 +22,10 @@ rule                   idea                                   breakdown
                        neighbours, average them
 =====================  =====================================  ==============
 
-Every rule consumes the same input as the GEMM hot path — the pooled
-``(K, P)`` float64 matrix from :func:`~repro.fl.params.stack_updates` — so a
-robust round costs one extra pass over memory the server already touches
-(plus one ``K x K`` Gram GEMM for the Krum family).
+Every rule consumes the pooled ``(K, P)`` float64 matrix from
+:func:`~repro.fl.params.stack_updates`, built from the updates' cached
+flat vectors — so a robust round costs one extra pass over memory the
+server already touches (plus one ``K x K`` Gram GEMM for the Krum family).
 
 Rules are *deterministic* (sorts are stable, ties break by row index), so
 the repository's byte-identity contract — fixed seed => identical History
@@ -36,7 +36,7 @@ Registry mirrors the sampler/executor/mode registries in
 :mod:`repro.api.registry`::
 
     agg = build_aggregator("trimmed_mean", beta=0.25)
-    new_tree, screened_ids = robust_aggregate(agg, updates, global_weights)
+    new_flat, screened_ids = robust_aggregate(agg, updates, global_flat)
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fl.aggregation import weighted_average_flat
-from repro.fl.params import MatrixPool, as_flat, stack_updates
+from repro.fl.params import MatrixPool, stack_updates
 from repro.fl.types import ClientUpdate
 
 __all__ = [
@@ -68,7 +68,7 @@ class RobustAggregator:
     """One aggregation rule over the stacked client matrix.
 
     Subclasses implement :meth:`reduce`; everything else (stacking,
-    screening bookkeeping, tree reshaping) lives in
+    screening bookkeeping, the cast to the plane's dtype) lives in
     :func:`robust_aggregate` so rules stay pure matrix math.
     """
 
@@ -251,49 +251,32 @@ class MultiKrum(RobustAggregator):
 def robust_aggregate(
     aggregator: RobustAggregator,
     updates: Sequence[ClientUpdate],
-    global_weights: Sequence[np.ndarray],
-    global_flat: Optional[np.ndarray] = None,
+    global_flat: np.ndarray,
     pool: Optional[MatrixPool] = None,
-) -> Tuple[List[np.ndarray], List[int]]:
+) -> Tuple[np.ndarray, List[int]]:
     """Run one robust rule over a batch of client updates.
 
     Stacks the updates' flat vectors into the pooled ``(K, P)`` float64
-    matrix, hands it to ``aggregator.reduce`` together with the current
-    global model (``global_flat``, else flattened from ``global_weights``),
-    and reshapes the reduced vector back onto the first update's tree
-    structure.  Returns ``(new_weights, screened_ids)``
-    where ``screened_ids`` are the client ids the rule excluded, sorted.
+    matrix and hands it to ``aggregator.reduce`` together with the current
+    global model ``global_flat``.  Returns ``(new_flat, screened_ids)``:
+    the reduced ``(P,)`` vector in ``global_flat``'s dtype, and the client
+    ids the rule excluded, sorted.
     """
     if not updates:
         raise ValueError("no client updates to aggregate")
-    trees = [u.weights for u in updates]
-    shapes = [np.shape(a) for a in trees[0]]
-    for tree in trees[1:]:
-        if len(tree) != len(shapes) or any(
-            np.shape(a) != s for a, s in zip(tree, shapes)
-        ):
-            raise ValueError("tree structure mismatch")
     mat = stack_updates([u.flat_vector() for u in updates], pool=pool)
-    if global_flat is None:
-        global_flat = as_flat(global_weights)
-    g = global_flat.astype(np.float64)
-    if g.size != mat.shape[1]:
+    if global_flat.size != mat.shape[1]:
         raise ValueError(
-            f"global model has {g.size} parameters, updates have {mat.shape[1]}"
+            f"global model has {global_flat.size} parameters, "
+            f"updates have {mat.shape[1]}"
         )
     sample_weights = np.asarray([float(u.num_samples) for u in updates], np.float64)
-    new_flat, kept = aggregator.reduce(mat, sample_weights, g)
+    new_flat, kept = aggregator.reduce(mat, sample_weights, global_flat.astype(np.float64))
     kept_set = {int(i) for i in kept}
     screened = sorted(
         updates[i].client_id for i in range(len(updates)) if i not in kept_set
     )
-    out: List[np.ndarray] = []
-    cursor = 0
-    for a in trees[0]:
-        a = np.asarray(a)
-        out.append(new_flat[cursor : cursor + a.size].reshape(a.shape).astype(a.dtype))
-        cursor += a.size
-    return out, screened
+    return new_flat.astype(global_flat.dtype), screened
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,18 @@ class Server:
 
     The weight state is one contiguous single-dtype buffer
     (:class:`~repro.fl.params.ParamPlane`): :attr:`flat_weights` is its
-    ``(P,)`` vector, :attr:`weights` exposes stable per-layer views into it,
-    and each aggregation writes the buffer in place — broadcast consumers
-    (executors, evaluation) alias the same memory round after round instead
-    of chasing freshly allocated trees.  A mixed-dtype initial model is
-    rejected here, with a ``ValueError`` naming its dtypes.
-    Strategy hooks keep receiving/returning plain lists of arrays; anything
-    needing a snapshot across rounds copies explicitly (as they all did
-    already, since the old code also rebound ``weights`` every round).
+    ``(P,)`` vector, :attr:`weights` exposes stable per-layer views into it
+    for callbacks and evaluation, and each aggregation writes the buffer in
+    place with one ``copy_from_flat`` — broadcast consumers (executors,
+    evaluation) alias the same memory round after round.  A mixed-dtype
+    initial model is rejected here, with a ``ValueError`` naming its dtypes.
+
+    That ``(P,)`` vector, in the plane's dtype, is the only server-side
+    representation: every strategy server hook (``server_init``,
+    ``server_preamble``, ``aggregate``, ``post_aggregate``) receives the
+    live plane vector and returns flat vectors, and strategy server state
+    holds flat vectors too.  Hooks must not write into the plane vector
+    they are handed; anything needing a snapshot across rounds copies it.
     """
 
     def __init__(
@@ -78,7 +82,7 @@ class Server:
         self.strategy = strategy
         self.config = config
         self.aggregator = aggregator
-        self.state: Dict[str, Any] = strategy.server_init(self.weights, config)
+        self.state: Dict[str, Any] = strategy.server_init(self.plane.flat, config)
         self.round_idx = 0
         self.skipped_rounds = 0
         # Per-round report, reset at the top of every aggregation attempt
@@ -95,10 +99,6 @@ class Server:
         """Per-layer views into the flat global buffer (stable identity)."""
         return self.plane.tree
 
-    @weights.setter
-    def weights(self, tree: Sequence[np.ndarray]) -> None:
-        self.plane.copy_from_tree(tree)
-
     @property
     def flat_weights(self) -> np.ndarray:
         """The global model as one flat vector (aliases :attr:`weights`)."""
@@ -113,7 +113,7 @@ class Server:
         return self.strategy.server_broadcast(self.state, self.round_idx)
 
     def run_preamble(self, preambles: Dict[int, Dict[str, Any]]) -> None:
-        self.strategy.server_preamble(self.state, preambles, self.weights, self.round_idx)
+        self.strategy.server_preamble(self.state, preambles, self.plane.flat, self.round_idx)
 
     @staticmethod
     def _finite(update: ClientUpdate) -> bool:
@@ -177,11 +177,9 @@ class Server:
         if not healthy:
             self.skip_round()
             return
-        old = self.weights
+        old = self.plane.flat
         if self.aggregator is not None:
-            new, screened = robust_aggregate(
-                self.aggregator, healthy, old, global_flat=self.plane.flat
-            )
+            new, screened = robust_aggregate(self.aggregator, healthy, old)
             if screened:
                 self.last_screened = screened
                 _log.info("round %d: %s screened client(s): %s",
@@ -191,18 +189,14 @@ class Server:
                 accepted = healthy
             new = self.strategy.post_aggregate(new, old, accepted, self.state, self.config)
         else:
-            # Pin the configured streaming block size for the strategy's
-            # whole reduction (aggregate + post-process) — the thread-local
-            # context reaches every weighted_average_trees call underneath,
-            # whichever strategy is running.  None is transparent, deferring
-            # to any ambient default (e.g. the test suite's
-            # --agg-block-size); the result is byte-identical either way.
+            # The block size reaches any weighted_average_trees call in a
+            # strategy's hooks; the shipped strategies fold cached flat
+            # vectors and stage nothing (see repro.fl.aggregation).
             with aggregation_block(self.agg_block_size):
                 new = self.strategy.aggregate(healthy, old, self.state, self.config)
                 new = self.strategy.post_aggregate(new, old, healthy, self.state, self.config)
-        # One in-place write of the flat buffer; the views every consumer
-        # holds update with it.  (``new`` never partially aliases the plane:
-        # strategies return either fresh arrays or the plane's own views,
+        # One in-place write of the plane; the views every consumer holds
+        # update with it.  (``new`` is a fresh vector or the plane's own,
         # and copyto handles the latter as a no-op.)
-        self.plane.copy_from_tree(new)
+        self.plane.copy_from_flat(new)
         self.round_idx += 1

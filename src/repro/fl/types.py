@@ -61,12 +61,12 @@ class FLConfig:
 class ClientUpdate:
     """What one client sends back to the server after local training.
 
-    ``weights`` (the per-layer tree) remains the compatibility surface every
-    strategy reads.  The server-side hot path additionally works on ``flat``
-    — one contiguous vector of the same values — which updates built via
-    :meth:`from_flat` carry natively (``weights`` are then reshaped *views*
-    into it, no copies) and any other update derives lazily through
-    :meth:`flat_vector`.  Updates with a flat vector also pickle it instead
+    The server works on ``flat`` — one contiguous vector of the update's
+    weights, read through :meth:`flat_vector` by every aggregation and
+    strategy server hook.  Updates built via :meth:`from_flat` (every
+    worker upload) carry it natively, with ``weights`` as reshaped *views*
+    into it (no copies); an update built from a per-layer tree derives it
+    lazily.  Updates with a flat vector also pickle it instead
     of the per-layer arrays, halving the worker-process result payload.
     """
 

@@ -205,8 +205,7 @@ class TestSlowMo:
     def test_momentum_state_persists(self, tiny_data, small_config):
         sim = Simulation(tiny_data, SlowMo(beta=0.5), small_config, model_name="mlp")
         sim.run()
-        u = sim.server.state["u"]
-        assert any(np.abs(x).sum() > 0 for x in u)
+        assert np.abs(sim.server.state["u"]).sum() > 0
         sim.close()
 
     def test_invalid_params(self):
@@ -220,7 +219,7 @@ class TestFedDyn:
     def test_h_state_updates(self, tiny_data, small_config):
         sim = Simulation(tiny_data, FedDyn(alpha=0.1), small_config, model_name="mlp")
         sim.run()
-        assert any(np.abs(h).sum() > 0 for h in sim.server.state["h"])
+        assert np.abs(sim.server.state["h"]).sum() > 0
         participated = {c for rec in sim.history.records for c in rec.selected}
         cid = next(iter(participated))
         assert sim.clients[cid].state["h_k"] is not None
@@ -263,8 +262,8 @@ class TestSCAFFOLD:
         sim.run()
         # Server variate is a running average of client deltas: finite & nonzero.
         c = sim.server.state["c"]
-        assert all(np.isfinite(x).all() for x in c)
-        assert any(np.abs(x).sum() > 0 for x in c)
+        assert np.isfinite(c).all()
+        assert np.abs(c).sum() > 0
         sim.close()
 
     def test_client_uploads_delta(self, tiny_data, small_config):
@@ -282,8 +281,7 @@ class TestSCAFFOLD:
         """c_k ~ (w_glob - w_k)/(K lr): bounded by drift/(K lr)."""
         sim = Simulation(tiny_data, SCAFFOLD(), small_config, model_name="mlp")
         sim.run()
-        for h in sim.server.state["c"]:
-            assert np.abs(h).max() < 100.0
+        assert np.abs(sim.server.state["c"]).max() < 100.0
         sim.close()
 
 
@@ -319,9 +317,9 @@ class TestPreambleStrategies:
         sim = Simulation(tiny_data, build_strategy("mimelite"), small_config, model_name="mlp")
         sim.run_round()
         assert "s" in sim.server.state
-        s0 = [x.copy() for x in sim.server.state["s"]]
+        s0 = sim.server.state["s"]
         sim.run_round()
-        assert any(not np.array_equal(a, b) for a, b in zip(s0, sim.server.state["s"]))
+        assert not np.array_equal(s0, sim.server.state["s"])
         sim.close()
 
     def test_preamble_flops_charged(self, tiny_data, small_config):

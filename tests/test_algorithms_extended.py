@@ -1,4 +1,4 @@
-"""Extended baselines: FedNova, FedAvgM, AdaptiveFedTrip."""
+"""Extended baselines: FedNova, AdaptiveFedTrip."""
 
 from __future__ import annotations
 
@@ -8,13 +8,13 @@ import pytest
 from repro.algorithms import (
     AdaptiveFedTrip,
     FedAvg,
-    FedAvgM,
     FedNova,
     FedTrip,
     build_strategy,
 )
 from repro.algorithms.fednova import _effective_tau
 from repro.fl import FLConfig, Simulation
+from repro.fl.types import ClientUpdate
 
 
 def _run(data, strategy, config, **kw):
@@ -41,14 +41,44 @@ class TestFedNova:
     def test_registered(self):
         assert build_strategy("fednova").name == "fednova"
 
-    def test_equal_shards_close_to_fedavg(self, tiny_data, small_config):
-        """With equal shard sizes and equal tau, normalized averaging is a
-        reweighting of the same displacements: results should stay close to
-        FedAvg (identical in the homogeneous-tau case)."""
-        _, h_nova = _run(tiny_data, FedNova(), small_config)
-        _, h_avg = _run(tiny_data, FedAvg(), small_config)
-        # Equal shard sizes -> taus equal -> tau_eff/tau = 1 -> identical.
-        np.testing.assert_allclose(h_nova.accuracies(), h_avg.accuracies(), atol=1e-5)
+    def test_equal_shards_close_to_fedavg(self, tiny_iid_data, small_config):
+        """With equal local step counts and plain SGD every tau is equal, so
+        the normalized scales are the sample weights and the g row's
+        coefficient is zero up to float64 rounding: FedNova's global
+        weights equal FedAvg's within that rounding."""
+        cfg = FLConfig(**{**small_config.__dict__, "optimizer": "sgd"})
+        nova, _ = _run(tiny_iid_data, FedNova(), cfg)
+        avg, _ = _run(tiny_iid_data, FedAvg(), cfg)
+        np.testing.assert_allclose(
+            nova.server.flat_weights, avg.server.flat_weights, rtol=1e-6, atol=1e-7)
+
+    def test_aggregate_is_the_pinned_float64_fold(self):
+        """aggregate == a test-side float64 fold over the client rows (raw
+        scales, cohort order) plus the (1 - sum scales) * g row, byte for
+        byte; unequal taus make the g row's coefficient non-zero."""
+        rng = np.random.default_rng(7)
+        p = 53
+        g = rng.standard_normal(p).astype(np.float32)
+        taus, ns = [1.0, 3.0, 7.0], [10, 20, 30]
+        updates = [
+            ClientUpdate.from_flat(
+                rng.standard_normal(p).astype(np.float32), [(p,)], client_id=i,
+                num_samples=n, train_loss=0.0, extras={"tau_eff": t})
+            for i, (t, n) in enumerate(zip(taus, ns))
+        ]
+        total = sum(ns)
+        ps = [n / total for n in ns]
+        tau_eff = sum(q * t for q, t in zip(ps, taus))
+        scales = np.array([tau_eff * q / t for q, t in zip(ps, taus)])
+        assert abs(1.0 - scales.sum()) > 0.1
+        acc = np.zeros(p)
+        for u, s in zip(updates, scales):
+            acc += u.flat.astype(np.float64) * s
+        acc += g.astype(np.float64) * (1.0 - scales.sum())
+        out = FedNova().aggregate(updates, g, {}, FLConfig(rounds=1, n_clients=3,
+                                                             clients_per_round=3))
+        assert out.dtype == np.float32 and out.shape == (p,)
+        np.testing.assert_array_equal(out, acc.astype(np.float32))
 
     def test_heterogeneous_epochs_still_learns(self, tiny_data):
         cfg = FLConfig(rounds=4, n_clients=6, clients_per_round=3, batch_size=10,
@@ -60,23 +90,6 @@ class TestFedNova:
         sim = Simulation(tiny_data, FedNova(), small_config, model_name="mlp")
         sim.run_round()
         sim.close()  # no error => tau_eff was present during aggregation
-
-
-class TestFedAvgM:
-    def test_beta_zero_is_fedavg(self, tiny_data, small_config):
-        _, h_m = _run(tiny_data, FedAvgM(beta=0.0), small_config)
-        _, h_avg = _run(tiny_data, FedAvg(), small_config)
-        np.testing.assert_allclose(h_m.accuracies(), h_avg.accuracies(), atol=1e-5)
-
-    def test_momentum_state_accumulates(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, FedAvgM(beta=0.9), small_config, model_name="mlp")
-        sim.run()
-        assert any(np.abs(v).sum() > 0 for v in sim.server.state["v"])
-        sim.close()
-
-    def test_invalid_beta(self):
-        with pytest.raises(ValueError):
-            FedAvgM(beta=1.0)
 
 
 class TestAdaptiveFedTrip:
@@ -93,30 +106,26 @@ class TestAdaptiveFedTrip:
 
     def test_mu_tightens_on_loss_increase(self):
         strat = AdaptiveFedTrip(mu=0.4, mu_min=0.01, mu_max=2.0, growth=1.5)
-        state = strat.server_init([np.zeros(2)], FLConfig(rounds=1, n_clients=1, clients_per_round=1))
-
-        from repro.fl.types import ClientUpdate
+        state = strat.server_init(np.zeros(2), FLConfig(rounds=1, n_clients=1, clients_per_round=1))
 
         def fake_updates(loss):
             return [ClientUpdate(0, [np.zeros(2, dtype=np.float32)], 1, loss)]
 
-        strat.post_aggregate([np.zeros(2)], [np.zeros(2)], fake_updates(1.0), state,
+        strat.post_aggregate(np.zeros(2), np.zeros(2), fake_updates(1.0), state,
                              FLConfig(rounds=1, n_clients=1, clients_per_round=1))
         mu0 = state["mu"]
-        strat.post_aggregate([np.zeros(2)], [np.zeros(2)], fake_updates(2.0), state,
+        strat.post_aggregate(np.zeros(2), np.zeros(2), fake_updates(2.0), state,
                              FLConfig(rounds=1, n_clients=1, clients_per_round=1))
         assert state["mu"] == pytest.approx(mu0 * 1.5)
 
     def test_mu_relaxes_after_patience(self):
         strat = AdaptiveFedTrip(mu=0.4, growth=2.0, patience=2)
         cfg = FLConfig(rounds=1, n_clients=1, clients_per_round=1)
-        state = strat.server_init([np.zeros(2)], cfg)
-
-        from repro.fl.types import ClientUpdate
+        state = strat.server_init(np.zeros(2), cfg)
 
         def step(loss):
             strat.post_aggregate(
-                [np.zeros(2)], [np.zeros(2)],
+                np.zeros(2), np.zeros(2),
                 [ClientUpdate(0, [np.zeros(2, dtype=np.float32)], 1, loss)],
                 state, cfg,
             )

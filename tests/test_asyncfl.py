@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.algorithms import available_strategies
 from repro.api import ExperimentSpec, available_modes, build_mode, run_experiment
 from repro.cli import main as cli_main
 from repro.fl.asyncfl import AsyncFLEngine, ClientTimingModel, Event, EventQueue, VirtualClock
@@ -25,6 +26,21 @@ from repro.io.persistence import load_history, save_history
 
 TINY = dict(dataset="tiny", model="mlp", method="fedavg", n_clients=4,
             clients_per_round=2, rounds=3, batch_size=20, lr=0.05)
+
+#: strategies mode="async" refuses, with the reason its error names (the
+#: list docs/algorithms.md gives); every other registered strategy runs.
+ASYNC_REJECTED = {
+    "feddane": "preamble",
+    "mimelite": "preamble",
+    "feddyn": "server-side aggregation",
+    "fednova": "server-side aggregation",
+    "fedtrip_adaptive": "server-side aggregation",
+    "scaffold": "server-side aggregation",
+    "slowmo": "server-side aggregation",
+}
+#: strategies a robust aggregator refuses to compose with: those that
+#: override ``aggregate``, which the robust rule would replace.
+ROBUST_REJECTED = {"feddyn": "silently override", "fednova": "silently override"}
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -261,6 +277,19 @@ class TestAsync:
             tiny_spec(method=method, mode="semisync", device_profile="wifi", rounds=2)
         )
         assert len(hist) == 2
+
+    @pytest.mark.parametrize("method", available_strategies())
+    def test_async_and_robust_acceptance_is_pinned(self, method):
+        """Which registered strategies mode="async" and a robust
+        aggregator accept (one round runs) or refuse at construction."""
+        for overrides, rejected in (({"mode": "async"}, ASYNC_REJECTED),
+                                    ({"aggregator": "trimmed_mean"}, ROBUST_REJECTED)):
+            spec = tiny_spec(method=method, rounds=1, **overrides)
+            if method in rejected:
+                with pytest.raises(ValueError, match=rejected[method]):
+                    run_experiment(spec)
+            else:
+                assert len(run_experiment(spec)) == 1, overrides
 
     def test_non_uniform_samplers_are_rejected(self):
         """Async refill is a uniform draw over idle clients; accepting a

@@ -456,10 +456,16 @@ class TestCrashSafeResume:
     RESUME = {**TINY, "rounds": 5, "fault": "crash", "fault_rate": 0.3,
               "task_retries": 1}
 
-    @pytest.mark.parametrize("executor,workers",
-                             [("serial", 1), ("threaded", 2), ("process", 2)])
-    def test_kill_and_resume_is_byte_identical(self, tmp_path, executor, workers):
-        args = {**self.RESUME, "executor": executor, "n_workers": workers}
+    @pytest.mark.parametrize("executor,workers,method", [
+        pytest.param("serial", 1, "fedavg", id="serial-1"),
+        pytest.param("threaded", 2, "fedavg", id="threaded-2"),
+        pytest.param("process", 2, "fedavg", id="process-2"),
+        # flat server state (c) and flat client state (c_k) cross the kill
+        pytest.param("serial", 1, "scaffold", id="serial-1-scaffold"),
+    ])
+    def test_kill_and_resume_is_byte_identical(self, tmp_path, executor, workers, method):
+        args = {**self.RESUME, "executor": executor, "n_workers": workers,
+                "method": method}
         reference = _sig(run_experiment(ExperimentSpec(**args)), virtual=True)
         ckpt = Checkpointer(str(tmp_path), every=1, engine_state=True)
         with pytest.raises(KeyboardInterrupt):
@@ -494,6 +500,9 @@ class TestCrashSafeResume:
         try:
             with pytest.raises(ValueError, match="snapshot format"):
                 engine.restore({"format": 999})
+            # format 1 held per-layer server state; the flat hooks refuse it
+            with pytest.raises(ValueError, match="unsupported engine snapshot format 1"):
+                engine.restore({"format": 1})
         finally:
             engine.close()
 

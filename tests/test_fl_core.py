@@ -16,7 +16,6 @@ from repro.fl import (
     evaluate_model,
     fedavg_aggregate,
     full_batch_gradient,
-    uniform_aggregate,
     weighted_average_trees,
 )
 from repro.fl.types import ClientUpdate, RoundRecord
@@ -174,17 +173,14 @@ class TestAggregation:
 
     def test_fedavg_weighting(self):
         out = fedavg_aggregate([self._upd(0, [0.0], 1), self._upd(1, [3.0], 2)])
-        np.testing.assert_allclose(out[0], [2.0])
-
-    def test_uniform(self):
-        out = uniform_aggregate([self._upd(0, [0.0], 1), self._upd(1, [3.0], 99)])
-        np.testing.assert_allclose(out[0], [1.5])
+        np.testing.assert_allclose(out, [2.0])
 
     def test_identity_when_equal(self, rng):
         w = [rng.standard_normal((3, 2)).astype(np.float32)]
         ups = [ClientUpdate(i, [w[0].copy()], 5, 0.0) for i in range(4)]
         out = fedavg_aggregate(ups)
-        np.testing.assert_allclose(out[0], w[0], atol=1e-6)
+        assert out.dtype == np.float32 and out.shape == (6,)
+        np.testing.assert_allclose(out, w[0].ravel(), atol=1e-6)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -219,9 +219,7 @@ class TestAggregationEquivalence:
             np.testing.assert_array_equal(mat[row], u.flat.astype(np.float64))
         agg = fedavg_aggregate(updates)
         w = np.array([u.num_samples for u in updates], dtype=np.float64)
-        np.testing.assert_allclose(
-            np.concatenate([a.ravel() for a in agg]),
-            ((w / w.sum()) @ mat).astype(np.float32), rtol=1e-6)
+        np.testing.assert_allclose(agg, ((w / w.sum()) @ mat).astype(np.float32), rtol=1e-6)
 
     def test_weighted_average_flat_is_one_gemm(self):
         mat = np.arange(12, dtype=np.float64).reshape(3, 4)

@@ -154,7 +154,7 @@ class TestAggregationProperties:
             for i in range(n_clients)
         ]
         out = fedavg_aggregate(ups)
-        np.testing.assert_allclose(out[0], w, atol=1e-5)
+        np.testing.assert_allclose(out, w.ravel(), atol=1e-5)
 
 
 class TestHistoryProperties:

@@ -64,40 +64,37 @@ class TestAggregators:
         rng = np.random.default_rng(0)
         updates = make_updates(rng.standard_normal((4, P)), num_samples=[1, 2, 3, 4])
         agg = build_aggregator("mean")
-        tree, screened = robust_aggregate(agg, updates, updates[0].weights)
+        out, screened = robust_aggregate(agg, updates, updates[0].flat)
         assert screened == []
         mat = np.stack([u.flat_vector().astype(np.float64) for u in updates])
         expected = weighted_average_flat(mat, [1, 2, 3, 4])
-        np.testing.assert_allclose(
-            np.concatenate([a.ravel() for a in tree]), expected.astype(np.float32))
+        np.testing.assert_allclose(out, expected.astype(np.float32))
 
     def test_coordinate_median_ignores_one_wild_outlier(self):
         vecs = np.ones((5, P), dtype=np.float32)
         vecs[2] = 1e6  # one adversarial row
         updates = make_updates(vecs)
-        tree, screened = robust_aggregate(
-            build_aggregator("coordinate_median"), updates, updates[0].weights)
-        np.testing.assert_array_equal(
-            np.concatenate([a.ravel() for a in tree]), np.ones(P, np.float32))
+        out, screened = robust_aggregate(
+            build_aggregator("coordinate_median"), updates, updates[0].flat)
+        np.testing.assert_array_equal(out, np.ones(P, np.float32))
         assert screened == []
 
     def test_trimmed_mean_cuts_extremes(self):
         # 5 rows valued 0..4 per coordinate; beta=0.2 cuts one from each end.
         vecs = np.tile(np.arange(5, dtype=np.float32)[:, None], (1, P))
         updates = make_updates(vecs)
-        tree, _ = robust_aggregate(
-            build_aggregator("trimmed_mean", beta=0.2), updates, updates[0].weights)
-        np.testing.assert_allclose(
-            np.concatenate([a.ravel() for a in tree]), np.full(P, 2.0, np.float32))
+        out, _ = robust_aggregate(
+            build_aggregator("trimmed_mean", beta=0.2), updates, updates[0].flat)
+        np.testing.assert_allclose(out, np.full(P, 2.0, np.float32))
 
     def test_trimmed_mean_beta_zero_is_unweighted_mean(self):
         rng = np.random.default_rng(1)
         vecs = rng.standard_normal((4, P)).astype(np.float32)
         updates = make_updates(vecs)
-        tree, _ = robust_aggregate(
-            build_aggregator("trimmed_mean", beta=0.0), updates, updates[0].weights)
+        out, _ = robust_aggregate(
+            build_aggregator("trimmed_mean", beta=0.0), updates, updates[0].flat)
         np.testing.assert_allclose(
-            np.concatenate([a.ravel() for a in tree]),
+            out,
             vecs.astype(np.float64).mean(axis=0).astype(np.float32), rtol=1e-6)
 
     def test_trimmed_mean_rejects_bad_beta(self):
@@ -109,31 +106,26 @@ class TestAggregators:
         vecs = 0.1 * np.ones((4, P), dtype=np.float32)
         vecs[3] = 50.0
         updates = make_updates(vecs)
-        tree, screened = robust_aggregate(
-            build_aggregator("norm_screen", f=1), updates,
-            [np.zeros((3, 2), np.float32), np.zeros(4, np.float32)],
-            global_flat=g)
+        out, screened = robust_aggregate(
+            build_aggregator("norm_screen", f=1), updates, g)
         assert screened == [3]
         np.testing.assert_allclose(
-            np.concatenate([a.ravel() for a in tree]),
+            out,
             np.full(P, 0.1, np.float32), rtol=1e-6)
 
     def test_norm_screen_refuses_to_drop_everyone(self):
         updates = make_updates(np.ones((2, P), np.float32))
         with pytest.raises(ValueError, match="every one"):
             robust_aggregate(
-                build_aggregator("norm_screen", f=2), updates, updates[0].weights)
+                build_aggregator("norm_screen", f=2), updates, updates[0].flat)
 
     def test_norm_clip_attenuates_scaled_update(self):
         g = np.zeros(P, np.float32)
         vecs = np.ones((4, P), dtype=np.float32)
         vecs[0] = 100.0  # boosted update, same direction
         updates = make_updates(vecs)
-        tree, screened = robust_aggregate(
-            build_aggregator("norm_clip"), updates,
-            [np.zeros((3, 2), np.float32), np.zeros(4, np.float32)],
-            global_flat=g)
-        out = np.concatenate([a.ravel().astype(np.float64) for a in tree])
+        out, screened = robust_aggregate(
+            build_aggregator("norm_clip"), updates, g)
         assert screened == []
         # Median norm caps the outlier at honest magnitude: all rows clip to
         # the same delta, so the mean is ~1 per coordinate, not ~25.
@@ -144,22 +136,21 @@ class TestAggregators:
         honest = 0.01 * rng.standard_normal((5, P))
         vecs = np.vstack([honest, 100.0 + np.zeros((1, P))]).astype(np.float32)
         updates = make_updates(vecs)
-        tree, screened = robust_aggregate(
-            build_aggregator("krum", f=1), updates, updates[0].weights)
-        out = np.concatenate([a.ravel() for a in tree])
+        out, screened = robust_aggregate(
+            build_aggregator("krum", f=1), updates, updates[0].flat)
         assert 5 in screened  # the outlier never wins Krum
         assert np.abs(out).max() < 1.0
 
     def test_multi_krum_m_defaults_to_k_minus_f(self):
         updates = make_updates(np.ones((6, P), np.float32))
         agg = build_aggregator("multi_krum", f=2)
-        _, screened = robust_aggregate(agg, updates, updates[0].weights)
+        _, screened = robust_aggregate(agg, updates, updates[0].flat)
         assert len(screened) == 2  # K - (K - f) rows screened
 
     def test_multi_krum_needs_f_plus_3_clients(self):
         updates = make_updates(np.ones((3, P), np.float32))
         with pytest.raises(ValueError, match="f \\+ 3"):
-            robust_aggregate(MultiKrum(f=1), updates, updates[0].weights)
+            robust_aggregate(MultiKrum(f=1), updates, updates[0].flat)
 
     def test_mixed_dtype_tree_raises(self):
         # A mixed-dtype tree has no flat vector to stack: rejected, naming
@@ -173,16 +164,21 @@ class TestAggregators:
             for i, t in enumerate(trees)
         ]
         with pytest.raises(ValueError, match=r"\['float32', 'float64'\]"):
-            robust_aggregate(build_aggregator("coordinate_median"), updates, trees[0])
+            robust_aggregate(build_aggregator("coordinate_median"), updates,
+                             np.zeros(10, np.float32))
 
     def test_structure_mismatch_raises(self):
+        # The server is flat: updates of another parameter count, or a
+        # global model of another size, are rejected.
         a = make_updates(np.ones((1, P), np.float32))[0]
         b = ClientUpdate(
             client_id=1,
-            weights=[np.ones(6, np.float32), np.ones((2, 2), np.float32)],
+            weights=[np.ones(6, np.float32), np.ones((2, 1), np.float32)],
             num_samples=10, train_loss=0.1)
-        with pytest.raises(ValueError, match="structure mismatch"):
-            robust_aggregate(build_aggregator("coordinate_median"), [a, b], a.weights)
+        with pytest.raises(ValueError, match="differ in size"):
+            robust_aggregate(build_aggregator("coordinate_median"), [a, b], a.flat)
+        with pytest.raises(ValueError, match="parameters"):
+            robust_aggregate(build_aggregator("coordinate_median"), [a], a.flat[:-1])
 
     def test_custom_rule_registers(self):
         class FirstWins(RobustAggregator):
@@ -194,11 +190,11 @@ class TestAggregators:
         register_aggregator("first_wins", FirstWins)
         try:
             updates = make_updates(np.arange(3 * P, dtype=np.float32).reshape(3, P))
-            tree, screened = robust_aggregate(
-                build_aggregator("first_wins"), updates, updates[0].weights)
+            out, screened = robust_aggregate(
+                build_aggregator("first_wins"), updates, updates[0].flat)
             assert screened == [1, 2]
             np.testing.assert_array_equal(
-                np.concatenate([a.ravel() for a in tree]),
+                out,
                 np.arange(P, dtype=np.float32))
         finally:
             from repro.fl.robust.aggregators import _AGGREGATORS
