@@ -64,6 +64,7 @@ from repro.fl.types import ClientUpdate, FLConfig, RoundRecord
 from repro.models import profile_model
 from repro.models.fedmodel import FedModel
 from repro.obs import NULL_RECORDER, payload_nbytes
+from repro.utils.blas import quiet_blas_threads
 from repro.utils.logging import get_logger
 
 from repro.api.callbacks import Callback, EarlyStopping, ProgressLogger
@@ -226,6 +227,7 @@ class Engine:
         retry_backoff_base_s: float = RETRY_BACKOFF_BASE_S,
         net_options: Optional[Dict[str, Any]] = None,
     ) -> None:
+        blas = quiet_blas_threads()  # first: a forked worker inherits it
         if task_retries < 0:
             raise ValueError("task_retries must be >= 0")
         if task_timeout_s is not None and task_timeout_s <= 0:
@@ -319,6 +321,9 @@ class Engine:
         self.make_worker = partial(make_worker_context, model_fn, opt_name, config)
         #: the run's observability sink (shared null recorder when off).
         self.obs = recorder if recorder is not None else NULL_RECORDER
+        if self.obs.enabled:
+            self.obs.metrics.gauge("fl_blas_thread_timeout_log2", "log2 idle-spin cycles "
+                                   "of OpenBLAS threads (0: not set)").set(blas["timeout_log2"])
         self.fault_injector = fault_injector
         self.task_retries = int(task_retries)
         self.task_timeout_s = task_timeout_s

@@ -45,6 +45,7 @@ from repro.models.fedmodel import FedModel
 from repro.nn.losses import CrossEntropyLoss
 from repro.optim import SGD, Adam
 from repro.optim.base import Optimizer
+from repro.utils.blas import quiet_blas_threads
 from repro.utils.rng import RngStream
 
 __all__ = [
@@ -315,6 +316,7 @@ def build_worker_half(
     respawns it, so a real exit would permanently shrink the fleet and
     break cross-backend byte-identity.
     """
+    quiet_blas_threads()  # a spawn-started or remote worker has not run it yet
     layout = spec.layout
     model_fn = registry_model_fn(spec.model_name, spec.data.spec, spec.config.seed)
     worker = make_worker_context(model_fn, spec.opt_name, spec.config)
