@@ -3,8 +3,8 @@
 Both legs run the identical tiny serial sync workload end to end through
 :func:`repro.api.run_experiment`; only the fault policy differs:
 
-* ``clean``   — no injector, no retries: the legacy fast path where the
-  policy machinery is entirely gated off (``_policy_active`` false).
+* ``clean``   — no injector, no retries: the trivial policy, where the
+  engine only screens losses and counts reports.
 * ``faulted`` — the CI configuration: ``crash`` injector at rate 0.2
   with ``task_retries=2``.  Every fired coin costs a synthesized failure,
   a screening pass, and a retry wave re-dispatching the failed clients.

@@ -16,7 +16,7 @@ Two legs run the identical workload (same K updates, same values):
   broadcast copies.
 * ``flat`` — the shipped path: :class:`repro.fl.Server` backed by a
   :class:`~repro.fl.params.ParamPlane`, flat finite checks, the
-  ``(K, P)`` GEMM aggregation, one in-place plane write, and a
+  pinned row-fold aggregation, one in-place plane write, and a
   single-memcpy broadcast (the process executor's segment protocol).
 
 Reported: rounds/sec per leg and the speedup; the acceptance bar is the
@@ -32,6 +32,7 @@ import json
 import os
 import sys
 import time
+from typing import List, Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from harness import print_table, save_json  # noqa: E402
 
 from repro.algorithms.registry import build_strategy  # noqa: E402
-from repro.fl.aggregation import weighted_average_trees_loop  # noqa: E402
+from repro.fl.aggregation import _normalized  # noqa: E402
 from repro.fl.params import ParamPlane, WeightLayout  # noqa: E402
 from repro.fl.server import Server  # noqa: E402
 from repro.fl.types import ClientUpdate, FLConfig  # noqa: E402
@@ -52,6 +53,26 @@ N_CLIENTS = 64
 WARMUP = 5
 TIMED_ROUNDS = 300
 QUICK_ROUNDS = 60
+
+
+def weighted_average_trees_loop(
+    trees: Sequence[Sequence[np.ndarray]], weights: Sequence[float]
+) -> List[np.ndarray]:
+    """Reference per-layer loop implementation (the pre-fold server path).
+
+    Kept for the loop-vs-fold equivalence tests and as the baseline leg of
+    ``benchmarks/bench_hot_path.py``.
+    """
+    if not trees:
+        raise ValueError("no trees to aggregate")
+    w = _normalized(weights, len(trees))
+    out = [np.zeros_like(a, dtype=np.float64) for a in trees[0]]
+    for tree, wk in zip(trees, w):
+        if len(tree) != len(out):
+            raise ValueError("tree structure mismatch")
+        for acc, arr in zip(out, tree):
+            acc += wk * arr
+    return [a.astype(trees[0][i].dtype) for i, a in enumerate(out)]
 
 
 def _make_updates(n_clients: int, rng: np.random.Generator, with_flat: bool):

@@ -154,13 +154,6 @@ class Engine:
         and startup cost become O(touched clients) instead of
         O(population).  Does not compose with adversaries or per-client
         system models (both enumerate the fleet per id).
-    agg_block_size:
-        Optional streaming aggregation block size: the server stages at
-        most this many client rows at a time while folding the weighted
-        mean (peak O(block x P) instead of O(K x P)), byte-identical to
-        dense aggregation for every block size.  Rejected at construction
-        when combined with a robust rule that needs the full stacked
-        matrix (``requires_full_matrix``).
     state_mmap_mb:
         Heap budget (MiB) for lazily-created per-client flat strategy
         state before the directory's arena spills new state to mmap'd
@@ -177,8 +170,8 @@ class Engine:
     fault_injector:
         Optional :class:`~repro.fl.faults.FaultInjector` failing client
         tasks inside the shared executor path (built from
-        ``ExperimentSpec.fault``).  ``None`` leaves every legacy code path
-        byte-identical.
+        ``ExperimentSpec.fault``).  ``None`` injects nothing; the engine
+        still screens timeouts and non-finite losses.
     task_retries:
         Retry budget per client task per round: a retryable failure is
         re-dispatched up to this many times, each retry re-drawing its
@@ -217,7 +210,6 @@ class Engine:
         aggregator=None,
         adversary=None,
         population=None,
-        agg_block_size: Optional[int] = None,
         state_mmap_mb: Optional[int] = None,
         recorder=None,
         fault_injector=None,
@@ -280,7 +272,7 @@ class Engine:
         canonical = model_fn()
         self.profile = profile_model(canonical)
         self.server = Server(canonical.get_weights(), strategy, config,
-                             aggregator=aggregator, agg_block_size=agg_block_size)
+                             aggregator=aggregator)
         self.adversary = adversary
         if adversary is not None and adversary.n_clients != config.n_clients:
             raise ValueError(
@@ -332,16 +324,6 @@ class Engine:
         #: network-executor options (bind, fleet, injector, codec, cell_key);
         #: stored before build_executor so the factory can read them.
         self.net_options = net_options
-        #: True when any failure-policy knob is on.  The screens and the
-        #: quorum gate only engage then, so legacy runs (no policy) keep
-        #: their exact historical behaviour — including aggregator-side
-        #: handling of non-finite losses.
-        self._policy_active = (
-            fault_injector is not None
-            or self.task_retries > 0
-            or task_timeout_s is not None
-            or self.quorum_fraction > 0.0
-        )
         # Per-round fault bookkeeping, reset by _reset_fault_round().
         self._round_failed: List[int] = []
         self._round_retried: List[int] = []
@@ -358,12 +340,6 @@ class Engine:
             recorder=self.obs,
         )
         self.executor = build_executor(executor, engine=self, n_workers=n_workers)
-        if getattr(self.executor, "inherently_unreliable", False):
-            # A real wire can lose tasks even with no injector configured;
-            # keep the failure screens and the quorum gate armed so a lost
-            # connection degrades into a policy decision, not a crash on an
-            # empty aggregate.
-            self._policy_active = True
         self.history = History()
         self.callbacks: List[Callback] = list(callbacks)
         if config.target_accuracy is not None and not any(
@@ -545,8 +521,7 @@ class Engine:
             self._round_fault_extra_s += wave_delay
             pending = next_pending
             wave += 1
-        # Selected order == task order, so a policy-free run (nothing can
-        # fail) assembles the exact list the pre-fault engine built.
+        # Updates in selection order (selected order == task order).
         return [updates_by_client[k] for k in selected if k in updates_by_client]
 
     def _adopt_state(self, client_id: int, state: Dict) -> None:
@@ -573,17 +548,16 @@ class Engine:
         """The engine side of the failure policy: decide whether one task
         result is usable.
 
-        Injector-made failures arrive ready on ``result.failure``; with the
-        policy active this additionally turns an over-deadline straggler
-        delay into a ``"timeout"`` failure and a non-finite training loss
-        into a non-retryable ``"nonfinite"`` one (training is
-        deterministic — retraining reproduces the divergence, so the retry
-        budget is not spent on it).  With no policy configured nothing is
-        screened and the aggregator's finite-check keeps its historical
-        role.
+        Injector-made failures arrive ready on ``result.failure``; this
+        additionally turns an over-deadline straggler delay into a
+        ``"timeout"`` failure and a non-finite training loss into a
+        non-retryable ``"nonfinite"`` one (training is deterministic —
+        retraining reproduces the divergence, so the retry budget is not
+        spent on it).  Every backend screens the same way, so a diverging
+        run records the same History on each.
         """
         failure = result.failure
-        if failure is None and self._policy_active and result.update is not None:
+        if failure is None and result.update is not None:
             if (
                 self.task_timeout_s is not None
                 and result.fault_delay_s > self.task_timeout_s
@@ -621,21 +595,16 @@ class Engine:
                 ).inc(result.flops_wasted)
         return failure
 
-    def _quorum_skip_reason(self, selected: List[int],
-                            updates: List[ClientUpdate]) -> Optional[str]:
+    def _quorum_skip_reason(self, n_expected: int, n_updates: int) -> Optional[str]:
         """Why aggregation must be skipped this round, or None to proceed.
 
-        Only consulted with the failure policy active (otherwise every
-        selected client reported, as ever).  An all-fail round always
-        skips — there is nothing to aggregate; below-quorum participation
-        skips with ``"quorum"``.
+        An all-fail round always skips — there is nothing to aggregate;
+        fewer than ``quorum_fraction`` of the ``n_expected`` reports skips
+        with ``"quorum"`` (quorum 0 is the trivial gate).
         """
-        if not self._policy_active:
-            return None
-        if not updates:
+        if not n_updates:
             return "no_updates"
-        needed = math.ceil(self.quorum_fraction * len(selected))
-        if len(updates) < needed:
+        if n_updates < math.ceil(self.quorum_fraction * n_expected):
             return "quorum"
         return None
 
@@ -793,7 +762,7 @@ class Engine:
         t = self._end_phase("local_train", timings, t, n_updates=len(updates))
 
         obs.begin_phase("aggregate")
-        skip_reason = self._quorum_skip_reason(selected, updates)
+        skip_reason = self._quorum_skip_reason(len(selected), len(updates))
         if skip_reason is None:
             self._phase_aggregate(round_idx, updates)
         else:

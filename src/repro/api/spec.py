@@ -374,12 +374,6 @@ class ExperimentSpec:
         "PopulationSampler.  None = the eager roster.  Sync mode only; does "
         "not compose with adversaries or device profiles (both enumerate "
         "the fleet per client id)")
-    agg_block_size: Optional[int] = _knob(
-        None, "population",
-        "stream aggregation in blocks of this many client rows (peak "
-        "O(block x P) instead of O(K x P)); byte-identical to dense for any "
-        "value.  None = dense.  Robust rules that need the full stacked "
-        "matrix reject this knob at build time", domain=">= 1", engine=True)
     state_mmap_mb: Optional[int] = _knob(
         None, "population",
         "heap budget (MiB) for lazy per-client strategy state before "

@@ -17,15 +17,7 @@ from repro.fl.population import (
     Population,
     PopulationSampler,
 )
-from repro.fl.aggregation import (
-    aggregation_block,
-    fedavg_aggregate,
-    get_aggregation_block_size,
-    set_default_aggregation_block_size,
-    weighted_average_flat,
-    weighted_average_trees,
-    weighted_average_trees_loop,
-)
+from repro.fl.aggregation import fedavg_aggregate, weighted_average_flat
 from repro.fl.robust import (
     Adversary,
     RobustAggregator,
@@ -84,13 +76,8 @@ __all__ = [
     "FlatStateArena",
     "Population",
     "PopulationSampler",
-    "aggregation_block",
-    "get_aggregation_block_size",
-    "set_default_aggregation_block_size",
     "fedavg_aggregate",
     "weighted_average_flat",
-    "weighted_average_trees",
-    "weighted_average_trees_loop",
     "Adversary",
     "RobustAggregator",
     "available_adversaries",

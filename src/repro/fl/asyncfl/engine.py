@@ -482,9 +482,7 @@ class AsyncFLEngine(Engine):
                 arrived=len(batch), virtual_s=self.clock.now,
             )
             self.obs.begin_phase("aggregate")
-            skip_reason = self._quorum_skip_reason(
-                selected, [a.update for a in batch]
-            )
+            skip_reason = self._quorum_skip_reason(len(selected), len(batch))
             if skip_reason is None:
                 self._phase_aggregate(round_idx, [a.update for a in batch])
             else:
@@ -512,12 +510,7 @@ class AsyncFLEngine(Engine):
                 arrived=len(batch), virtual_s=self.clock.now,
             )
             self.obs.begin_phase("aggregate")
-            skip_reason = None
-            if self._policy_active:
-                if not batch:
-                    skip_reason = "no_updates"
-                elif len(batch) < math.ceil(self.quorum_fraction * self.buffer_size):
-                    skip_reason = "quorum"
+            skip_reason = self._quorum_skip_reason(self.buffer_size, len(batch))
             if skip_reason is None:
                 self._apply_async(round_idx, batch)
             else:

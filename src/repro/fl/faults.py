@@ -33,8 +33,8 @@ probability):
                     NaN-filled flat vector (``mode="nan"``) or a truncated
                     one (``mode="truncate"``) — rides the failed result so
                     tests and tools can inspect what the wire saw; the
-                    engine's failure policy, not the aggregator's finite
-                    screen, decides what happens next
+                    engine's failure policy, the same on every backend,
+                    decides what happens next
 ``straggler``       the client trains *honestly* but its (virtual-clock)
                     report time is inflated by a seeded delay in
                     ``[min_delay_s, max_delay_s]``; with

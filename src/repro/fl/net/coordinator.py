@@ -561,10 +561,6 @@ class NetworkExecutor:
     #: the registry overwrites this with the name the backend was asked for
     #: by (``"process"`` / ``"network"``): one class, two registrations.
     name = "network"
-    #: tells the engine the wire can lose tasks even with no fault injector
-    #: configured, so the failure policy (quorum skip instead of a crash on
-    #: an empty aggregate) stays armed.
-    inherently_unreliable = True
 
     def __init__(
         self,

@@ -254,9 +254,9 @@ def materialize_parameters(params) -> Tuple[ParamPlane, "GradPlane"]:
 class MatrixPool:
     """Round-persistent scratch matrices for stacked client vectors.
 
-    The robust aggregation rules stack K client vectors into one ``(K, P)``
-    float64 matrix every round (and ``weighted_average_trees`` stages plain
-    trees into a few rows of one).  K and P are constant for a run, so the
+    :func:`stack_updates` is its one client: the robust aggregation rules
+    stack K client vectors into one ``(K, P)`` float64 matrix every round
+    through it.  K and P are constant for a run, so the
     pool hands back the same allocation round after round instead of
     churning ~K*P*8 bytes per aggregation.  Keyed by shape; one entry per
     live shape (a run has one, two when privacy/compression wrappers stack

@@ -75,17 +75,6 @@ class RobustAggregator:
     #: registry name, e.g. "coordinate_median"
     name: str = "base"
 
-    #: Whether the rule needs all K rows at once.  Coordinate order
-    #: statistics (median, trimmed mean) and pairwise-distance selection
-    #: (Krum) have no streaming formulation, so they always stack the dense
-    #: ``(K, P)`` matrix regardless of any aggregation block size — an
-    #: ambient block default (the test suite's ``--agg-block-size``) is a
-    #: documented no-op for them, while an *explicit* per-experiment
-    #: ``agg_block_size`` combined with such a rule is rejected at
-    #: spec-build time (see :class:`repro.fl.server.Server`).  Rules that
-    #: reduce to a weighted mean set this False and stream.
-    requires_full_matrix: bool = True
-
     def reduce(
         self, mat: np.ndarray, weights: np.ndarray, global_flat: np.ndarray
     ) -> Tuple[np.ndarray, List[int]]:
@@ -109,7 +98,6 @@ class MeanAggregator(RobustAggregator):
     baseline leg of the accuracy-under-attack bench."""
 
     name = "mean"
-    requires_full_matrix = False
 
     def reduce(self, mat, weights, global_flat):
         return weighted_average_flat(mat, weights), list(range(mat.shape[0]))
@@ -164,6 +152,10 @@ class NormClip(RobustAggregator):
         self.tau = tau
 
     def reduce(self, mat, weights, global_flat):
+        if self.tau is None and mat.shape[0] == 1:
+            # A lone row is its own median, so nothing is clipped; return it
+            # as is (g + (x - g) is not x in floating point).
+            return mat[0].copy(), [0]
         mat -= global_flat  # scratch: work on deltas in place
         norms = np.sqrt(np.einsum("kp,kp->k", mat, mat))
         tau = float(np.median(norms)) if self.tau is None else self.tau

@@ -6,7 +6,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.fl.aggregation import aggregation_block
 from repro.fl.params import ParamPlane
 from repro.fl.robust.aggregators import RobustAggregator, robust_aggregate
 from repro.fl.types import ClientUpdate, FLConfig
@@ -47,27 +46,7 @@ class Server:
         strategy,
         config: FLConfig,
         aggregator: Optional[RobustAggregator] = None,
-        agg_block_size: Optional[int] = None,
     ) -> None:
-        if agg_block_size is not None and int(agg_block_size) < 1:
-            raise ValueError(
-                f"agg_block_size must be >= 1, got {agg_block_size}")
-        if (
-            agg_block_size is not None
-            and aggregator is not None
-            and aggregator.requires_full_matrix
-        ):
-            # Decided once at build time (the spec funnels every construction
-            # through here): rules reducing over coordinate order statistics
-            # or pairwise geometry have no streaming formulation, so the
-            # block size would be silently ignored — per the spec-validation
-            # philosophy, a knob that does nothing is an error.
-            raise ValueError(
-                f"aggregator {aggregator.name!r} requires the full stacked "
-                "(K, P) matrix and cannot stream in blocks; drop "
-                "agg_block_size or use a streaming-capable rule ('mean')"
-            )
-        self.agg_block_size = None if agg_block_size is None else int(agg_block_size)
         if aggregator is not None:
             from repro.algorithms.base import Strategy
 
@@ -189,12 +168,8 @@ class Server:
                 accepted = healthy
             new = self.strategy.post_aggregate(new, old, accepted, self.state, self.config)
         else:
-            # The block size reaches any weighted_average_trees call in a
-            # strategy's hooks; the shipped strategies fold cached flat
-            # vectors and stage nothing (see repro.fl.aggregation).
-            with aggregation_block(self.agg_block_size):
-                new = self.strategy.aggregate(healthy, old, self.state, self.config)
-                new = self.strategy.post_aggregate(new, old, healthy, self.state, self.config)
+            new = self.strategy.aggregate(healthy, old, self.state, self.config)
+            new = self.strategy.post_aggregate(new, old, healthy, self.state, self.config)
         # One in-place write of the plane; the views every consumer holds
         # update with it.  (``new`` is a fresh vector or the plane's own,
         # and copyto handles the latter as a no-op.)

@@ -10,14 +10,7 @@ from repro.utils.rng import RngStream, spawn_rngs, seed_everything
 from repro.utils.vectorize import (
     flatten_arrays,
     unflatten_like,
-    zeros_like_flat,
-    tree_axpy,
-    tree_scale,
-    tree_sub,
-    tree_add,
     tree_copy,
-    tree_dot,
-    tree_sq_norm,
 )
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.timer import Timer, StageTimer
@@ -28,14 +21,7 @@ __all__ = [
     "seed_everything",
     "flatten_arrays",
     "unflatten_like",
-    "zeros_like_flat",
-    "tree_axpy",
-    "tree_scale",
-    "tree_sub",
-    "tree_add",
     "tree_copy",
-    "tree_dot",
-    "tree_sq_norm",
     "get_logger",
     "set_verbosity",
     "Timer",

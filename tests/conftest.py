@@ -57,16 +57,6 @@ def pytest_addoption(parser):
              "--aggregator trimmed_mean)",
     )
     parser.addoption(
-        "--agg-block-size",
-        type=int,
-        default=None,
-        help="run the whole suite with this streaming aggregation block "
-             "size as the process-wide default (CI reruns tier-1 with "
-             "--agg-block-size 3 to keep the chunked path continuously "
-             "exercised; results are byte-identical to dense, so every "
-             "test must still pass)",
-    )
-    parser.addoption(
         "--fault",
         default=None,
         choices=_choices("fault"),
@@ -103,11 +93,6 @@ def pytest_configure(config):
         "tier2: slow resource-ceiling regression tests, run with --run-tier2",
     )
     config.addinivalue_line("markers", "slow: long-running end-to-end test")
-    block = config.getoption("--agg-block-size")
-    if block is not None:
-        from repro.fl.aggregation import set_default_aggregation_block_size
-
-        set_default_aggregation_block_size(block)
 
 
 def pytest_collection_modifyitems(config, items):

@@ -246,18 +246,29 @@ class TestFailurePolicyRuns:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_is_policy_failure_not_aggregator_drop(self):
-        """Divergent training (giant lr) produces non-finite losses.  The
-        legacy path screens them at the aggregator (dropped_clients); with
-        the failure policy active the task itself fails, non-retryably."""
+        """Divergent training (giant lr) produces non-finite losses: the
+        task itself fails, non-retryably, instead of reaching the
+        aggregator's finite screen (dropped_clients)."""
         diverge = {**TINY, "rounds": 2, "lr": 1e9}
-        legacy = run_experiment(ExperimentSpec(**diverge))
-        assert legacy.dropped_client_ids(), "lr=1e9 should diverge"
-        assert legacy.failed_client_ids() == []
         policy = run_experiment(ExperimentSpec(**diverge, task_retries=1))
         assert policy.failed_client_ids()
         assert policy.dropped_client_ids() == []
         # non-retryable: the retry budget was not spent re-reproducing NaN
         assert policy.retried_client_ids() == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_records_one_history_on_every_backend(self):
+        """With no fault knob set, retries 0 and quorum 0 are the trivial
+        policy on every backend: a diverging run fails the same tasks and
+        skips the same rounds on serial, threaded and the process fleet."""
+        diverge = {**TINY, "rounds": 2, "lr": 1e9}
+        serial = run_experiment(ExperimentSpec(**diverge))
+        for executor in ("threaded", "process"):
+            other = run_experiment(ExperimentSpec(
+                **diverge, executor=executor, n_workers=2))
+            assert _sig(other) == _sig(serial), f"{executor} diverged from serial"
+        assert serial.failed_client_ids(), "lr=1e9 should diverge"
+        assert serial.dropped_client_ids() == []
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +285,14 @@ class TestQuorum:
     def test_skip_reason_matches_ceil_rule(self, q, k, data):
         """skipped iff successes < ceil(q * K); zero successes always skip."""
         s = data.draw(st.integers(0, k))
-        policy = SimpleNamespace(_policy_active=True, quorum_fraction=q)
-        reason = Engine._quorum_skip_reason(
-            policy, list(range(k)), [object()] * s)
+        policy = SimpleNamespace(quorum_fraction=q)
+        reason = Engine._quorum_skip_reason(policy, k, s)
         if s == 0:
             assert reason == "no_updates"
         elif s < math.ceil(q * k):
             assert reason == "quorum"
         else:
             assert reason is None
-
-    def test_policy_inactive_never_skips(self):
-        inactive = SimpleNamespace(_policy_active=False, quorum_fraction=0.9)
-        assert Engine._quorum_skip_reason(inactive, [0, 1], []) is None
 
     def test_full_quorum_skips_on_any_failure(self):
         hist = run_experiment(ExperimentSpec(

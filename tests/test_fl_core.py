@@ -16,7 +16,7 @@ from repro.fl import (
     evaluate_model,
     fedavg_aggregate,
     full_batch_gradient,
-    weighted_average_trees,
+    weighted_average_flat,
 )
 from repro.fl.types import ClientUpdate, RoundRecord
 from repro.models import build_mlp
@@ -188,15 +188,14 @@ class TestAggregation:
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            weighted_average_trees([[np.zeros(2)]], [-1.0])
+            weighted_average_flat(np.zeros((1, 2)), [-1.0])
         with pytest.raises(ValueError):
-            weighted_average_trees([[np.zeros(2)]], [1.0, 2.0])
+            weighted_average_flat(np.zeros((1, 2)), [1.0, 2.0])
 
     def test_dtype_preserved(self):
-        out = weighted_average_trees(
-            [[np.zeros(2, dtype=np.float32)], [np.ones(2, dtype=np.float32)]], [1, 1]
-        )
-        assert out[0].dtype == np.float32
+        ups = [ClientUpdate(i, [np.full(2, i, dtype=np.float32)], 1, 0.0) for i in range(2)]
+        out = fedavg_aggregate(ups)
+        assert out.dtype == np.float32
 
 
 class TestClient:

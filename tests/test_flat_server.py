@@ -25,7 +25,7 @@ from repro.algorithms import (
 from repro.algorithms.registry import STRATEGY_CLASSES, available_strategies
 from repro.api import ExperimentSpec
 from repro.api.registry import build_mode
-from repro.fl.aggregation import weighted_average_trees
+from repro.fl.aggregation import weighted_average_flat
 from repro.fl.params import as_flat
 
 SPEC = dict(dataset="tiny", model="mlp", n_clients=6, clients_per_round=3,
@@ -42,11 +42,10 @@ class _PerLayerServer:
         return self.layout.tree_of(flat)
 
     def aggregate(self, updates, global_flat, server_state, config):
-        # the pre-flat fedavg_aggregate: the staged fold, reshaped per layer
-        tree = weighted_average_trees(
-            [u.weights for u in updates], [u.num_samples for u in updates],
-            flats=[u.flat for u in updates])
-        return as_flat(tree)
+        # the weighted mean over the stacked (K, P) rows, cast once
+        mat = np.stack([u.flat for u in updates])
+        return weighted_average_flat(
+            mat, [u.num_samples for u in updates]).astype(mat.dtype)
 
 
 class _SlowMoOracle(_PerLayerServer, SlowMo):

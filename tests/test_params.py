@@ -1,23 +1,20 @@
 """The flat-parameter hot path: layout/plane round-trips, zero-copy
-views, loop-vs-GEMM aggregation equivalence, flat privacy/secure/
+views, loop-vs-fold aggregation equivalence, flat privacy/secure/
 compression equivalence, and cross-executor x cross-mode byte-identity
 on the single-buffer representation."""
 
 from __future__ import annotations
 
+import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import ExperimentSpec, run_experiment
-from repro.fl.aggregation import (
-    fedavg_aggregate,
-    weighted_average_flat,
-    weighted_average_trees,
-    weighted_average_trees_loop,
-)
+from repro.fl.aggregation import fedavg_aggregate, weighted_average_flat
 from repro.fl.compression import QuantizationCompressor, TopKCompressor
 from repro.fl.params import MatrixPool, ParamPlane, WeightLayout, stack_updates
 from repro.fl.privacy import GaussianMechanism
@@ -25,6 +22,10 @@ from repro.fl.secure import PairwiseMasker
 from repro.fl.server import Server
 from repro.fl.types import ClientUpdate, FLConfig
 from repro.algorithms.registry import build_strategy
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks"))
+
+from bench_hot_path import weighted_average_trees_loop  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +190,7 @@ class TestClientUpdateFlat:
 
 
 # ---------------------------------------------------------------------------
-# aggregation: loop vs GEMM
+# aggregation: loop vs fold
 # ---------------------------------------------------------------------------
 
 class TestAggregationEquivalence:
@@ -199,12 +200,14 @@ class TestAggregationEquivalence:
         rng = np.random.default_rng(seed)
         trees = [random_tree(SHAPES, rng.integers(2**31)) for _ in range(k)]
         weights = list(rng.uniform(0.1, 5.0, size=k))
-        gemm = weighted_average_trees(trees, weights)
+        mat = np.stack([np.concatenate([w.ravel() for w in t]) for t in trees])
+        fold = weighted_average_flat(mat, weights).astype(np.float32)
         loop = weighted_average_trees_loop(trees, weights)
-        for a, b in zip(gemm, loop):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            np.testing.assert_allclose(
-                a.astype(np.float64), b.astype(np.float64), rtol=1e-6, atol=1e-7)
+        assert all(b.dtype == np.float32 for b in loop)
+        np.testing.assert_allclose(
+            fold.astype(np.float64),
+            np.concatenate([b.ravel() for b in loop]).astype(np.float64),
+            rtol=1e-6, atol=1e-7)
 
     def test_update_flats_feed_the_matrix(self):
         updates = []
@@ -227,21 +230,19 @@ class TestAggregationEquivalence:
         np.testing.assert_allclose(out, (mat[0] + mat[1] + 2 * mat[2]) / 4.0)
 
     def test_validation_preserved(self):
-        with pytest.raises(ValueError, match="no trees"):
-            weighted_average_trees([], [])
-        tree = random_tree(SHAPES, 0)
-        with pytest.raises(ValueError, match="one weight per tree"):
-            weighted_average_trees([tree], [1.0, 2.0])
+        with pytest.raises(ValueError, match="no client updates"):
+            fedavg_aggregate([])
+        row = np.concatenate([w.ravel() for w in random_tree(SHAPES, 0)])
+        with pytest.raises(ValueError, match="one weight per row"):
+            weighted_average_flat(row[None, :], [1.0, 2.0])
         with pytest.raises(ValueError, match="non-negative"):
-            weighted_average_trees([tree, tree], [1.0, -1.0])
-        with pytest.raises(ValueError, match="structure mismatch"):
-            weighted_average_trees([tree, tree[:-1]], [1.0, 1.0])
-        # same total size, different layer shapes: must raise like the old
-        # loop did (broadcasting error), not average scrambled elements
-        a = [np.zeros((3, 4), dtype=np.float32)]
-        b = [np.zeros((4, 3), dtype=np.float32)]
-        with pytest.raises(ValueError, match="structure mismatch"):
-            weighted_average_trees([a, b], [1.0, 1.0])
+            weighted_average_flat(np.stack([row, row]), [1.0, -1.0])
+        short = ClientUpdate.from_flat(row[:-2], [(row.size - 2,)], client_id=1,
+                                       num_samples=1, train_loss=0.0)
+        full = ClientUpdate.from_flat(row, [(row.size,)], client_id=0,
+                                      num_samples=1, train_loss=0.0)
+        with pytest.raises(ValueError, match="row has"):
+            fedavg_aggregate([full, short])
 
     def test_matrix_pool_is_thread_local(self):
         import threading

@@ -1,12 +1,11 @@
-"""Population-scale federation: streaming aggregation, lazy rosters, arenas.
+"""Population-scale federation: the pinned fold, lazy rosters, arenas.
 
 Four contracts pinned here:
 
-1. **Chunked == dense, bitwise.**  The pinned row fold makes the weighted
-   average a function of the row *sequence* only, so every aggregation
-   block size — 1, 3, K, K+7, an ambient conftest default — produces the
-   same float64 bit pattern, at function level and through the full
-   executor x mode experiment grid.
+1. **One fold, bitwise.**  The pinned row fold makes the weighted average a
+   function of the row *sequence* only: both flat entry points agree bit
+   for bit, and every cell of the executor x mode experiment grid
+   reproduces its serial reference.
 2. **Aggregator invariants, property-based.**  Every registered rule is
    classified for permutation equivariance, weight-scale invariance and
    K=1 behaviour; a completeness check fails the suite the moment a new
@@ -25,6 +24,7 @@ Four contracts pinned here:
 
 from __future__ import annotations
 
+import os
 import pickle
 import subprocess
 import sys
@@ -35,14 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import ExperimentSpec, build_mode, run_experiment
 from repro.data import build_federated_data
-from repro.fl.aggregation import (
-    aggregation_block,
-    get_aggregation_block_size,
-    set_default_aggregation_block_size,
-    weighted_average_flat,
-    weighted_average_trees,
-    weighted_average_trees_loop,
-)
+from repro.fl.aggregation import fedavg_aggregate, weighted_average_flat
 from repro.fl.params import _default_pool, reset_default_pool
 from repro.fl.population import (
     ClientDirectory,
@@ -51,6 +44,11 @@ from repro.fl.population import (
     PopulationSampler,
 )
 from repro.fl.robust import available_aggregators, build_aggregator
+from repro.fl.types import ClientUpdate
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks"))
+
+from bench_hot_path import weighted_average_trees_loop  # noqa: E402
 
 TINY = dict(dataset="tiny", model="mlp", method="fedavg", n_clients=4,
             clients_per_round=2, rounds=3, batch_size=20, lr=0.05)
@@ -85,10 +83,6 @@ def _random_trees(seed: int, k: int = 11, dtype=np.float32):
     return trees, weights
 
 
-def _tree_bytes(tree):
-    return tuple(a.tobytes() for a in tree)
-
-
 @pytest.fixture(scope="module")
 def tiny4():
     """The 4-shard dataset every TINY spec in this module trains on."""
@@ -98,138 +92,79 @@ def tiny4():
 
 
 # ---------------------------------------------------------------------------
-# 1a. Function-level: the pinned fold is block-size independent, bitwise.
+# 1a. Function-level: one pinned fold behind both entry points.
 # ---------------------------------------------------------------------------
 
+def _rows(trees):
+    return np.stack([np.concatenate([a.ravel() for a in t]) for t in trees])
+
+
 class TestPinnedFoldByteIdentity:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_every_block_size_is_byte_identical(self, dtype):
-        """Blocks 1, 3, K and K+7 (clamped to dense) all reproduce the dense
-        result bit for bit — the streaming property the whole population
-        path rests on."""
-        k = 11
-        trees, weights = _random_trees(0, k=k, dtype=dtype)
-        dense = _tree_bytes(weighted_average_trees(trees, weights, block_size=k))
-        for block in (1, 3, k, k + 7):
-            chunked = weighted_average_trees(trees, weights, block_size=block)
-            assert _tree_bytes(chunked) == dense, f"block={block} diverged"
-
-    def test_ambient_context_matches_explicit_argument(self):
-        trees, weights = _random_trees(1)
-        explicit = _tree_bytes(weighted_average_trees(trees, weights, block_size=2))
-        with aggregation_block(2):
-            ambient = _tree_bytes(weighted_average_trees(trees, weights))
-        assert ambient == explicit
-
-    def test_block_resolution_priority(self):
-        """Explicit argument > innermost context > module default; a None
-        context is transparent; the previous default is restored."""
-        prev = set_default_aggregation_block_size(5)
-        try:
-            assert get_aggregation_block_size() == 5
-            with aggregation_block(2):
-                assert get_aggregation_block_size() == 2
-                with aggregation_block(None):  # transparent
-                    assert get_aggregation_block_size() == 2
-                with aggregation_block(7):  # innermost wins
-                    assert get_aggregation_block_size() == 7
-                assert get_aggregation_block_size() == 2
-            assert get_aggregation_block_size() == 5
-        finally:
-            set_default_aggregation_block_size(prev)
-        assert get_aggregation_block_size() == prev
-
-    def test_module_default_streams_byte_identically(self):
-        trees, weights = _random_trees(2)
-        dense = _tree_bytes(weighted_average_trees(trees, weights))
-        prev = set_default_aggregation_block_size(3)
-        try:
-            chunked = _tree_bytes(weighted_average_trees(trees, weights))
-        finally:
-            set_default_aggregation_block_size(prev)
-        assert chunked == dense
-
-    def test_flat_entrypoint_matches_tree_entrypoint(self):
+    def test_flat_entrypoint_matches_fedavg_entrypoint(self):
         """Both public entry points funnel through the same fold, so the
-        stacked-matrix API and the tree API agree bitwise on float64."""
+        stacked-matrix API and the update API agree bitwise on float64."""
         trees, weights = _random_trees(3, dtype=np.float64)
-        mat = np.stack([np.concatenate([a.ravel() for a in t]) for t in trees])
-        flat = weighted_average_flat(mat, weights)
-        tree = weighted_average_trees(trees, weights)
-        assert np.concatenate([a.ravel() for a in tree]).tobytes() == flat.tobytes()
+        flat = weighted_average_flat(_rows(trees), weights)
+        updates = [ClientUpdate(k, t, int(w), 0.0)
+                   for k, (t, w) in enumerate(zip(trees, weights))]
+        assert fedavg_aggregate(updates).tobytes() == flat.tobytes()
 
     def test_fold_matches_loop_reference(self):
         trees, weights = _random_trees(4)
-        fold = weighted_average_trees(trees, weights, block_size=3)
+        fold = weighted_average_flat(_rows(trees), weights)
         loop = weighted_average_trees_loop(trees, weights)
-        for a, b in zip(fold, loop):
-            np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(
+            fold, np.concatenate([b.ravel() for b in loop]), rtol=1e-6, atol=1e-7)
 
     def test_k1_is_exact(self):
-        """A single-tree 'average' returns that tree's values unchanged."""
+        """A single-row 'average' returns that row's values unchanged."""
         trees, _ = _random_trees(5, k=1)
-        out = weighted_average_trees(trees, [17.0], block_size=1)
-        assert _tree_bytes(out) == _tree_bytes(trees[0])
-
-    def test_invalid_block_sizes_are_rejected(self):
-        trees, weights = _random_trees(6, k=3)
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="block size"):
-                weighted_average_trees(trees, weights, block_size=bad)
-            with pytest.raises(ValueError, match="block size"):
-                with aggregation_block(bad):
-                    pass  # pragma: no cover - raise happens on entry
-        with pytest.raises(ValueError, match="block size"):
-            set_default_aggregation_block_size(0)
+        row = _rows(trees)
+        out = weighted_average_flat(row, [17.0])
+        assert out.astype(row.dtype).tobytes() == row[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
-# 1b. Experiment-level: chunked == dense through the executor x mode grid.
+# 1b. Experiment-level: one History through the executor x mode grid.
 # ---------------------------------------------------------------------------
 
 class TestGridByteIdentity:
-    def test_chunked_equals_dense_across_executor_mode_grid(self):
-        """Every (executor x mode x block) cell reproduces its mode family's
-        dense reference byte for byte.  Sync and semisync (full buffer, no
+    def test_executor_mode_grid_is_byte_identical(self):
+        """Every (executor x mode) cell reproduces its mode family's serial
+        reference byte for byte.  Sync and semisync (full buffer, no
         deadline) share one reference; async — a different algorithm by
-        construction — has its own, and must itself be block-invariant
-        (its mean path already folds sequentially)."""
+        construction — has its own."""
         references = {
             "barrier": _sig(run_experiment(ExperimentSpec(**TINY))),
             "async": _sig(run_experiment(
                 ExperimentSpec(**{**TINY, "mode": "async"}))),
         }
-        for block in (1, 3):
-            for executor in ("serial", "process"):
-                for mode in ("sync", "semisync", "async"):
-                    spec = ExperimentSpec(**{
-                        **TINY, "executor": executor, "mode": mode,
-                        "agg_block_size": block,
-                        **({"device_profile": "iot"} if mode == "semisync" else {}),
-                        **({"n_workers": 2} if executor != "serial" else {}),
-                    })
-                    key = "async" if mode == "async" else "barrier"
-                    assert _sig(run_experiment(spec)) == references[key], (
-                        f"block={block} {executor}/{mode} diverged from dense")
+        for executor in ("serial", "process"):
+            for mode in ("sync", "semisync", "async"):
+                spec = ExperimentSpec(**{
+                    **TINY, "executor": executor, "mode": mode,
+                    **({"device_profile": "iot"} if mode == "semisync" else {}),
+                    **({"n_workers": 2} if executor != "serial" else {}),
+                })
+                key = "async" if mode == "async" else "barrier"
+                assert _sig(run_experiment(spec)) == references[key], (
+                    f"{executor}/{mode} diverged from the serial reference")
 
-    def test_population_run_is_block_invariant_across_executors(self, tiny4):
-        """A population-backed cohort streamed out of a 10k-id space is
-        byte-identical across serial/threaded/process and block sizes."""
+    def test_population_run_is_byte_identical_across_executors(self, tiny4):
+        """A population-backed cohort drawn out of a 10k-id space is
+        byte-identical across serial/threaded/process."""
         base = {**TINY, "population_size": 10_000}
         reference = None
         for executor in ("serial", "threaded", "process"):
-            for block in (None, 3):
-                spec = ExperimentSpec(**{
-                    **base, "executor": executor,
-                    **({} if block is None else {"agg_block_size": block}),
-                    **({"n_workers": 2} if executor != "serial" else {}),
-                })
-                sig = _sig(run_experiment(spec, data=tiny4))
-                if reference is None:
-                    reference = sig
-                else:
-                    assert sig == reference, (
-                        f"population cell {executor}/block={block} diverged")
+            spec = ExperimentSpec(**{
+                **base, "executor": executor,
+                **({"n_workers": 2} if executor != "serial" else {}),
+            })
+            sig = _sig(run_experiment(spec, data=tiny4))
+            if reference is None:
+                reference = sig
+            else:
+                assert sig == reference, f"population cell {executor} diverged"
         # the sampler really draws from the virtual space, not the shards
         selected = {c for rec in reference for c in rec[1]}
         assert any(c >= TINY["n_clients"] for c in selected), (
@@ -248,8 +183,7 @@ PERM_EXACT = {"coordinate_median", "krum"}
 #: K=1 behaviour of each rule.  *Every* registered aggregator must appear in
 #: exactly one bucket — test_every_aggregator_is_classified enforces it, so
 #: registering a new rule without extending these tables fails the suite.
-K1_EXACT = {"mean", "coordinate_median", "trimmed_mean"}
-K1_CLOSE = {"norm_clip"}  # rescales by tau/||d|| == 1, not bitwise stable
+K1_EXACT = {"mean", "coordinate_median", "trimmed_mean", "norm_clip"}
 K1_RAISES = {"krum", "multi_krum", "norm_screen"}  # need K > f + margin
 
 
@@ -304,9 +238,8 @@ class TestAggregatorInvariants:
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_k1_behaviour(self, name, seed):
-        """A one-client cohort either returns that client's vector (exactly,
-        or up to a unit rescale for norm_clip) or refuses with a clear
-        error — never a silent wrong answer."""
+        """A one-client cohort either returns that client's vector exactly
+        or refuses with a clear error — never a silent wrong answer."""
         mat, weights, global_flat = _panel(seed, k=1)
         if name in K1_RAISES:
             with pytest.raises(ValueError):
@@ -314,28 +247,22 @@ class TestAggregatorInvariants:
             return
         out, kept = _reduce(name, mat, weights, global_flat)
         assert kept == [0]
-        if name in K1_EXACT:
-            assert np.array_equal(out, mat[0])
-        else:
-            # rtol leaves headroom for the rescale's multiply/divide round-off
-            # (hypothesis has found panels a shade past 1e-12).
-            np.testing.assert_allclose(out, mat[0], rtol=1e-10, atol=0)
+        assert np.array_equal(out, mat[0])
 
     def test_every_aggregator_is_classified(self):
         """Completeness gate: a newly registered rule inherits the invariant
         suite automatically (the parametrize above reads the registry), but
         its K=1 bucket is a semantic choice someone must make — this test
         turns 'forgot to classify it' into a named failure."""
-        buckets = (K1_EXACT, K1_CLOSE, K1_RAISES)
+        buckets = (K1_EXACT, K1_RAISES)
         classified = set().union(*buckets)
         missing = set(available_aggregators()) - classified
         assert not missing, (
             f"aggregators {sorted(missing)} are registered but not classified "
-            "in tests/test_population_scale.py (K1_EXACT / K1_CLOSE / "
-            "K1_RAISES); add each to exactly one bucket")
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            overlap = buckets[a] & buckets[b]
-            assert not overlap, f"aggregators {sorted(overlap)} in two buckets"
+            "in tests/test_population_scale.py (K1_EXACT / K1_RAISES); add "
+            "each to exactly one bucket")
+        overlap = K1_EXACT & K1_RAISES
+        assert not overlap, f"aggregators {sorted(overlap)} in two buckets"
         assert PERM_EXACT <= set(available_aggregators())
 
 
@@ -709,38 +636,12 @@ class TestSpecValidation:
             ExperimentSpec(**{**TINY, "population_size": 100,
                               "state_mmap_mb": -1})
 
-    def test_agg_block_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="agg_block_size"):
-            ExperimentSpec(**{**TINY, "agg_block_size": 0})
-
-    def test_explicit_block_with_full_matrix_rule_is_rejected_at_build(self, tiny4):
-        """The spec-validation philosophy: a knob that would silently do
-        nothing is an error, decided at build time, not mid-training."""
-        spec = ExperimentSpec(**{**TINY, "aggregator": "trimmed_mean",
-                                 "agg_block_size": 2})
-        with pytest.raises(ValueError, match="full stacked"):
-            build_mode("sync", spec=spec, data=tiny4, callbacks=())
-
-    def test_explicit_block_with_streaming_rule_is_accepted(self, tiny4):
-        spec = ExperimentSpec(**{**TINY, "aggregator": "mean",
-                                 "agg_block_size": 2})
-        dense = ExperimentSpec(**{**TINY, "aggregator": "mean"})
-        assert _sig(run_experiment(spec, data=tiny4)) == _sig(
-            run_experiment(dense, data=tiny4))
-
-    def test_requires_full_matrix_flags(self):
-        assert build_aggregator("mean").requires_full_matrix is False
-        for name in ("coordinate_median", "trimmed_mean", "krum",
-                     "multi_krum", "norm_clip", "norm_screen"):
-            assert build_aggregator(name).requires_full_matrix is True, name
-
     def test_new_fields_round_trip_through_dict(self):
         spec = ExperimentSpec(**{**TINY, "population_size": 10_000,
-                                 "agg_block_size": 3, "state_mmap_mb": 0})
+                                 "state_mmap_mb": 0})
         clone = ExperimentSpec.from_dict(spec.to_dict())
         assert clone == spec
         assert clone.population_size == 10_000
-        assert clone.agg_block_size == 3
         assert clone.state_mmap_mb == 0
 
 

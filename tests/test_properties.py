@@ -13,7 +13,7 @@ from repro.data.partition import (
     orthogonal_partition,
     partition_label_counts,
 )
-from repro.fl.aggregation import weighted_average_trees
+from repro.fl.aggregation import weighted_average_flat
 from repro.fl.types import ClientUpdate
 from repro.nn import functional as F
 from repro.utils.vectorize import flatten_arrays, unflatten_like
@@ -136,11 +136,10 @@ class TestAggregationProperties:
             for _ in range(n_trees)
         ]
         weights = rng.random(n_trees) + 0.01
-        out = weighted_average_trees(trees, weights)
-        for i in range(n_layers):
-            stack = np.stack([t[i] for t in trees])
-            assert (out[i] >= stack.min(axis=0) - 1e-4).all()
-            assert (out[i] <= stack.max(axis=0) + 1e-4).all()
+        mat = np.stack([np.concatenate([a.ravel() for a in t]) for t in trees])
+        out = weighted_average_flat(mat, weights)
+        assert (out >= mat.min(axis=0) - 1e-4).all()
+        assert (out <= mat.max(axis=0) + 1e-4).all()
 
     @given(st.integers(2, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)

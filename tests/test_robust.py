@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, run_experiment
-from repro.fl.aggregation import weighted_average_flat, weighted_average_trees_loop
+from repro.fl.aggregation import fedavg_aggregate, weighted_average_flat
 from repro.fl.history import History
 from repro.fl.robust import (
     available_adversaries,
@@ -210,10 +210,10 @@ class TestWeightedAverageHardening:
         with pytest.raises(ValueError, match="sum to zero"):
             weighted_average_flat(mat, [0.0, 0.0, 0.0])
 
-    def test_all_zero_weights_raise_clear_error_tree_loop(self):
-        trees = [[np.ones(3, np.float32)] for _ in range(2)]
+    def test_all_zero_weights_raise_clear_error_fedavg(self):
+        updates = [ClientUpdate(k, [np.ones(3, np.float32)], 0, 0.0) for k in range(2)]
         with pytest.raises(ValueError, match="sum to zero"):
-            weighted_average_trees_loop(trees, [0.0, 0.0])
+            fedavg_aggregate(updates)
 
     def test_negative_and_nonfinite_weights_get_distinct_errors(self):
         mat = np.ones((2, 4))
@@ -227,10 +227,10 @@ class TestWeightedAverageHardening:
         out = weighted_average_flat(row[None, :], [5.0])
         np.testing.assert_array_equal(out, row)
 
-    def test_k1_tree_loop_returns_the_single_tree_exactly(self):
+    def test_k1_fedavg_returns_the_single_update_exactly(self):
         tree = [np.random.default_rng(4).standard_normal((2, 3)).astype(np.float32)]
-        out = weighted_average_trees_loop([tree], [3.0])
-        np.testing.assert_array_equal(out[0], tree[0])
+        out = fedavg_aggregate([ClientUpdate(0, tree, 3, 0.0)])
+        np.testing.assert_array_equal(out, tree[0].ravel())
 
 
 class TestAdversaries:

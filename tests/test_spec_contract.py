@@ -15,23 +15,24 @@ from repro.cli import _CLI_DEFAULTS, build_parser, spec_from_args
 
 FIELDS = fields(ExperimentSpec)
 
-#: (spec kwargs, cell_key) computed before the spec was derived from field
-#: metadata.  Sweep stores, snapshots and the network handshake all key on
-#: these; a change here orphans every stored result.
+#: (spec kwargs, cell_key), re-pinned once when ``agg_block_size`` left the
+#: spec (removing a field changes every key).  Sweep stores, snapshots and
+#: the network handshake all key on these; a change here orphans every
+#: stored result.
 GOLDEN_CELL_KEYS = [
-    (dict(), "aa27fa367c63eb9f"),
-    (dict(model="cnn", overrides={"mu": 0.4}), "bdcb177acf5a4421"),
+    (dict(), "df580d14c4a13ba6"),
+    (dict(model="cnn", overrides={"mu": 0.4}), "78be4c88b4d6325f"),
     (dict(mode="semisync", buffer_size=2, deadline_s=5.0,
-          device_profile="wifi", heterogeneity=4.0), "eda4bfb2b4faff7a"),
+          device_profile="wifi", heterogeneity=4.0), "101d46a7a2c9f8d9"),
     (dict(aggregator="trimmed_mean", aggregator_kwargs={"beta": 0.25},
           adversary="sign_flip", adversary_fraction=0.25,
-          adversary_kwargs={"gamma": 5.0}), "d1b7251976bb0f53"),
+          adversary_kwargs={"gamma": 5.0}), "6ad8b7920629891d"),
     (dict(executor="network", n_workers=2, net_fault="drop_frame",
           net_fault_rate=0.1, net_codec="topk",
           net_codec_kwargs={"fraction": 0.05}, net_bind="0.0.0.0:9000",
-          net_heartbeat_s=0.2, trace="/tmp/x.jsonl"), "d7c211aad19af594"),
-    (dict(population_size=1024, agg_block_size=8, state_mmap_mb=4,
-          fault="crash", fault_rate=0.2, task_retries=2), "c272a3e7f7ede812"),
+          net_heartbeat_s=0.2, trace="/tmp/x.jsonl"), "862433591f04a9ba"),
+    (dict(population_size=1024, state_mmap_mb=4,
+          fault="crash", fault_rate=0.2, task_retries=2), "29afd84d726950d1"),
 ]
 
 #: one non-default value per CLI-exposed field, chosen so that together
@@ -51,7 +52,7 @@ EVERY_FLAG = dict(
     adversary="sign_flip", adversary_fraction=0.25,
     adversary_kwargs={"gamma": 5}, fault="straggler", fault_rate=0.2,
     fault_kwargs={"max_delay_s": 30}, task_retries=2, task_timeout_s=9.0,
-    quorum_fraction=0.5, agg_block_size=2, trace="t.jsonl",
+    quorum_fraction=0.5, trace="t.jsonl",
     metrics_out="m.prom",
 )
 #: fields whose non-default value needs a different mode / roster than
@@ -89,7 +90,7 @@ class TestIdentity:
         assert ExperimentSpec(**kwargs).cell_key() == key
 
     def test_field_count_and_to_dict_order(self):
-        assert len(FIELDS) == 59
+        assert len(FIELDS) == 58
         assert list(ExperimentSpec().to_dict()) == [f.name for f in FIELDS]
 
     def test_topology_fields_are_exactly_the_cell_key_exclusions(self):
@@ -150,6 +151,14 @@ class TestCliEquivalence:
             **{**_CLI_DEFAULTS, **shared, "method": "fedavg"})
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--target-accuracy", "90"])
+
+    def test_removed_block_size_knob_is_rejected(self):
+        """The server has one fold and no staging block: the old knob is an
+        unknown field in a stored spec and an unknown flag on the CLI."""
+        with pytest.raises(ValueError, match="agg_block_size"):
+            ExperimentSpec.from_dict({**ExperimentSpec().to_dict(), "agg_block_size": 2})
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--agg-block-size", "2"])
 
     def test_typo_in_a_registry_flag_dies_in_argparse(self):
         for flag in ("--net-fault", "--net-codec", "--fault"):

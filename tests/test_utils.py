@@ -14,15 +14,8 @@ from repro.utils import (
     flatten_arrays,
     seed_everything,
     spawn_rngs,
-    tree_add,
-    tree_axpy,
     tree_copy,
-    tree_dot,
-    tree_scale,
-    tree_sq_norm,
-    tree_sub,
     unflatten_like,
-    zeros_like_flat,
 )
 
 
@@ -93,41 +86,11 @@ class TestVectorize:
     def test_flatten_empty(self):
         assert flatten_arrays([]).size == 0
 
-    def test_zeros_like_flat(self, rng):
-        arrays = [np.ones((2, 3), dtype=np.float32), np.ones(4, dtype=np.float32)]
-        z = zeros_like_flat(arrays)
-        assert z.shape == (10,) and (z == 0).all()
-
-    def test_tree_axpy_in_place(self):
-        xs = [np.ones(3)]
-        ys = [np.ones(3) * 2]
-        buf = ys[0]
-        tree_axpy(0.5, xs, ys)
-        assert ys[0] is buf
-        np.testing.assert_allclose(ys[0], 2.5)
-
-    def test_tree_ops(self):
-        xs = [np.array([1.0, 2.0]), np.array([[3.0]])]
-        ys = [np.array([0.5, 0.5]), np.array([[1.0]])]
-        np.testing.assert_allclose(tree_sub(xs, ys)[0], [0.5, 1.5])
-        np.testing.assert_allclose(tree_add(xs, ys)[1], [[4.0]])
-        assert tree_dot(xs, ys) == pytest.approx(1 * 0.5 + 2 * 0.5 + 3 * 1)
-        assert tree_sq_norm(xs) == pytest.approx(1 + 4 + 9)
-
     def test_tree_copy_independent(self):
         xs = [np.ones(2)]
         ys = tree_copy(xs)
         ys[0][0] = 5
         assert xs[0][0] == 1
-
-    def test_tree_scale(self):
-        xs = [np.ones(3)]
-        tree_scale(2.0, xs)
-        np.testing.assert_allclose(xs[0], 2.0)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            tree_sub([np.zeros(2)], [])
 
 
 class TestTimers:
