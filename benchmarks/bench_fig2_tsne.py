@@ -22,7 +22,7 @@ import numpy as np
 
 from conftest import run_once
 from harness import get_data, print_table, save_json
-from repro import FLConfig, Simulation
+from repro import FLConfig, Engine
 from repro.algorithms import FedAvg
 from repro.analysis import tsne
 from repro.fl.evaluation import evaluate_model
@@ -68,7 +68,7 @@ def _run():
     data = get_data("mini_mnist", 10, "dirichlet", alpha=0.5)
     config = FLConfig(rounds=ROUNDS, n_clients=10, clients_per_round=4,
                       batch_size=50, lr=0.02, seed=0)
-    sim = Simulation(data, FedAvg(), config, model_name="cnn")
+    sim = Engine(data, FedAvg(), config, model_name="cnn")
     snapshots = {}
     for t in range(ROUNDS):
         sim.run_round()

@@ -15,7 +15,7 @@ import numpy as np
 
 from conftest import run_once
 from harness import get_data, print_table, save_json
-from repro import FLConfig, Simulation, build_strategy
+from repro import FLConfig, Engine, build_strategy
 from repro.analysis import DriftTracker
 from repro.fl import SystemModel
 
@@ -28,7 +28,7 @@ def _drift_for(partition_kwargs, method):
     config = FLConfig(rounds=ROUNDS, n_clients=10, clients_per_round=4,
                       batch_size=50, lr=0.02, seed=0)
     strategy = build_strategy(method, model="mlp", dataset="mini_mnist")
-    sim = Simulation(data, strategy, config, model_name="mlp")
+    sim = Engine(data, strategy, config, model_name="mlp")
     tracker = DriftTracker().attach(sim)
     sim.run()
     out = tracker.summary()
@@ -41,7 +41,7 @@ def _time_for(method, preset):
     config = FLConfig(rounds=ROUNDS, n_clients=10, clients_per_round=4,
                       batch_size=50, lr=0.05, seed=0)
     strategy = build_strategy(method, model="mlp", dataset="mini_mnist")
-    sim = Simulation(data, strategy, config, model_name="mlp")
+    sim = Engine(data, strategy, config, model_name="mlp")
     sysmodel = SystemModel(preset, n_clients=10, heterogeneity=3.0).attach(sim)
     hist = sim.run()
     t = sysmodel.time_to_accuracy(hist, TARGET)

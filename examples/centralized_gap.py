@@ -15,7 +15,7 @@ import argparse
 
 import numpy as np
 
-from repro import FLConfig, Simulation, build_federated_data, build_strategy
+from repro import FLConfig, Engine, build_federated_data, build_strategy
 from repro.analysis import line_plot
 from repro.fl import train_centralized
 from repro.models import build_model
@@ -46,7 +46,7 @@ def main() -> None:
     finals = {}
     for method in ("fedtrip", "fedavg"):
         strategy = build_strategy(method, model="mlp", dataset=args.dataset)
-        sim = Simulation(data, strategy, config, model_name="mlp")
+        sim = Engine(data, strategy, config, model_name="mlp")
         hist = sim.run()
         curves[method] = [a for a in hist.accuracies()]
         finals[method] = hist.final_accuracy_stats(last_k=5)["mean"]

@@ -15,7 +15,7 @@ import argparse
 
 import numpy as np
 
-from repro import FLConfig, Simulation, build_federated_data, build_strategy
+from repro import FLConfig, Engine, build_federated_data, build_strategy
 from repro.data import heterogeneity_summary
 
 
@@ -60,7 +60,7 @@ def main() -> None:
         row = {}
         for method in ("fedtrip", "fedavg"):
             strategy = build_strategy(method, model="mlp", dataset=args.dataset)
-            sim = Simulation(data, strategy, config, model_name="mlp")
+            sim = Engine(data, strategy, config, model_name="mlp")
             hist = sim.run()
             row[method] = hist.final_accuracy_stats(last_k=5)
             sim.close()

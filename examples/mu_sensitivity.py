@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import FLConfig, FedTrip, Simulation, build_federated_data
+from repro import FLConfig, FedTrip, Engine, build_federated_data
 
 
 def main() -> None:
@@ -38,7 +38,7 @@ def main() -> None:
     print(f"{'mu':>6} {'best acc %':>11} {'final acc %':>12} "
           f"{'rounds to ' + str(args.target) + '%':>15}")
     for mu in args.mus:
-        sim = Simulation(data, FedTrip(mu=mu), config, model_name="mlp")
+        sim = Engine(data, FedTrip(mu=mu), config, model_name="mlp")
         hist = sim.run()
         final = hist.final_accuracy_stats(last_k=5)["mean"]
         r = hist.rounds_to_accuracy(args.target)

@@ -18,7 +18,7 @@ import argparse
 
 import numpy as np
 
-from repro import FLConfig, Simulation, build_federated_data, build_strategy
+from repro import FLConfig, Engine, build_federated_data, build_strategy
 from repro.fl import (
     NETWORK_PRESETS,
     QuantizationCompressor,
@@ -48,7 +48,7 @@ def main() -> None:
         cells = []
         for preset in NETWORK_PRESETS:
             strategy = build_strategy(method, model="mlp", dataset=args.dataset)
-            sim = Simulation(data, strategy, config, model_name="mlp")
+            sim = Engine(data, strategy, config, model_name="mlp")
             sysmodel = SystemModel(preset, n_clients=10, heterogeneity=3.0).attach(sim)
             hist = sim.run()
             t = sysmodel.time_to_accuracy(hist, args.target)
@@ -59,7 +59,7 @@ def main() -> None:
     # Compression extension: per-round payload if updates were compressed.
     print("\n=== update compression (one FedTrip client update) ===")
     strategy = build_strategy("fedtrip", model="mlp", dataset=args.dataset)
-    sim = Simulation(data, strategy, config, model_name="mlp")
+    sim = Engine(data, strategy, config, model_name="mlp")
     before = [w.copy() for w in sim.server.weights]
     sim.run_round()
     update = [w - b for w, b in zip(sim.server.weights, before)]

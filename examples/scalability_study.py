@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import FLConfig, Simulation, build_federated_data, build_strategy
+from repro import FLConfig, Engine, build_federated_data, build_strategy
 from repro.analysis import expected_xi
 
 
@@ -42,7 +42,7 @@ def main() -> None:
         print(f"{'method':>9} {'best acc %':>11} {'rounds to ' + str(args.target) + '%':>15}")
         for method in methods:
             strategy = build_strategy(method, model="mlp", dataset=args.dataset)
-            sim = Simulation(data, strategy, config, model_name="mlp")
+            sim = Engine(data, strategy, config, model_name="mlp")
             hist = sim.run()
             r = hist.rounds_to_accuracy(args.target)
             print(f"{method:>9} {hist.best_accuracy():>11.2f} "

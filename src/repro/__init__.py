@@ -16,9 +16,8 @@ and train it through the callback-driven engine::
           history.stop_reason)
 
 The same spec drives the CLI (``python -m repro train ...``), the sweep grid
-(:mod:`repro.experiments`) and the benchmark harness; the imperative
-``Simulation`` API remains as a compatibility shim over the engine (see
-:mod:`repro.api`).
+(:mod:`repro.experiments`) and the benchmark harness; the imperative API is
+the :class:`~repro.api.engine.Engine` itself (see :mod:`repro.api`).
 
 Subpackages
 -----------
@@ -34,7 +33,7 @@ Subpackages
 """
 
 from repro.data import build_federated_data, FederatedData, get_spec
-from repro.fl import FLConfig, Simulation, History, UniformSampler
+from repro.fl import FLConfig, History, UniformSampler
 from repro.api import (
     ExperimentSpec,
     Engine,
@@ -67,7 +66,6 @@ __all__ = [
     "FederatedData",
     "get_spec",
     "FLConfig",
-    "Simulation",
     "History",
     "UniformSampler",
     "ExperimentSpec",

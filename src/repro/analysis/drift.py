@@ -83,7 +83,7 @@ def drift_from_global(
 class DriftTracker:
     """Accumulates per-round drift metrics.
 
-    Usage with a :class:`~repro.fl.simulation.Simulation`::
+    Usage with a :class:`~repro.api.engine.Engine`::
 
         tracker = DriftTracker()
         tracker.attach(sim)      # registers as an update observer

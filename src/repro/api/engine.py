@@ -24,8 +24,40 @@ phases; see that module for the lifecycle.  ``FLConfig.target_accuracy``
 is honoured by auto-attaching an
 :class:`~repro.api.callbacks.EarlyStopping` callback.
 
-The legacy :class:`repro.fl.simulation.Simulation` class is a compatibility
-shim over this engine; :func:`run_experiment` is the declarative front door.
+Server modes
+------------
+One ``run_round`` serves all three server modes.  ``"sync"`` is the
+barrier round above; ``"semisync"`` (deadline/buffer rounds, FedBuff-style)
+and ``"async"`` (FedAsync-style staleness-decayed mixing) run the same
+phases on a virtual clock (:mod:`repro.fl.asyncfl.clock`): a dispatched
+client trains eagerly, its finish event is filed at ``now + duration``
+(priced by the :class:`~repro.fl.systems.SystemModel` from the update's
+measured FLOPs/bytes), and the round drains events in ``(time,
+client_id)`` order.  The modes differ in four rules, each a branch inside
+a shared phase:
+
+1. **who is dispatched** (sample / local_train) — sync: the sampler's
+   selection; semisync: the selection minus clients still busy; async: a
+   seeded uniform refill of the idle slots;
+2. **when the round closes** (local_train) — sync: when every dispatched
+   task resolved; semisync: at ``buffer_size`` arrivals or the deadline
+   (waiting for the first arrival if none came); async: at
+   ``buffer_size`` arrivals;
+3. **how the batch lands** (aggregate) — sync/semisync:
+   ``server.apply_updates`` (Eq. 2 plus ``post_aggregate``); async: the
+   staleness-decayed mix (reduce-then-mix under a robust rule);
+4. **clock and record** (record) — sync: ``system_model.observe`` prices
+   the round and ``selected`` is the selection; event modes: each arrival
+   advances the virtual clock and ``selected`` lists the arrivals (client-id
+   order) with their measured staleness.
+
+Everything else — dispatch, the retry runner, the quorum gate, evaluation,
+the record and the callbacks — is one code path.  Determinism: durations
+are deterministic per client, event ties break by client id, and the async
+refill draws from a seeded :class:`~repro.utils.rng.RngStream` child keyed
+by dispatch index, so a fixed seed yields byte-identical histories.
+
+:func:`run_experiment` is the declarative front door.
 """
 
 from __future__ import annotations
@@ -41,6 +73,7 @@ import numpy as np
 
 from repro.algorithms.base import Strategy
 from repro.data.federated import FederatedData
+from repro.fl.asyncfl.clock import Event, EventQueue, VirtualClock
 from repro.fl.client import Client
 from repro.fl.evaluation import evaluate_model, full_batch_gradient
 from repro.fl.executor import (
@@ -58,6 +91,7 @@ from repro.fl.faults import TaskFailure
 from repro.fl.history import History
 from repro.fl.params import as_flat, default_pool, reset_default_pool
 from repro.fl.population import ClientDirectory, FlatStateArena, PopulationSampler
+from repro.fl.robust.aggregators import robust_aggregate
 from repro.fl.sampling import UniformSampler
 from repro.fl.server import Server
 from repro.fl.types import ClientUpdate, FLConfig, RoundRecord
@@ -66,6 +100,7 @@ from repro.models.fedmodel import FedModel
 from repro.obs import NULL_RECORDER, payload_nbytes
 from repro.utils.blas import quiet_blas_threads
 from repro.utils.logging import get_logger
+from repro.utils.rng import RngStream
 
 from repro.api.callbacks import Callback, EarlyStopping, ProgressLogger
 from repro.api.registry import build_executor, build_mode
@@ -87,6 +122,9 @@ RETRY_BACKOFF_BASE_S = 1.0
 #: strategy server state holds ``(P,)`` vectors (format 1 held per-layer
 #: lists, which the flat server hooks cannot read; restore refuses it).
 SNAPSHOT_FORMAT = 2
+
+#: the server modes one ``run_round`` serves (see the module docstring).
+MODES = ("sync", "semisync", "async")
 
 
 class Engine:
@@ -128,10 +166,10 @@ class Engine:
         :class:`~repro.fl.types.RoundRecord` carries the cumulative
         simulated clock in ``virtual_time_s`` (the
         ``ExperimentSpec.device_profile`` field builds one from the
-        wifi/4g/iot presets).  Purely observational — trained numbers are
-        unaffected.  The event-driven modes
-        (:class:`~repro.fl.asyncfl.engine.AsyncFLEngine`) price per-client
-        durations from the same presets instead.
+        wifi/4g/iot presets).  In sync mode it is purely observational —
+        trained numbers are unaffected.  The event-driven modes require one: it prices each
+        client task (:meth:`~repro.fl.systems.SystemModel.duration_s`) and
+        so decides which updates arrive when.
     callbacks:
         :class:`~repro.api.callbacks.Callback` instances observing the loop.
         If ``config.target_accuracy`` is set and no
@@ -191,7 +229,26 @@ class Engine:
         a usable update; below quorum the round is skipped (global model
         kept, ``skip_reason="quorum"`` — or ``"no_updates"`` when nobody
         reported).  0.0 (default) aggregates whatever arrived, but an
-        all-fail round still skips rather than aggregating nothing.
+        all-fail round still skips rather than aggregating nothing.  In
+        async mode K is ``buffer_size``.
+    mode:
+        Server mode: ``"sync"`` (default) barrier rounds; ``"semisync"``
+        deadline/buffer rounds aggregated with the strategy's own
+        aggregation; ``"async"`` staleness-decayed mixing of each arriving
+        update.  The event-driven modes need ``system_model`` and reject
+        preamble strategies; async also rejects strategies with server
+        aggregation hooks and non-uniform samplers.
+    buffer_size:
+        Event modes: aggregate once this many updates arrived (FedBuff's
+        K).  Defaults to 1 in async mode and ``clients_per_round`` in
+        semisync; must not exceed ``clients_per_round`` or the round could
+        starve.
+    deadline_s:
+        Semisync only: close the round this many simulated seconds after
+        its dispatch even if the buffer is short (at least one update is
+        always waited for).  ``None`` waits for the full buffer.
+    async_alpha / async_poly:
+        Async mixing weight ``alpha * (1 + staleness)^(-poly)``.
     """
 
     def __init__(
@@ -218,6 +275,11 @@ class Engine:
         quorum_fraction: float = 0.0,
         retry_backoff_base_s: float = RETRY_BACKOFF_BASE_S,
         net_options: Optional[Dict[str, Any]] = None,
+        mode: str = "sync",
+        buffer_size: Optional[int] = None,
+        deadline_s: Optional[float] = None,
+        async_alpha: float = 0.6,
+        async_poly: float = 0.5,
     ) -> None:
         blas = quiet_blas_threads()  # first: a forked worker inherits it
         if task_retries < 0:
@@ -234,6 +296,61 @@ class Engine:
             )
         # Validate before any executor is built: a late raise would leak a
         # spawned worker pool (close() is unreachable from __init__).
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; available: {list(MODES)}")
+        if mode == "sync":
+            if buffer_size is not None or deadline_s is not None:
+                raise ValueError(
+                    "buffer_size/deadline_s apply to the event-driven modes; "
+                    "set mode='semisync' or 'async'"
+                )
+        else:
+            if system_model is None:
+                raise ValueError(
+                    f"mode={mode!r} prices every client task on a system_model; "
+                    "pass one (ExperimentSpec defaults to the wifi preset)"
+                )
+            if strategy.needs_preamble:
+                raise ValueError(
+                    f"{strategy.name} uses a preamble phase (full-batch gradients "
+                    "at a synchronized global model), which has no analogue in the "
+                    "event-driven modes; run it with mode='sync'"
+                )
+            if buffer_size is None:
+                buffer_size = 1 if mode == "async" else config.clients_per_round
+            if not 1 <= buffer_size <= config.clients_per_round:
+                raise ValueError(
+                    "need 1 <= buffer_size <= clients_per_round (the round could "
+                    f"otherwise starve): got K={buffer_size} with "
+                    f"{config.clients_per_round} concurrent clients"
+                )
+            if deadline_s is not None and deadline_s <= 0:
+                raise ValueError("deadline_s must be positive when set")
+            if not 0 < async_alpha <= 1:
+                raise ValueError("async_alpha must be in (0, 1]")
+            if async_poly < 0:
+                raise ValueError("async_poly must be non-negative")
+        if mode == "async":
+            if deadline_s is not None:
+                raise ValueError("deadline_s applies to semisync rounds only")
+            # Async mixing replaces server aggregation entirely: strategies
+            # that override aggregate/post_aggregate (SCAFFOLD's c, SlowMo's
+            # momentum, FedDyn's h, FedNova's normalized average,
+            # AdaptiveFedTrip's mu schedule) would silently train a
+            # different algorithm.
+            if (type(strategy).aggregate is not Strategy.aggregate
+                    or type(strategy).post_aggregate is not Strategy.post_aggregate):
+                raise ValueError(
+                    f"{strategy.name} relies on server-side aggregation hooks, "
+                    "which mode='async' replaces with staleness-decayed "
+                    "mixing; run it with mode='sync' or mode='semisync'"
+                )
+            if sampler is not None and not isinstance(sampler, UniformSampler):
+                raise ValueError(
+                    "mode='async' refills idle clients with a seeded uniform "
+                    f"draw and would silently ignore the {type(sampler).__name__}; "
+                    "sampler policies apply to mode='sync'/'semisync'"
+                )
         if system_model is not None and len(system_model.profiles) != config.n_clients:
             raise ValueError(
                 f"system model covers {len(system_model.profiles)} clients, "
@@ -355,9 +472,29 @@ class Engine:
         self._stop_reason: Optional[str] = None
         self.system_model = system_model
         #: cumulative simulated clock stamped onto round records; None until
-        #: a device/network model observes a round (event-driven subclasses
-        #: set it from their virtual clock instead).
+        #: a device/network model observes a round (the event modes read it
+        #: off their virtual clock instead).
         self._virtual_time_s: Optional[float] = None
+        self.mode = mode
+        self.buffer_size = buffer_size
+        self.deadline_s = deadline_s
+        self.async_alpha = float(async_alpha)
+        self.async_poly = float(async_poly)
+        # Event-mode state: the virtual clock, finish events in flight, the
+        # clients training, the arrivals awaiting aggregation.
+        self.clock = VirtualClock()
+        self.events = EventQueue()
+        self._busy: set = set()
+        self._buffer: List[Tuple[ClientUpdate, int]] = []
+        self._dispatch_seq = 0
+        self._dispatch_root = RngStream(config.seed).child("asyncfl", "dispatch")
+        #: server version the executor last received a broadcast for:
+        #: weights are immutable between aggregations, so one broadcast per
+        #: version suffices (the out-of-process broadcast frame is not free).
+        self._broadcast_version: Optional[int] = None
+        #: server version at each client's most recent dispatch, the
+        #: scheduler-side truth behind the measured xi handed to FedTrip.
+        self._last_dispatch_version: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # callback / stop plumbing
@@ -413,8 +550,21 @@ class Engine:
     # phases
     # ------------------------------------------------------------------
     def _phase_sample(self, round_idx: int) -> List[int]:
-        """Phase 1: pick this round's K participants."""
-        return self.sampler.select(round_idx)
+        """Phase 1 (rule 1): pick this round's participants — the sampler's
+        K clients, or in async mode a seeded uniform draw filling each idle
+        slot so ``clients_per_round`` clients keep training (draws keyed by
+        the global dispatch index, so replays are exact)."""
+        if self.mode != "async":
+            return self.sampler.select(round_idx)
+        picks: List[int] = []
+        while len(self._busy) + len(picks) < self.config.clients_per_round:
+            idle = sorted(set(range(self.config.n_clients)) - self._busy - set(picks))
+            if not idle:
+                break
+            rng = self._dispatch_root.child(self._dispatch_seq).generator
+            picks.append(int(idle[int(rng.integers(len(idle)))]))
+            self._dispatch_seq += 1
+        return picks
 
     def _phase_broadcast(self) -> Dict:
         """Phase 2: the server-side payload shipped with the global model."""
@@ -454,75 +604,197 @@ class Engine:
         round_idx: int,
         broadcast: Dict,
         preamble_flops: Dict[int, float],
-    ) -> List[ClientUpdate]:
-        """Phase 4: broadcast the global weights + server payload to the
-        backend once, then train the selected clients as picklable task
-        payloads.  The server's flat plane is handed over as-is: in-process
-        backends alias it (zero copies) and the out-of-process backend
-        ships it as one flat byte run."""
-        self.executor.broadcast(self.server.plane, broadcast)
+    ) -> Tuple[List[ClientUpdate], Optional[List[int]]]:
+        """Phase 4: dispatch, train under the retry policy, and close the
+        round (rule 2).  Returns the round's updates and, in the event
+        modes, each one's measured staleness.
+
+        Sync closes when every task resolved: updates in selection order.
+        The event modes file each resolved task as a finish event on the
+        virtual clock and close on arrivals (see :meth:`_await_arrivals`).
+        """
+        if self.mode == "semisync":
+            # Stragglers dispatched in earlier rounds are still training.
+            selected = [k for k in selected if k not in self._busy]
+        resolved = self._run_tasks(
+            self._dispatch(selected, round_idx, broadcast, preamble_flops))
+        if self.mode != "sync":
+            for task, result in resolved:
+                self._file_event(task, result)
+            batch = self._await_arrivals()
+            return [u for u, _ in batch], [stale for _, stale in batch]
+        updates_by_client: Dict[int, ClientUpdate] = {}
+        for task, result in resolved:
+            if result.failure is None:
+                # Pooled backends trained on a copy of the client state;
+                # adopt the returned dict so strategy state survives the
+                # round trip.
+                self._adopt_state(task.client_id, result.state)
+                updates_by_client[task.client_id] = result.update
+                self._fire("on_client_update", round_idx, result.update)
+        return [updates_by_client[k] for k in selected if k in updates_by_client], None
+
+    def _dispatch(
+        self,
+        client_ids: List[int],
+        round_idx: int,
+        broadcast: Dict,
+        preamble_flops: Dict[int, float],
+    ) -> List[ClientTaskSpec]:
+        """Hand the global weights + server payload to the backend (once per
+        server version) and build one picklable task per client.  The
+        server's flat plane is handed over as-is: in-process backends alias
+        it (zero copies) and the out-of-process backend ships it as one
+        flat byte run.  The event modes also mark each client busy and
+        hand it its measured staleness ``xi`` (server versions since its
+        previous dispatch)."""
+        if not client_ids:
+            return []
+        if self._broadcast_version != round_idx:
+            self.executor.broadcast(self.server.plane, broadcast)
+            self._broadcast_version = round_idx
         if self.obs.enabled:
+            # Downlink accounting: each dispatched client adopts the global
+            # model once (the executor broadcast is per version).
             self.obs.broadcast_bytes(
                 self.server.plane.layout.total_bytes,
                 payload_nbytes(broadcast),
-                len(selected),
+                len(client_ids),
             )
-        tasks = [
-            ClientTaskSpec(
+        tasks = []
+        for k in client_ids:
+            xi_measured = None
+            if self.mode != "sync":
+                previous = self._last_dispatch_version.get(k)
+                xi_measured = None if previous is None else float(round_idx - previous)
+                self._last_dispatch_version[k] = round_idx
+                self._busy.add(k)
+            tasks.append(ClientTaskSpec(
                 client_id=k,
                 round_idx=round_idx,
                 state=self.clients[k].state,
                 preamble_flops=preamble_flops.get(k, 0.0),
                 emulate_seconds=self.client_latency_s,
-            )
-            for k in selected
-        ]
-        updates_by_client: Dict[int, ClientUpdate] = {}
-        pending = tasks
+                xi_measured=xi_measured,
+            ))
+        return tasks
+
+    def _run_tasks(
+        self, tasks: List[ClientTaskSpec]
+    ) -> List[Tuple[ClientTaskSpec, TaskResult]]:
+        """The retry runner: run ``tasks`` in waves under the failure policy.
+
+        A retryable failure within the budget is re-dispatched in the next
+        wave; wave n is preceded by exponential backoff and stretched by
+        its slowest injected straggler delay, both priced on the sync
+        round's virtual clock (no wall sleep).  Returns every task's final
+        attempt in resolution order; a terminal failure's result carries
+        it on ``result.failure``.
+        """
+        resolved: List[Tuple[ClientTaskSpec, TaskResult]] = []
         wave = 0
-        while pending:
+        while tasks:
             if wave > 0:
-                # Retry wave n is preceded by exponential backoff, priced
-                # on the virtual clock (no wall sleep).
                 self._round_fault_extra_s += self.retry_backoff_base_s * (2.0 ** (wave - 1))
-            next_pending: List[ClientTaskSpec] = []
+            retry: List[ClientTaskSpec] = []
             wave_delay = 0.0
-            for task, result in zip(pending, self.executor.run(pending)):
+            for task, result in zip(tasks, self.executor.run(tasks)):
                 if result.obs is not None:
                     # Worker-process shard: merge in task order so the
                     # combined metrics are deterministic.
                     self.obs.absorb(result.obs)
                 wave_delay = max(wave_delay, result.fault_delay_s)
                 failure = self._screen_result(task, result)
-                if failure is None:
-                    # Pooled backends trained on a copy of the client state;
-                    # adopt the returned dict so strategy state survives the
-                    # round trip.
-                    self._adopt_state(result.update.client_id, result.state)
-                    updates_by_client[task.client_id] = result.update
-                    self._fire("on_client_update", round_idx, result.update)
-                    continue
-                if result.state is not None:
-                    # Timeout: the device trained (state advanced on-device)
-                    # but the report missed the deadline — adopt the state,
-                    # discard the update.
-                    self._adopt_state(task.client_id, result.state)
-                if failure.retryable and task.attempt < self.task_retries:
-                    self._round_retried.append(task.client_id)
-                    next_pending.append(replace(
-                        task,
-                        state=self.clients[task.client_id].state,
-                        attempt=task.attempt + 1,
-                    ))
-                else:
+                if failure is not None:
+                    if result.state is not None:
+                        # Timeout: the device trained (state advanced
+                        # on-device) but the report missed the deadline —
+                        # adopt the state, discard the update.
+                        self._adopt_state(task.client_id, result.state)
+                    if failure.retryable and task.attempt < self.task_retries:
+                        self._round_retried.append(task.client_id)
+                        retry.append(replace(
+                            task,
+                            state=self.clients[task.client_id].state,
+                            attempt=task.attempt + 1,
+                        ))
+                        continue
                     self._round_failed.append(task.client_id)
-            # The slowest injected straggler delay of this wave stretches
-            # the round on the virtual clock (waves are sequential).
+                resolved.append((task, result))
             self._round_fault_extra_s += wave_delay
-            pending = next_pending
+            tasks = retry
             wave += 1
-        # Updates in selection order (selected order == task order).
-        return [updates_by_client[k] for k in selected if k in updates_by_client]
+        return resolved
+
+    def _file_event(self, task: ClientTaskSpec, result: TaskResult) -> None:
+        """File one resolved task's finish event at ``now + duration + its
+        own retry backoff``.  A terminal failure files a *failure marker*:
+        its pop frees the client without buffering anything, so stragglers
+        and crashes delay only themselves, never the server; the slot was
+        held for the base latency (no compute/transfer made it)."""
+        backoff_s = 0.0
+        for attempt in range(task.attempt):
+            backoff_s += self.retry_backoff_base_s * (2.0 ** attempt)
+        if result.failure is not None:
+            duration = self.system_model.duration_s(task.client_id, 0.0, 0.0)
+        else:
+            duration = (
+                self.system_model.duration_s(
+                    task.client_id, result.update.flops, result.update.comm_bytes)
+                + result.fault_delay_s
+            )
+        self.events.push(Event(
+            self.clock.now + duration + backoff_s,
+            task.client_id,
+            payload=(task.round_idx, result),
+        ))
+
+    def _await_arrivals(self) -> List[Tuple[ClientUpdate, int]]:
+        """Event modes, rule 2: pop arrivals until ``buffer_size`` updates
+        are buffered, the semisync deadline passes, or nothing is in
+        flight; then drain the buffer in client-id order (cross-mode
+        reproducibility) as ``(update, staleness)`` pairs."""
+        deadline = (
+            self.clock.now + self.deadline_s
+            if self.deadline_s is not None else math.inf
+        )
+        while len(self._buffer) < self.buffer_size:
+            event = self.events.pop_until(deadline)
+            if event is None:
+                break
+            self._arrive(event)
+        while not self._buffer and len(self.events):
+            # Deadline expired with zero arrivals: production servers
+            # extend the round to the first report rather than abort.
+            # (Failure markers free clients but don't report, hence the
+            # loop; a fully drained queue means every in-flight task failed
+            # terminally and the round degrades to a skip.)
+            self._arrive(self.events.pop())
+        if (self._buffer and len(self._buffer) < self.buffer_size
+                and math.isfinite(deadline) and self.clock.now < deadline):
+            # A real deadline cut the round short: the server waited it out.
+            # (Without a deadline a short buffer means the sampler offered
+            # fewer clients than K — e.g. heavy dropout — and the clock
+            # stays at the last arrival; after an extended round the first
+            # report already landed past the deadline and the clock must
+            # not rewind to it.)
+            self.clock.advance_to(deadline)
+        batch = sorted(self._buffer, key=lambda arrival: arrival[0].client_id)
+        self._buffer.clear()
+        return batch
+
+    def _arrive(self, event: Event) -> None:
+        """Advance the clock to the event and free its client; a success
+        adopts the client's new strategy state and buffers the update with
+        its measured staleness (server versions since its dispatch)."""
+        self.clock.advance_to(event.time_s)
+        version, result = event.payload
+        self._busy.discard(event.client_id)
+        if result.failure is not None:
+            return
+        self._adopt_state(event.client_id, result.state)
+        self._fire("on_client_update", self.server.round_idx, result.update)
+        self._buffer.append((result.update, self.server.round_idx - version))
 
     def _adopt_state(self, client_id: int, state: Dict) -> None:
         """Land a post-round client state dict.  The lazy directory routes
@@ -608,13 +880,63 @@ class Engine:
             return "quorum"
         return None
 
-    def _phase_aggregate(self, round_idx: int, updates: List[ClientUpdate]) -> None:
-        """Phase 5: observers see (updates, pre-aggregation weights), then
-        the server aggregates and the strategy post-processes."""
+    def _phase_aggregate(self, round_idx: int, updates: List[ClientUpdate],
+                         staleness: Optional[List[int]]) -> None:
+        """Phase 5 (rule 3): observers see (updates, pre-aggregation
+        weights), then the batch lands — Eq. 2 plus the strategy's
+        post-processing, or in async mode the staleness-decayed mix."""
         self._fire("on_aggregate", round_idx, updates, self.server.weights)
         for observer in self.update_observers:
             observer(updates, self.server.weights)
-        self.server.apply_updates(updates)
+        if self.mode == "async":
+            self._mix_async(updates, staleness)
+        else:
+            self.server.apply_updates(updates)
+
+    def _mix_async(self, updates: List[ClientUpdate], staleness: List[int]) -> None:
+        """FedAsync-style mixing: fold each update into the global model in
+        turn with weight ``alpha * (1 + staleness)^(-poly)``, in one float64
+        accumulator written back to the server's plane once.
+
+        With a robust aggregator the per-update fold becomes
+        *reduce-then-mix*: the robust rule reduces the healthy batch to one
+        vector (coordinate medians and Krum selection have no sequential
+        formulation), and a single mix lands it with the alpha of the
+        freshest accepted update — screened clients therefore contribute
+        neither values nor mixing weight.
+        """
+        server = self.server
+        server.reset_report()
+        # A client is never in flight twice, so client ids are unique per batch.
+        healthy_ids = {u.client_id for u in server.partition_finite(updates)}
+        healthy = [(u, s) for u, s in zip(updates, staleness) if u.client_id in healthy_ids]
+        if not healthy:
+            server.skip_round()
+            return
+        if server.aggregator is None:
+            acc = server.plane.flat.astype(np.float64)
+            for u, stale in healthy:
+                alpha = self.async_alpha * (1.0 + stale) ** (-self.async_poly)
+                acc *= 1.0 - alpha
+                # cast before scaling so the product is formed in float64
+                acc += alpha * u.flat_vector().astype(np.float64)
+            server.plane.copy_from_flat(acc)
+        else:
+            reduced, screened = robust_aggregate(
+                server.aggregator, [u for u, _ in healthy], server.plane.flat)
+            if screened:
+                server.last_screened = screened
+                _log.info("round %d: %s screened client(s): %s",
+                          server.round_idx, server.aggregator.name, screened)
+            # Screening rules always keep >= 1 row (enforced at reduce
+            # time), so the minimum is over a non-empty set.
+            stale = min(s for u, s in healthy if u.client_id not in set(screened))
+            alpha = self.async_alpha * (1.0 + stale) ** (-self.async_poly)
+            server.plane.copy_from_flat(
+                (1.0 - alpha) * server.plane.flat.astype(np.float64)
+                + alpha * reduced.astype(np.float64)
+            )
+        server.round_idx += 1
 
     def _phase_evaluate(self, round_idx: int) -> Tuple[Optional[float], Optional[float]]:
         """Phase 6: score the new global model on the held-out test split."""
@@ -628,9 +950,13 @@ class Engine:
         return acc, loss
 
     def _observe_virtual_time(self, updates: List[ClientUpdate]) -> None:
-        """Advance the simulated clock by this synchronous round's duration
-        (slowest selected client, plus any injected straggler delays and
-        retry backoff) when a system model is attached."""
+        """Rule 4's clock: the event modes read their virtual clock; a sync
+        round with a system model attached advances the simulated clock by
+        its duration (slowest selected client, plus any injected straggler
+        delays and retry backoff)."""
+        if self.mode != "sync":
+            self._virtual_time_s = self.clock.now
+            return
         if self.system_model is None:
             return
         self.system_model.observe(
@@ -758,13 +1084,15 @@ class Engine:
         t = self._end_phase("preamble", timings, t, n_clients=len(preamble_flops))
 
         obs.begin_phase("local_train")
-        updates = self._phase_local_train(selected, round_idx, broadcast, preamble_flops)
+        updates, staleness = self._phase_local_train(
+            selected, round_idx, broadcast, preamble_flops)
         t = self._end_phase("local_train", timings, t, n_updates=len(updates))
 
         obs.begin_phase("aggregate")
-        skip_reason = self._quorum_skip_reason(len(selected), len(updates))
+        expected = self.buffer_size if self.mode == "async" else len(selected)
+        skip_reason = self._quorum_skip_reason(expected, len(updates))
         if skip_reason is None:
-            self._phase_aggregate(round_idx, updates)
+            self._phase_aggregate(round_idx, updates, staleness)
         else:
             # Graceful degradation: keep the global model, record why, and
             # advance the round (apply_updates rejects empty sets, so the
@@ -781,8 +1109,12 @@ class Engine:
         acc, loss = self._phase_evaluate(round_idx)
         self._end_phase("evaluate", timings, t)
 
+        if self.mode != "sync":
+            # Rule 4: an event round records its arrivals.
+            selected = [u.client_id for u in updates]
         return self._phase_record(
-            round_idx, selected, updates, acc, loss, t0, phase_seconds=timings
+            round_idx, selected, updates, acc, loss, t0,
+            update_staleness=staleness, phase_seconds=timings,
         )
 
     def run(self, progress: bool = False) -> History:
@@ -814,6 +1146,14 @@ class Engine:
             return snapshot()
         return {c.id: copy.deepcopy(c.state) for c in self.clients}
 
+    def _require_sync_snapshot(self) -> None:
+        if self.mode != "sync":
+            raise ValueError(
+                "crash-safe snapshot/resume supports mode='sync' only: the "
+                "event-driven modes hold in-flight results and virtual-clock "
+                "events that a crash necessarily loses"
+            )
+
     def snapshot(self) -> Dict[str, Any]:
         """Everything needed to resume this run byte-identically.
 
@@ -826,8 +1166,9 @@ class Engine:
         identical whether rounds 0..N ran in this process or a dead one.
         Callback-internal state (e.g. ``EarlyStopping`` patience counters)
         is *not* captured — a resumed run re-accumulates it from the
-        resume point.
+        resume point.  Sync mode only; the event modes raise.
         """
+        self._require_sync_snapshot()
         return {
             "format": SNAPSHOT_FORMAT,
             "cell_key": getattr(self, "_cell_key", None),
@@ -854,6 +1195,7 @@ class Engine:
         continues from the next round exactly as an uninterrupted run
         would have.
         """
+        self._require_sync_snapshot()
         fmt = snapshot.get("format")
         if fmt != SNAPSHOT_FORMAT:
             raise ValueError(
@@ -933,8 +1275,7 @@ def run_experiment(
 
     The declarative front door: builds the data, strategy, config and
     sampler from the spec, resolves ``spec.mode`` through the mode registry
-    (``"sync"`` — this module's barrier engine; ``"semisync"``/``"async"``
-    — the event-driven :class:`~repro.fl.asyncfl.engine.AsyncFLEngine`),
+    (``"sync"``, ``"semisync"`` or ``"async"``, all an :class:`Engine`),
     runs the engine to completion (early stop included) and releases the
     executor.  ``data`` optionally supplies a prebuilt dataset equal to
     ``spec.build_data()`` — a cache hook for callers training many methods
@@ -948,7 +1289,7 @@ def run_experiment(
     the uninterrupted run.  The snapshot's recorded ``cell_key`` must
     match this spec's — resuming under different experiment parameters is
     an error, not a silent divergence.  Sync mode only (the event-driven
-    engines carry in-flight queue state that a crash loses).
+    modes carry in-flight queue state that a crash loses).
     """
     engine = build_mode(
         spec.mode,

@@ -29,17 +29,18 @@ requested worker count, and returns an object with the executor contract:
 ``n_workers``, ``close()``.  ``"auto"`` keeps the historical behaviour:
 serial at ``n_workers<=1``, threaded above.
 
-**Modes** (:mod:`repro.api.engine` / :mod:`repro.fl.asyncfl`) — resolved
-from the spec's ``mode`` field or the ``--mode`` CLI flag::
+**Modes** (:mod:`repro.api.engine`) — resolved from the spec's ``mode``
+field or the ``--mode`` CLI flag::
 
     engine = build_mode("semisync", spec=spec, data=data, callbacks=[])
 
 A mode factory receives the full :class:`~repro.api.spec.ExperimentSpec`,
 the prebuilt dataset and the callback list, and returns a ready-to-run
-engine.  Built-ins: ``"sync"`` (the barrier loop), ``"semisync"``
+engine.  Built-ins: ``"sync"`` (barrier rounds), ``"semisync"``
 (deadline/buffer rounds) and ``"async"`` (staleness-decayed mixing), the
-latter two on the virtual-clock event scheduler; the engine classes are
-imported lazily so the registry stays import-cycle-free.
+latter two on the virtual clock; all three are one
+:class:`~repro.api.engine.Engine` factory, imported lazily so the registry
+stays import-cycle-free.
 """
 
 from __future__ import annotations
@@ -264,49 +265,21 @@ def build_mode(name: str, *, spec, data, callbacks=()):
     return factory(spec, data, callbacks)
 
 
-def _sync_mode(spec, data, callbacks):
+def _engine_mode(mode: str, spec, data, callbacks):
     from repro.api.engine import Engine
 
     return Engine(
         data,
         spec.build_strategy(),
         spec.build_config(),
-        system_model=spec.build_system_model(),
+        # The event modes price every task; without an explicit device
+        # profile they run on the homogeneous wifi preset.
+        system_model=spec.build_system_model(default=None if mode == "sync" else "wifi"),
         callbacks=callbacks,
-        **spec.engine_kwargs(),
-    )
-
-
-def _event_driven_mode(spec, data, callbacks, mode: str):
-    from repro.fl.asyncfl.engine import AsyncFLEngine
-    from repro.fl.asyncfl.timing import ClientTimingModel
-
-    # The event scheduler needs per-client durations; without an explicit
-    # device profile, price everything on the homogeneous wifi preset.
-    system = spec.build_system_model(default="wifi")
-    return AsyncFLEngine(
-        data,
-        spec.build_strategy(),
-        spec.build_config(),
-        timing=ClientTimingModel(system),
         mode=mode,
-        buffer_size=spec.buffer_size,
-        deadline_s=spec.deadline_s,
-        async_alpha=spec.async_alpha,
-        async_poly=spec.async_poly,
-        callbacks=callbacks,
         **spec.engine_kwargs(),
     )
 
 
-def _semisync_mode(spec, data, callbacks):
-    return _event_driven_mode(spec, data, callbacks, "semisync")
-
-
-def _async_mode(spec, data, callbacks):
-    return _event_driven_mode(spec, data, callbacks, "async")
-
-
-register_mode("sync", _sync_mode)
-register_mode("semisync", _semisync_mode)
-register_mode("async", _async_mode)
+for _mode in ("sync", "semisync", "async"):
+    register_mode(_mode, partial(_engine_mode, _mode))

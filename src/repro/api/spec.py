@@ -126,6 +126,10 @@ _GROUP_GUARDS: Dict[str, Tuple[Callable[["ExperimentSpec"], bool], str]] = {
         lambda spec: spec.mode != "sync",
         "{names} apply to the event-driven modes; set mode='semisync' or 'async'",
     ),
+    "async": (
+        lambda spec: spec.mode == "async",
+        "{names} apply to mode='async' only (the staleness-decayed mix)",
+    ),
     "net": (
         lambda spec: spec.executor == "network",
         "{name} applies to the network executor; set executor='network'",
@@ -278,12 +282,12 @@ class ExperimentSpec:
     deadline_s: Optional[float] = _knob(
         None, "event",
         "semisync: aggregate whatever arrived this many simulated seconds "
-        "after dispatch (default: wait for the full buffer)")
+        "after dispatch (default: wait for the full buffer)", engine=True)
     buffer_size: Optional[int] = _knob(
         None, "event",
         "aggregation buffer size K (FedBuff); default: 1 in async, "
         "clients-per-round in semisync.  Over-selection = configuring "
-        "clients_per_round > buffer_size")
+        "clients_per_round > buffer_size", engine=True)
     device_profile: Optional[str] = _knob(
         None, "mode",
         "device/network preset pricing simulated time (records "
@@ -296,11 +300,12 @@ class ExperimentSpec:
         "compute-speed spread h >= 1: clients run at a seeded factor in "
         "[1/h, 1] of the profile speed (the straggler knob)")
     async_alpha: float = _knob(
-        0.6, "mode",
-        "async mixing weight: alpha * (1 + staleness)^(-poly)", cli=False)
+        0.6, "async",
+        "async mixing weight: alpha * (1 + staleness)^(-poly)", cli=False,
+        engine=True)
     async_poly: float = _knob(
-        0.5, "mode", "async staleness-decay exponent (see async_alpha)",
-        cli=False)
+        0.5, "async", "async staleness-decay exponent (see async_alpha)",
+        cli=False, engine=True)
     # -- Byzantine robustness (repro.fl.robust) ------------------------------
     aggregator: str = _knob(
         "mean", "robust",
@@ -703,8 +708,8 @@ class ExperimentSpec:
     def engine_kwargs(self) -> Dict[str, Any]:
         """Every :class:`~repro.api.engine.Engine` constructor argument this
         spec determines for *any* server mode — the one spec -> engine
-        mapping.  Mode factories add only what is theirs (the sync system
-        model; the event-driven timing and buffer knobs)."""
+        mapping.  The mode factory adds only the mode and the system model,
+        whose default preset depends on the mode."""
         kwargs = {
             f.name: getattr(self, f.name) for f in fields(self)
             if f.metadata["engine"]

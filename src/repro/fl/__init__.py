@@ -39,9 +39,9 @@ from repro.fl.executor import (
     TaskRuntime,
     SerialExecutor,
     ThreadedExecutor,
+    make_optimizer,
 )
-from repro.fl.simulation import Simulation, make_optimizer
-from repro.fl.asyncfl import AsyncFLEngine, ClientTimingModel, EventQueue, VirtualClock
+from repro.fl.asyncfl import EventQueue, VirtualClock
 from repro.fl.availability import DropoutSampler, DiurnalSampler
 from repro.fl.centralized import CentralizedResult, train_centralized
 from repro.fl.systems import DeviceProfile, NETWORK_PRESETS, SystemModel, RoundTime
@@ -98,10 +98,7 @@ __all__ = [
     "TaskRuntime",
     "SerialExecutor",
     "ThreadedExecutor",
-    "Simulation",
     "make_optimizer",
-    "AsyncFLEngine",
-    "ClientTimingModel",
     "EventQueue",
     "VirtualClock",
     "DeviceProfile",

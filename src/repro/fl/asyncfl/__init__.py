@@ -1,39 +1,26 @@
-"""Virtual-clock asynchronous / semi-synchronous federation.
+"""The virtual clock behind the asynchronous / semi-synchronous modes.
 
-The synchronous engine measures progress in *rounds*; real federations run
-on *time*.  This subpackage simulates that time deterministically:
+The synchronous loop measures progress in *rounds*; real federations run
+on *time*.  :mod:`repro.fl.asyncfl.clock` simulates that time
+deterministically: a virtual clock plus an event queue of client-finish
+events, ordered by ``(time, client_id, seq)`` so replays are exact (ties
+broken by client id, never by heap internals).
 
-* :mod:`repro.fl.asyncfl.clock` — a virtual clock plus an event queue of
-  client-finish events, ordered by ``(time, client_id, seq)`` so replays
-  are exact (ties broken by client id, never by heap internals);
-* :mod:`repro.fl.asyncfl.timing` — per-client task durations derived from
-  :class:`~repro.fl.systems.SystemModel` device profiles (wifi / 4g / iot
-  presets, deterministic heterogeneity spread), so "which client is slow"
-  is physical, not scripted;
-* :mod:`repro.fl.asyncfl.engine` — :class:`AsyncFLEngine`, an
-  :class:`~repro.api.engine.Engine` whose ``run_round`` drains the event
-  queue instead of a barrier.  Two server modes ride on it:
-
-  - ``"async"`` — every arriving update is mixed into the global model with
-    a staleness-decayed weight (FedAsync-style polynomial decay);
-  - ``"semisync"`` — deadline-bounded rounds with over-selection: the
-    server aggregates whatever arrived by the deadline (or as soon as
-    ``buffer_size`` updates arrived, FedBuff-style); stragglers keep
-    training and land in a later round with measured staleness.
-
-Staleness here is *measured* (server versions elapsed between dispatch and
-arrival), which is exactly the quantity FedTrip's ``xi`` approximates by
-round arithmetic in the synchronous loop.
+The round loop that drives it is :class:`repro.api.engine.Engine` itself:
+``mode="semisync"`` (deadline/buffer rounds, FedBuff-style) and
+``mode="async"`` (staleness-decayed mixing, FedAsync-style) file each
+dispatched task as a finish event priced by
+:meth:`repro.fl.systems.SystemModel.duration_s` and close a round on
+arrivals instead of a barrier.  Staleness there is *measured* (server
+versions elapsed between dispatch and arrival), which is exactly the
+quantity FedTrip's ``xi`` approximates by round arithmetic in the
+synchronous loop.
 """
 
 from repro.fl.asyncfl.clock import Event, EventQueue, VirtualClock
-from repro.fl.asyncfl.engine import AsyncFLEngine
-from repro.fl.asyncfl.timing import ClientTimingModel
 
 __all__ = [
     "Event",
     "EventQueue",
     "VirtualClock",
-    "ClientTimingModel",
-    "AsyncFLEngine",
 ]

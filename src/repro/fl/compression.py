@@ -107,7 +107,7 @@ class CompressedExchange:
 
     ``apply(update_tree) -> (reconstructed_tree, bytes_on_wire)``.  Used by
     benches/examples to quantify the accuracy/bytes trade-off; integrating
-    lossy exchange into the main Simulation is intentionally explicit (the
+    lossy exchange into the main engine is intentionally explicit (the
     paper's methods are all full-precision).
     """
 

@@ -116,6 +116,18 @@ class SystemModel:
         self.round_times: List[RoundTime] = []
 
     # ------------------------------------------------------------------
+    def duration_s(self, client_id: int, flops: float, comm_bytes: float) -> float:
+        """Simulated seconds for one client task (local training + up/down
+        transfer), strictly positive so event times always advance.  The
+        event-driven modes price each task from its measured FLOPs/bytes,
+        so a straggler takes the same simulated time whether the server
+        waits for it (sync) or aggregates without it."""
+        prof = self.profiles[client_id]
+        return max(
+            prof.compute_time(float(flops)) + prof.transfer_time(float(comm_bytes)),
+            1e-9,
+        )
+
     def observe(self, updates: Sequence[ClientUpdate], global_weights,
                 extra_s: float = 0.0) -> None:
         """Update-observer hook: compute this round's simulated duration.
@@ -146,8 +158,8 @@ class SystemModel:
             )
         )
 
-    def attach(self, simulation) -> "SystemModel":
-        simulation.update_observers.append(self.observe)
+    def attach(self, engine) -> "SystemModel":
+        engine.update_observers.append(self.observe)
         return self
 
     # ------------------------------------------------------------------

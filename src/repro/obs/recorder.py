@@ -24,8 +24,8 @@ Span records are plain dicts::
      "n_samples": 120, "flops": 3.1e8, "bytes_up": 35496}
 
 ``t_start`` is seconds since the recorder was created (worker-shard spans
-carry their worker's origin and are marked ``"shard": true``); event-driven
-engines attach the virtual clock as ``virtual_s`` attrs.  Exported via
+carry their worker's origin and are marked ``"shard": true``); round spans
+carry the virtual clock as ``virtual_s``.  Exported via
 :mod:`repro.obs.trace`.
 
 **The disabled path is the module-level** :data:`NULL_RECORDER` **—

@@ -32,8 +32,7 @@ class Timer:
 class StageTimer:
     """Accumulates elapsed time per named stage across many iterations.
 
-    Used by :class:`repro.fl.simulation.Simulation` to attribute time to
-    client training vs aggregation vs evaluation.
+    E.g. client training vs aggregation vs evaluation in a round loop.
     """
 
     def __init__(self) -> None:

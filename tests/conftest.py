@@ -40,7 +40,8 @@ def pytest_addoption(parser):
         choices=_choices("mode"),
         help="server mode the mode-sensitive smoke tests run on "
              "(CI runs the suite once more with --mode semisync "
-             "--device-profile iot)",
+             "--device-profile iot, and the TestModeRerun smoke with "
+             "--mode async)",
     )
     parser.addoption(
         "--device-profile",

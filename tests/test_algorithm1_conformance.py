@@ -4,7 +4,7 @@ round must reproduce the framework's weights exactly.
 This is the strongest correctness test in the suite: it re-implements the
 paper's Algorithm 1 with nothing but the nn substrate (no Strategy, no
 Client/Server machinery) and checks bit-level agreement with the
-Simulation over two rounds — covering line 4 (init from the global model +
+engine over two rounds — covering line 4 (init from the global model +
 historical load), lines 5-8 (per-batch loss, triplet gradient, SGDm
 update), line 11 (upload) and line 12 (weighted aggregation).
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FLConfig, Simulation
+from repro import FLConfig, Engine
 from repro.algorithms import FedTrip
 from repro.data import build_federated_data
 from repro.fl.sampling import FixedSampler
@@ -94,7 +94,7 @@ class TestAlgorithm1Conformance:
     def test_two_rounds_bitwise(self, conformance_data):
         config = FLConfig(rounds=ROUNDS, n_clients=4, clients_per_round=2,
                           batch_size=BATCH, lr=LR, momentum=MOMENTUM, seed=0)
-        sim = Simulation(conformance_data, FedTrip(mu=MU), config,
+        sim = Engine(conformance_data, FedTrip(mu=MU), config,
                          model_name="mlp",
                          sampler=FixedSampler(SCHEDULE, n_clients=4))
         sim.run()
@@ -113,7 +113,7 @@ class TestAlgorithm1Conformance:
         must NOT match."""
         config = FLConfig(rounds=ROUNDS, n_clients=4, clients_per_round=2,
                           batch_size=BATCH, lr=LR, momentum=MOMENTUM, seed=0)
-        sim = Simulation(conformance_data, FedTrip(mu=MU * 2), config,
+        sim = Engine(conformance_data, FedTrip(mu=MU * 2), config,
                          model_name="mlp",
                          sampler=FixedSampler(SCHEDULE, n_clients=4))
         sim.run()

@@ -22,13 +22,14 @@ from repro.algorithms import (
     build_strategy,
     paper_defaults,
 )
-from repro.fl import FLConfig, Simulation
+from repro.api import Engine
+from repro.fl import FLConfig
 from repro.fl.params import as_flat
 
 
 def _run(data, strategy, config, rounds=None, **kw):
     cfg = config
-    sim = Simulation(data, strategy, cfg, model_name="mlp", **kw)
+    sim = Engine(data, strategy, cfg, model_name="mlp", **kw)
     hist = sim.run()
     sim.close()
     return sim, hist
@@ -134,7 +135,7 @@ class TestFedTripMath:
             FedTrip(xi_mode="normalized")
 
     def test_historical_state_updated_each_round(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, FedTrip(mu=0.4), small_config, model_name="mlp")
+        sim = Engine(tiny_data, FedTrip(mu=0.4), small_config, model_name="mlp")
         sim.run()
         participated = {c for rec in sim.history.records for c in rec.selected}
         for cid in participated:
@@ -183,7 +184,7 @@ class TestFedProxMath:
         cfg = FLConfig(rounds=1, n_clients=6, clients_per_round=3, batch_size=20, seed=2)
         drifts = {}
         for mu in (0.0, 10.0):
-            sim = Simulation(tiny_data, FedProx(mu=mu), cfg, model_name="mlp")
+            sim = Engine(tiny_data, FedProx(mu=mu), cfg, model_name="mlp")
             init = [w.copy() for w in sim.server.weights]
             sim.run()
             drifts[mu] = sum(
@@ -203,7 +204,7 @@ class TestSlowMo:
         np.testing.assert_allclose(h_slow.accuracies(), h_avg.accuracies(), atol=1e-5)
 
     def test_momentum_state_persists(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, SlowMo(beta=0.5), small_config, model_name="mlp")
+        sim = Engine(tiny_data, SlowMo(beta=0.5), small_config, model_name="mlp")
         sim.run()
         assert np.abs(sim.server.state["u"]).sum() > 0
         sim.close()
@@ -217,7 +218,7 @@ class TestSlowMo:
 
 class TestFedDyn:
     def test_h_state_updates(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, FedDyn(alpha=0.1), small_config, model_name="mlp")
+        sim = Engine(tiny_data, FedDyn(alpha=0.1), small_config, model_name="mlp")
         sim.run()
         assert np.abs(sim.server.state["h"]).sum() > 0
         participated = {c for rec in sim.history.records for c in rec.selected}
@@ -258,7 +259,7 @@ class TestFedDyn:
 
 class TestSCAFFOLD:
     def test_control_variates_sum_property(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, SCAFFOLD(), small_config, model_name="mlp")
+        sim = Engine(tiny_data, SCAFFOLD(), small_config, model_name="mlp")
         sim.run()
         # Server variate is a running average of client deltas: finite & nonzero.
         c = sim.server.state["c"]
@@ -269,7 +270,7 @@ class TestSCAFFOLD:
     def test_client_uploads_delta(self, tiny_data, small_config):
         from repro.fl.sampling import FixedSampler
 
-        sim = Simulation(
+        sim = Engine(
             tiny_data, SCAFFOLD(), small_config, model_name="mlp",
             sampler=FixedSampler([[0, 1, 2]], n_clients=6),
         )
@@ -279,7 +280,7 @@ class TestSCAFFOLD:
 
     def test_variate_magnitude_reasonable(self, tiny_data, small_config):
         """c_k ~ (w_glob - w_k)/(K lr): bounded by drift/(K lr)."""
-        sim = Simulation(tiny_data, SCAFFOLD(), small_config, model_name="mlp")
+        sim = Engine(tiny_data, SCAFFOLD(), small_config, model_name="mlp")
         sim.run()
         assert np.abs(sim.server.state["c"]).max() < 100.0
         sim.close()
@@ -288,7 +289,7 @@ class TestSCAFFOLD:
 class TestMOON:
     def test_first_round_prev_falls_back_to_global(self, tiny_data):
         cfg = FLConfig(rounds=1, n_clients=6, clients_per_round=2, batch_size=20, seed=0)
-        sim = Simulation(tiny_data, MOON(mu=1.0), cfg, model_name="mlp")
+        sim = Engine(tiny_data, MOON(mu=1.0), cfg, model_name="mlp")
         sim.run()
         participated = {c for rec in sim.history.records for c in rec.selected}
         for cid in participated:
@@ -308,13 +309,13 @@ class TestMOON:
 
 class TestPreambleStrategies:
     def test_feddane_runs_and_stores_agg(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, build_strategy("feddane"), small_config, model_name="mlp")
+        sim = Engine(tiny_data, build_strategy("feddane"), small_config, model_name="mlp")
         sim.run_round()
         assert "g_agg" in sim.server.state
         sim.close()
 
     def test_mimelite_server_momentum(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, build_strategy("mimelite"), small_config, model_name="mlp")
+        sim = Engine(tiny_data, build_strategy("mimelite"), small_config, model_name="mlp")
         sim.run_round()
         assert "s" in sim.server.state
         s0 = sim.server.state["s"]

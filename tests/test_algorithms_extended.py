@@ -13,12 +13,13 @@ from repro.algorithms import (
     build_strategy,
 )
 from repro.algorithms.fednova import _effective_tau
-from repro.fl import FLConfig, Simulation
+from repro.api import Engine
+from repro.fl import FLConfig
 from repro.fl.types import ClientUpdate
 
 
 def _run(data, strategy, config, **kw):
-    sim = Simulation(data, strategy, config, model_name="mlp", **kw)
+    sim = Engine(data, strategy, config, model_name="mlp", **kw)
     hist = sim.run()
     sim.close()
     return sim, hist
@@ -87,7 +88,7 @@ class TestFedNova:
         assert hist.best_accuracy() > 30.0
 
     def test_uploads_tau(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, FedNova(), small_config, model_name="mlp")
+        sim = Engine(tiny_data, FedNova(), small_config, model_name="mlp")
         sim.run_round()
         sim.close()  # no error => tau_eff was present during aggregation
 
@@ -99,7 +100,7 @@ class TestAdaptiveFedTrip:
 
     def test_mu_stays_in_bounds(self, tiny_data, small_config):
         strat = AdaptiveFedTrip(mu=0.4, mu_min=0.1, mu_max=1.0, growth=2.0)
-        sim = Simulation(tiny_data, strat, small_config, model_name="mlp")
+        sim = Engine(tiny_data, strat, small_config, model_name="mlp")
         sim.run()
         assert 0.1 <= sim.server.state["mu"] <= 1.0
         sim.close()

@@ -23,7 +23,7 @@ from repro.api import (
 from repro.algorithms import build_strategy
 from repro.cli import main as cli_main
 from repro.data import build_federated_data
-from repro.fl import FLConfig, Simulation
+from repro.fl import FLConfig
 from repro.fl.availability import DropoutSampler
 from repro.fl.executor import SerialExecutor, ThreadedExecutor, WorkerContext
 from repro.io import load_checkpoint, load_history, save_history
@@ -239,7 +239,7 @@ class TestEarlyStopping:
     def test_legacy_simulation_honours_config_target(self, tiny_data):
         config = FLConfig(rounds=50, n_clients=6, clients_per_round=3,
                           batch_size=20, lr=0.05, seed=1, target_accuracy=10.0)
-        sim = Simulation(tiny_data, build_strategy("fedavg"), config, model_name="mlp")
+        sim = Engine(tiny_data, build_strategy("fedavg"), config, model_name="mlp")
         hist = sim.run()
         sim.close()
         assert len(hist) < 50
@@ -271,7 +271,7 @@ class TestEarlyStopping:
 
 
 class TestEquivalence:
-    """run_experiment(spec) must reproduce the legacy Simulation path exactly."""
+    """run_experiment(spec) must reproduce the imperative Engine path exactly."""
 
     @pytest.mark.parametrize("method,overrides", [("fedavg", {}), ("fedtrip", {"mu": 0.4})])
     def test_identical_round_records(self, method, overrides):
@@ -286,7 +286,7 @@ class TestEquivalence:
         config = FLConfig(rounds=3, n_clients=6, clients_per_round=3,
                           batch_size=20, lr=0.05, seed=1)
         strategy = build_strategy(method, model="mlp", dataset="tiny", **overrides)
-        sim = Simulation(data, strategy, config, model_name="mlp")
+        sim = Engine(data, strategy, config, model_name="mlp")
         legacy = sim.run()
         sim.close()
 

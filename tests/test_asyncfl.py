@@ -1,26 +1,33 @@
-"""The virtual-clock async/semi-sync subsystem (``repro.fl.asyncfl``).
+"""The async/semi-sync modes of ``Engine`` and their virtual clock
+(``repro.fl.asyncfl``).
 
 Covers: deterministic event ordering (ties by client id), device-profile
 timing, byte-identical fixed-seed histories for both event-driven modes,
 the semisync == sync equivalence at full buffer / no deadline (which also
 pins FedTrip's measured-xi fallback), deadline/buffer semantics, sync
-virtual-time stamping, spec/CLI/persistence plumbing, and the tier-1
-``--mode`` rerun hook.
+virtual-time stamping, spec/CLI/persistence plumbing, the one round loop
+(no engine subclass, one retry runner, pinned History digests, client
+latency in every mode), and the tier-1 ``--mode`` rerun hook.
 """
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.algorithms import available_strategies
 from repro.api import ExperimentSpec, available_modes, build_mode, run_experiment
 from repro.cli import main as cli_main
-from repro.fl.asyncfl import AsyncFLEngine, ClientTimingModel, Event, EventQueue, VirtualClock
+from repro.api.engine import Engine
+from repro.fl.asyncfl import Event, EventQueue, VirtualClock
 from repro.fl.history import History
-from repro.fl.systems import NETWORK_PRESETS
+from repro.fl.systems import NETWORK_PRESETS, SystemModel
 from repro.fl.types import RoundRecord
 from repro.io.persistence import load_history, save_history
 
@@ -109,13 +116,13 @@ class TestEventQueue:
 
 class TestTimingModel:
     def test_iot_slower_than_wifi(self):
-        wifi = ClientTimingModel.from_preset("wifi", n_clients=2)
-        iot = ClientTimingModel.from_preset("iot", n_clients=2)
+        wifi = SystemModel("wifi", n_clients=2)
+        iot = SystemModel("iot", n_clients=2)
         assert iot.duration_s(0, 1e9, 1e6) > wifi.duration_s(0, 1e9, 1e6)
 
     def test_heterogeneity_spread_is_deterministic(self):
-        a = ClientTimingModel.from_preset("iot", n_clients=8, heterogeneity=4.0, seed=3)
-        b = ClientTimingModel.from_preset("iot", n_clients=8, heterogeneity=4.0, seed=3)
+        a = SystemModel("iot", n_clients=8, heterogeneity=4.0, seed=3)
+        b = SystemModel("iot", n_clients=8, heterogeneity=4.0, seed=3)
         # Compute-heavy probe: heterogeneity scales compute speed only.
         durs_a = [a.duration_s(k, 1e10, 1e6) for k in range(8)]
         durs_b = [b.duration_s(k, 1e10, 1e6) for k in range(8)]
@@ -123,7 +130,7 @@ class TestTimingModel:
         assert max(durs_a) > 1.5 * min(durs_a)  # real stragglers exist
 
     def test_duration_strictly_positive(self):
-        m = ClientTimingModel.from_preset("wifi", n_clients=1)
+        m = SystemModel("wifi", n_clients=1)
         assert m.duration_s(0, 0.0, 0.0) > 0.0
 
 
@@ -396,13 +403,16 @@ class TestPlumbing:
             run_experiment(tiny_spec(mode="lockstep"))
 
     def test_build_mode_returns_event_engine(self):
-        spec = tiny_spec(mode="semisync")
-        engine = build_mode("semisync", spec=spec, data=spec.build_data(), callbacks=())
-        try:
-            assert isinstance(engine, AsyncFLEngine)
-            assert engine.buffer_size == spec.clients_per_round
-        finally:
-            engine.close()
+        """Every mode is a plain Engine (one round loop, no subclass)."""
+        for mode, buffer_size in (("sync", None), ("semisync", TINY["clients_per_round"]),
+                                  ("async", 1)):
+            spec = tiny_spec(mode=mode)
+            engine = build_mode(mode, spec=spec, data=spec.build_data(), callbacks=())
+            try:
+                assert type(engine) is Engine and engine.mode == mode
+                assert engine.buffer_size == buffer_size
+            finally:
+                engine.close()
 
     def test_spec_round_trips_mode_fields(self):
         spec = tiny_spec(mode="semisync", deadline_s=12.5, buffer_size=2,
@@ -429,6 +439,16 @@ class TestPlumbing:
             tiny_spec(mode="sync", heterogeneity=4.0)  # no device_profile
         # ... but heterogeneity with a profile is the sync straggler knob.
         assert tiny_spec(device_profile="iot", heterogeneity=4.0).heterogeneity == 4.0
+
+    def test_async_mixing_knobs_require_async_mode(self):
+        """async_alpha/async_poly only shape the async mix; elsewhere they
+        would be silently ignored."""
+        with pytest.raises(ValueError, match="mode='async' only"):
+            tiny_spec(mode="sync", async_alpha=0.3)
+        with pytest.raises(ValueError, match="mode='async' only"):
+            tiny_spec(mode="semisync", async_poly=2.0)
+        spec = tiny_spec(mode="async", async_alpha=0.3, async_poly=2.0)
+        assert (spec.async_alpha, spec.async_poly) == (0.3, 2.0)
 
     def test_build_system_model_default(self):
         assert tiny_spec().build_system_model() is None
@@ -472,8 +492,107 @@ class TestPlumbing:
 
 
 # ---------------------------------------------------------------------------
+# one round loop: every mode is Engine.run_round
+# ---------------------------------------------------------------------------
+
+#: the digest cases' base spec; the async and faulted MLP cells no
+#: benchmark fingerprint covers.
+DIGEST_BASE = dict(dataset="tiny", model="mlp", method="fedavg", n_clients=8,
+                   clients_per_round=4, rounds=6, batch_size=20, lr=0.05, seed=3)
+
+#: (spec overrides, first 16 hex digits of the chained History digest).
+PINNED_DIGESTS = [
+    (dict(mode="async"), "a5520209bb3e16be"),
+    (dict(mode="async", aggregator="norm_screen", aggregator_kwargs={"f": 1},
+          buffer_size=3), "43de03afcca8cb4e"),
+    (dict(mode="semisync", device_profile="iot", heterogeneity=4.0, deadline_s=0.05,
+          clients_per_round=6, buffer_size=3), "ed6b2cdaffb017c4"),
+    (dict(mode="semisync", method="fedtrip", overrides={"xi_mode": "staleness"},
+          device_profile="4g", heterogeneity=5.0, buffer_size=2), "b3db4b3a6a96b87b"),
+    (dict(mode="semisync", device_profile="iot", fault="crash", fault_rate=0.3,
+          task_retries=1), "ebc93870480a2603"),
+    (dict(device_profile="iot", fault="crash", fault_rate=0.4, task_retries=2),
+     "89a40f16c88857c9"),
+]
+
+
+def history_digest(history: History) -> str:
+    """sha256 chained over each record minus its two host-time fields."""
+    digest = ""
+    for record in history.records:
+        fields = record.to_dict()
+        del fields["wall_seconds"], fields["phase_seconds"]
+        blob = digest + json.dumps(fields, sort_keys=True)
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+    return digest[:16]
+
+
+class TestOneRoundLoop:
+    def test_no_engine_subclass_in_src(self):
+        """The modes are branches of one run_round, not classes."""
+        src = Path(repro.__file__).parent
+        subclasses = []
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef) and any(
+                    (isinstance(b, ast.Name) and b.id == "Engine")
+                    or (isinstance(b, ast.Attribute) and b.attr == "Engine")
+                    for b in node.bases
+                ):
+                    subclasses.append(f"{path.name}:{node.name}")
+        assert subclasses == []
+
+    def test_sync_and_full_buffer_semisync_retry_alike(self):
+        """One retry runner: the same selection under the same fault coins
+        retries and fails the same clients, in the same (wave) order."""
+        faults = dict(device_profile="iot", fault="crash", fault_rate=0.5,
+                      task_retries=3)
+        sync = run_experiment(ExperimentSpec(**{**DIGEST_BASE, **faults}))
+        semi = run_experiment(ExperimentSpec(**{**DIGEST_BASE, **faults,
+                                                "mode": "semisync"}))
+        retried = [r.retried_clients for r in sync.records]
+        assert retried == [r.retried_clients for r in semi.records]
+        assert [r.failed_clients for r in sync.records] == [
+            r.failed_clients for r in semi.records]
+        # The case has teeth: some client retries twice in a wave that has
+        # another retrying client.
+        assert any(len(set(ids)) > 1 and len(ids) > len(set(ids)) + 1
+                   for ids in retried)
+
+    @pytest.mark.parametrize("overrides,digest", PINNED_DIGESTS)
+    def test_pinned_history_digest(self, overrides, digest):
+        spec = ExperimentSpec(**{**DIGEST_BASE, **overrides})
+        assert history_digest(run_experiment(spec)) == digest
+
+    def test_event_modes_honour_client_latency(self, monkeypatch):
+        """client_latency_s emulates device time inside every task, in every
+        mode, and never touches the trained numbers."""
+        from repro.fl import executor as executor_module
+        from repro.fl.systems import SystemModel
+
+        spec = tiny_spec(mode="semisync")
+        data = spec.build_data()
+
+        def run(latency):
+            engine = Engine(data, spec.build_strategy(), spec.build_config(),
+                            model_name=spec.model, mode="semisync",
+                            system_model=SystemModel("wifi", spec.n_clients),
+                            client_latency_s=latency)
+            with engine:
+                return engine.run()
+
+        baseline = run(0.0)
+        sleeps = []
+        monkeypatch.setattr(executor_module.time, "sleep", sleeps.append)
+        slowed = run(0.01)
+        # Full buffer, no faults: every selected client is dispatched once.
+        assert sleeps == [0.01] * (spec.rounds * spec.clients_per_round)
+        assert_identical_histories(baseline, slowed, "client_latency_s")
+
+
+# ---------------------------------------------------------------------------
 # tier-1 rerun hook: CI runs the suite once more with
-# ``--mode semisync --device-profile iot``
+# ``--mode semisync --device-profile iot``, and this class with ``--mode async``
 # ---------------------------------------------------------------------------
 
 class TestModeRerun:

@@ -120,14 +120,15 @@ class TestMeasuredVsAnalytic:
     @pytest.mark.parametrize("method", ["fedprox", "fedtrip", "moon", "feddyn", "fedgkd"])
     def test_simulated_extra_flops_match_formula(self, tiny_data, method):
         from repro.algorithms import build_strategy
-        from repro.fl import FLConfig, Simulation
+        from repro.api import Engine
+        from repro.fl import FLConfig
 
         cfg = FLConfig(rounds=2, n_clients=6, clients_per_round=3, batch_size=20, seed=0)
         strat = build_strategy(method)
-        sim = Simulation(tiny_data, strat, cfg, model_name="mlp")
+        sim = Engine(tiny_data, strat, cfg, model_name="mlp")
         hist = sim.run()
 
-        avg = Simulation(tiny_data, build_strategy("fedavg"), cfg, model_name="mlp")
+        avg = Engine(tiny_data, build_strategy("fedavg"), cfg, model_name="mlp")
         h_avg = avg.run()
 
         measured_extra = hist.flops()[-1] - h_avg.flops()[-1]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FLConfig, Simulation, build_federated_data, build_strategy
+from repro import FLConfig, Engine, build_federated_data, build_strategy
 from repro.data import generate_dataset, get_spec
 from repro.io import load_history, save_history
 
@@ -21,7 +21,7 @@ class TestThreadedAlgorithms:
         hists = []
         for workers in (1, 2):
             strat = build_strategy(method, model="mlp", dataset="tiny")
-            sim = Simulation(tiny_data, strat, small_config, model_name="mlp",
+            sim = Engine(tiny_data, strat, small_config, model_name="mlp",
                              n_workers=workers)
             hists.append(sim.run().accuracies())
             sim.close()
@@ -35,7 +35,7 @@ class TestModelDatasetMatrix:
         data = build_federated_data(dataset, n_clients=4, partition="iid", seed=0)
         cfg = FLConfig(rounds=1, n_clients=4, clients_per_round=2,
                        batch_size=20, lr=0.05, seed=0)
-        sim = Simulation(data, build_strategy("fedtrip"), cfg, model_name=model)
+        sim = Engine(data, build_strategy("fedtrip"), cfg, model_name=model)
         rec = sim.run_round()
         assert rec.test_accuracy is not None
         sim.close()
@@ -44,7 +44,7 @@ class TestModelDatasetMatrix:
         data = build_federated_data("tiny_rgb", n_clients=4, partition="iid", seed=0)
         cfg = FLConfig(rounds=1, n_clients=4, clients_per_round=2,
                        batch_size=20, lr=0.02, seed=0)
-        sim = Simulation(data, build_strategy("fedavg"), cfg, model_name="alexnet")
+        sim = Engine(data, build_strategy("fedavg"), cfg, model_name="alexnet")
         rec = sim.run_round()
         assert rec.test_accuracy is not None
         sim.close()
@@ -65,7 +65,7 @@ class TestPaperScaleSpecsGenerate:
 
 class TestHistoryPersistenceViaSimulation:
     def test_simulated_history_roundtrips(self, tiny_data, small_config, tmp_path):
-        sim = Simulation(tiny_data, build_strategy("fedtrip"), small_config,
+        sim = Engine(tiny_data, build_strategy("fedtrip"), small_config,
                          model_name="mlp")
         hist = sim.run()
         sim.close()
@@ -81,7 +81,7 @@ class TestSamplerPluggability:
         from repro.fl import WeightedSampler
 
         sampler = WeightedSampler([1.0] * 6, clients_per_round=3, seed=0)
-        sim = Simulation(tiny_data, build_strategy("fedavg"), small_config,
+        sim = Engine(tiny_data, build_strategy("fedavg"), small_config,
                          model_name="mlp", sampler=sampler)
         hist = sim.run()
         assert len(hist) == small_config.rounds

@@ -12,7 +12,8 @@ from repro.analysis import (
     update_cosine_consistency,
     update_divergence,
 )
-from repro.fl import FLConfig, Simulation
+from repro.api import Engine
+from repro.fl import FLConfig
 from repro.fl.types import ClientUpdate
 
 
@@ -54,7 +55,7 @@ class TestMetrics:
 
 class TestDriftTracker:
     def test_attach_and_observe(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, FedAvg(), small_config, model_name="mlp")
+        sim = Engine(tiny_data, FedAvg(), small_config, model_name="mlp")
         tracker = DriftTracker().attach(sim)
         sim.run()
         s = tracker.summary()
@@ -71,7 +72,7 @@ class TestDriftTracker:
         """Fig. 1's claim, measured: non-IID updates agree less."""
         cons = {}
         for name, data in (("noniid", tiny_data), ("iid", tiny_iid_data)):
-            sim = Simulation(data, FedAvg(), small_config, model_name="mlp")
+            sim = Engine(data, FedAvg(), small_config, model_name="mlp")
             tracker = DriftTracker().attach(sim)
             sim.run()
             cons[name] = tracker.summary()["mean_consistency"]
@@ -82,7 +83,7 @@ class TestDriftTracker:
         """FedProx's proximal pull must shrink client displacement norms."""
         drifts = {}
         for name, strat in (("avg", FedAvg()), ("prox", FedProx(mu=5.0))):
-            sim = Simulation(tiny_data, strat, small_config, model_name="mlp")
+            sim = Engine(tiny_data, strat, small_config, model_name="mlp")
             tracker = DriftTracker().attach(sim)
             sim.run()
             drifts[name] = tracker.summary()["mean_drift"]

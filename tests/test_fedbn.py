@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FLConfig, Simulation, build_federated_data, build_strategy
+from repro import FLConfig, Engine, build_federated_data, build_strategy
 from repro.algorithms import FedAvg, FedBN
 from repro.models import build_cnn
 
@@ -57,13 +57,13 @@ class TestFedBN:
                        batch_size=20, lr=0.05, seed=0)
         hists = {}
         for strat in (FedAvg(), FedBN()):
-            sim = Simulation(tiny_data, strat, cfg, model_name="mlp")
+            sim = Engine(tiny_data, strat, cfg, model_name="mlp")
             hists[strat.name] = sim.run().accuracies()
             sim.close()
         np.testing.assert_allclose(hists["fedbn"], hists["fedavg"], atol=1e-5)
 
     def test_clients_keep_distinct_bn_params(self, skew_data, bn_model_fn):
-        sim = Simulation(skew_data, FedBN(), self._config(4), model_fn=bn_model_fn)
+        sim = Engine(skew_data, FedBN(), self._config(4), model_fn=bn_model_fn)
         sim.run()
         participated = sorted({c for r in sim.history.records for c in r.selected})
         blobs = [sim.clients[c].state["bn"] for c in participated
@@ -75,14 +75,14 @@ class TestFedBN:
         sim.close()
 
     def test_trains_under_feature_skew(self, skew_data, bn_model_fn):
-        sim = Simulation(skew_data, FedBN(), self._config(5), model_fn=bn_model_fn)
+        sim = Engine(skew_data, FedBN(), self._config(5), model_fn=bn_model_fn)
         hist = sim.run()
         assert hist.best_accuracy() > 30.0  # 4 classes, chance 25%
         sim.close()
 
     def test_personalize_loads_client_bn(self, skew_data, bn_model_fn):
         strat = FedBN()
-        sim = Simulation(skew_data, strat, self._config(3), model_fn=bn_model_fn)
+        sim = Engine(skew_data, strat, self._config(3), model_fn=bn_model_fn)
         sim.run()
         cid = next(c for c in range(4) if sim.clients[c].state.get("bn"))
         model = sim.global_model()

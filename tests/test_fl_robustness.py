@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FLConfig, Simulation, build_federated_data
+from repro import FLConfig, Engine, build_federated_data
 from repro.algorithms import available_strategies, build_strategy
 from repro.data import ArrayDataset
 from repro.fl import Client, FixedSampler
@@ -16,7 +16,7 @@ class TestNumericalHealth:
     def test_weights_stay_finite(self, tiny_data, small_config, method):
         """Every registered algorithm must produce finite weights & metrics."""
         strat = build_strategy(method, model="mlp", dataset="tiny")
-        sim = Simulation(tiny_data, strat, small_config, model_name="mlp")
+        sim = Engine(tiny_data, strat, small_config, model_name="mlp")
         hist = sim.run()
         for w in sim.server.weights:
             assert np.isfinite(w).all(), f"{method} produced non-finite weights"
@@ -29,7 +29,7 @@ class TestEdgeConfigurations:
     def test_batch_larger_than_shard(self, tiny_data):
         cfg = FLConfig(rounds=2, n_clients=6, clients_per_round=3,
                        batch_size=500, lr=0.05, seed=0)
-        sim = Simulation(tiny_data, build_strategy("fedtrip"), cfg, model_name="mlp")
+        sim = Engine(tiny_data, build_strategy("fedtrip"), cfg, model_name="mlp")
         hist = sim.run()
         assert len(hist) == 2
         sim.close()
@@ -37,7 +37,7 @@ class TestEdgeConfigurations:
     def test_full_participation(self, tiny_data):
         cfg = FLConfig(rounds=2, n_clients=6, clients_per_round=6,
                        batch_size=20, lr=0.05, seed=0)
-        sim = Simulation(tiny_data, build_strategy("fedtrip"), cfg, model_name="mlp")
+        sim = Engine(tiny_data, build_strategy("fedtrip"), cfg, model_name="mlp")
         sim.run()
         # Under full participation every client trains every round -> xi = 1.
         for c in sim.clients:
@@ -47,7 +47,7 @@ class TestEdgeConfigurations:
     def test_single_client_per_round(self, tiny_data):
         cfg = FLConfig(rounds=3, n_clients=6, clients_per_round=1,
                        batch_size=20, lr=0.05, seed=0)
-        sim = Simulation(tiny_data, build_strategy("fedavg"), cfg, model_name="mlp")
+        sim = Engine(tiny_data, build_strategy("fedavg"), cfg, model_name="mlp")
         hist = sim.run()
         assert all(len(r.selected) == 1 for r in hist.records)
         sim.close()
@@ -55,7 +55,7 @@ class TestEdgeConfigurations:
     def test_batch_size_one(self, tiny_data):
         cfg = FLConfig(rounds=1, n_clients=6, clients_per_round=2,
                        batch_size=1, lr=0.01, seed=0)
-        sim = Simulation(tiny_data, build_strategy("fedavg"), cfg, model_name="mlp")
+        sim = Engine(tiny_data, build_strategy("fedavg"), cfg, model_name="mlp")
         sim.run()
         sim.close()
 
@@ -64,7 +64,7 @@ class TestEdgeConfigurations:
                        batch_size=20, local_epochs=3, lr=0.02, seed=3)
         runs = []
         for _ in range(2):
-            sim = Simulation(tiny_data, build_strategy("fedtrip"), cfg, model_name="mlp")
+            sim = Engine(tiny_data, build_strategy("fedtrip"), cfg, model_name="mlp")
             runs.append(sim.run().accuracies())
             sim.close()
         np.testing.assert_array_equal(runs[0], runs[1])
@@ -86,7 +86,7 @@ class TestFedTripStaleness:
                        batch_size=20, lr=0.02, seed=0)
         # Client 0 participates rounds 0,1,4; client 1 rounds 0,2; etc.
         schedule = [[0, 1], [0, 2], [1, 3], [2, 4], [0, 5]]
-        sim = Simulation(tiny_data, ProbeFedTrip(mu=0.1), cfg, model_name="mlp",
+        sim = Engine(tiny_data, ProbeFedTrip(mu=0.1), cfg, model_name="mlp",
                          sampler=FixedSampler(schedule, n_clients=6))
         sim.run()
         sim.close()
@@ -103,7 +103,7 @@ class TestUpdateObservers:
         def observer(updates, global_weights):
             seen.append((len(updates), [w.copy() for w in global_weights]))
 
-        sim = Simulation(tiny_data, build_strategy("fedavg"), small_config,
+        sim = Engine(tiny_data, build_strategy("fedavg"), small_config,
                          model_name="mlp")
         init = [w.copy() for w in sim.server.weights]
         sim.update_observers.append(observer)
@@ -117,7 +117,7 @@ class TestUpdateObservers:
 
     def test_multiple_observers(self, tiny_data, small_config):
         calls = {"a": 0, "b": 0}
-        sim = Simulation(tiny_data, build_strategy("fedavg"), small_config,
+        sim = Engine(tiny_data, build_strategy("fedavg"), small_config,
                          model_name="mlp")
         sim.update_observers.append(lambda u, g: calls.__setitem__("a", calls["a"] + 1))
         sim.update_observers.append(lambda u, g: calls.__setitem__("b", calls["b"] + 1))
@@ -134,7 +134,7 @@ class TestDataEdgeCases:
         data.client_shards[0] = data.client_shards[0][:10]
         cfg = FLConfig(rounds=1, n_clients=4, clients_per_round=4,
                        batch_size=20, lr=0.05, seed=0)
-        sim = Simulation(data, build_strategy("fedavg"), cfg, model_name="mlp")
+        sim = Engine(data, build_strategy("fedavg"), cfg, model_name="mlp")
         sim.run()
         sim.close()
 

@@ -1,4 +1,4 @@
-"""Simulation round loop: determinism, executors, cost tracking."""
+"""The engine's round loop: determinism, executors, cost tracking."""
 
 from __future__ import annotations
 
@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from repro.algorithms import FedAvg, FedTrip, build_strategy
-from repro.fl import FLConfig, Simulation
+from repro.api import Engine
+from repro.fl import FLConfig
 
 
 def _run(data, strategy, config, **kw):
-    sim = Simulation(data, strategy, config, model_name="mlp", **kw)
+    sim = Engine(data, strategy, config, model_name="mlp", **kw)
     hist = sim.run()
     sim.close()
     return sim, hist
@@ -62,10 +63,10 @@ class TestRoundLoop:
     def test_client_count_mismatch_rejected(self, tiny_data):
         cfg = FLConfig(rounds=1, n_clients=9, clients_per_round=3)
         with pytest.raises(ValueError):
-            Simulation(tiny_data, FedAvg(), cfg, model_name="mlp")
+            Engine(tiny_data, FedAvg(), cfg, model_name="mlp")
 
     def test_resume_runs_remaining_rounds(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, FedAvg(), small_config, model_name="mlp")
+        sim = Engine(tiny_data, FedAvg(), small_config, model_name="mlp")
         sim.run_round()
         hist = sim.run()
         assert len(hist) == small_config.rounds
@@ -79,7 +80,7 @@ class TestRoundLoop:
 
     def test_preamble_strategy_rejects_threads(self, tiny_data, small_config):
         with pytest.raises(ValueError):
-            Simulation(tiny_data, build_strategy("feddane"), small_config,
+            Engine(tiny_data, build_strategy("feddane"), small_config,
                        model_name="mlp", n_workers=2)
 
 
@@ -117,12 +118,12 @@ class TestCostTracking:
 
 class TestOptimizerSelection:
     def test_strategy_forces_plain_sgd(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, build_strategy("slowmo"), small_config, model_name="mlp")
+        sim = Engine(tiny_data, build_strategy("slowmo"), small_config, model_name="mlp")
         worker = sim.executor._worker
         assert worker.optimizer.momentum == 0.0
         sim.close()
 
     def test_default_is_sgdm(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, FedAvg(), small_config, model_name="mlp")
+        sim = Engine(tiny_data, FedAvg(), small_config, model_name="mlp")
         assert sim.executor._worker.optimizer.momentum == pytest.approx(0.9)
         sim.close()

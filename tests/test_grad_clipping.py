@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FLConfig, Simulation, build_federated_data, build_strategy
+from repro import FLConfig, Engine, build_federated_data, build_strategy
 from repro.nn import Parameter, clip_grad_norm, global_grad_norm
 
 
@@ -54,7 +54,7 @@ class TestClippingInSimulation:
         for clip in (None, 0.01):
             cfg = FLConfig(rounds=3, n_clients=6, clients_per_round=3,
                            batch_size=20, lr=0.05, seed=1, max_grad_norm=clip)
-            sim = Simulation(tiny_data, build_strategy("fedavg"), cfg, model_name="mlp")
+            sim = Engine(tiny_data, build_strategy("fedavg"), cfg, model_name="mlp")
             accs[clip] = sim.run().accuracies()
             sim.close()
         assert not np.allclose(accs[None], accs[0.01])
@@ -66,7 +66,7 @@ class TestClippingInSimulation:
                                     partition="dirichlet", alpha=0.5, seed=0)
         cfg = FLConfig(rounds=12, n_clients=10, clients_per_round=4,
                        batch_size=50, lr=0.03, seed=0, max_grad_norm=1.0)
-        sim = Simulation(data, build_strategy("fedtrip", mu=2.5), cfg,
+        sim = Engine(data, build_strategy("fedtrip", mu=2.5), cfg,
                          model_name="mlp")
         hist = sim.run()
         assert all(np.isfinite(w).all() for w in sim.server.weights)
@@ -77,7 +77,7 @@ class TestClippingInSimulation:
         for method in ("moon", "fedgkd"):
             cfg = FLConfig(rounds=2, n_clients=6, clients_per_round=3,
                            batch_size=20, lr=0.05, seed=1, max_grad_norm=0.5)
-            sim = Simulation(tiny_data, build_strategy(method), cfg, model_name="mlp")
+            sim = Engine(tiny_data, build_strategy(method), cfg, model_name="mlp")
             hist = sim.run()
             assert np.isfinite(hist.accuracies()).all()
             sim.close()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FLConfig, Simulation, build_federated_data, build_strategy
+from repro import FLConfig, Engine, build_federated_data, build_strategy
 from repro.algorithms import PAPER_EVALUATED
 
 
@@ -35,7 +35,7 @@ def histories(mini_data, mini_config):
     out = {}
     for name in PAPER_EVALUATED:
         strat = build_strategy(name, model="mlp", dataset="mini_mnist")
-        sim = Simulation(mini_data, strat, mini_config, model_name="mlp")
+        sim = Engine(mini_data, strat, mini_config, model_name="mlp")
         out[name] = (sim, sim.run())
     return out
 
@@ -91,7 +91,7 @@ class TestHeterogeneityResponse:
         )
         cfg = FLConfig(rounds=10, n_clients=10, clients_per_round=4,
                        batch_size=50, lr=0.05, seed=0)
-        sim = Simulation(data, build_strategy("fedtrip", model="mlp"), cfg, model_name="mlp")
+        sim = Engine(data, build_strategy("fedtrip", model="mlp"), cfg, model_name="mlp")
         hist = sim.run()
         assert hist.best_accuracy() > 25.0
         sim.close()
@@ -104,7 +104,7 @@ class TestHeterogeneityResponse:
         for kind, kwargs in (("iid", {}), ("dirichlet", {"alpha": 0.1})):
             data = build_federated_data("mini_mnist", n_clients=10, partition=kind,
                                         seed=0, **kwargs)
-            sim = Simulation(data, build_strategy("fedavg"), cfg, model_name="mlp")
+            sim = Engine(data, build_strategy("fedavg"), cfg, model_name="mlp")
             accs[kind] = sim.run().final_accuracy_stats(last_k=3)["mean"]
             sim.close()
         assert accs["iid"] > accs["dirichlet"]
@@ -117,7 +117,7 @@ class TestLocalEpochs:
         for epochs in (1, 5):
             cfg = FLConfig(rounds=4, n_clients=10, clients_per_round=4,
                            batch_size=50, lr=0.05, local_epochs=epochs, seed=0)
-            sim = Simulation(mini_data, build_strategy("fedtrip", model="mlp"),
+            sim = Engine(mini_data, build_strategy("fedtrip", model="mlp"),
                              cfg, model_name="mlp")
             accs[epochs] = sim.run().best_accuracy()
             sim.close()
@@ -131,7 +131,7 @@ class TestScalability:
                                     alpha=0.5, seed=0, samples_per_client=80)
         cfg = FLConfig(rounds=6, n_clients=50, clients_per_round=4,
                        batch_size=40, lr=0.05, seed=0)
-        sim = Simulation(data, build_strategy("fedtrip", model="mlp"), cfg, model_name="mlp")
+        sim = Engine(data, build_strategy("fedtrip", model="mlp"), cfg, model_name="mlp")
         hist = sim.run()
         assert hist.best_accuracy() > 25.0
         sim.close()

@@ -105,9 +105,9 @@ class TestCentralizedBaseline:
 
     def test_upper_bounds_federated(self, tiny_data, small_config, rng):
         """Pooled training should beat the FL run given equal data/steps."""
-        from repro import Simulation, build_strategy
+        from repro import Engine, build_strategy
 
-        sim = Simulation(tiny_data, build_strategy("fedavg"), small_config,
+        sim = Engine(tiny_data, build_strategy("fedavg"), small_config,
                          model_name="mlp")
         fed_acc = sim.run().best_accuracy()
         sim.close()

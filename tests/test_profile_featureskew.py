@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FLConfig, Simulation, build_federated_data, build_strategy
+from repro import FLConfig, Engine, build_federated_data, build_strategy
 from repro.models import build_cnn, build_mlp, format_layer_summary, layer_summary, profile_model
 
 
@@ -87,7 +87,7 @@ class TestFeatureSkewPipeline:
                                     feature_skew=True)
         cfg = FLConfig(rounds=2, n_clients=4, clients_per_round=2,
                        batch_size=20, lr=0.05, seed=0)
-        sim = Simulation(data, build_strategy("fedtrip"), cfg, model_name="mlp")
+        sim = Engine(data, build_strategy("fedtrip"), cfg, model_name="mlp")
         hist = sim.run()
         assert np.isfinite(hist.accuracies()).all()
         sim.close()
@@ -101,7 +101,7 @@ class TestFeatureSkewPipeline:
                                         seed=0, feature_skew=skewed)
             cfg = FLConfig(rounds=4, n_clients=6, clients_per_round=3,
                            batch_size=20, lr=0.05, seed=0)
-            sim = Simulation(data, build_strategy("fedavg"), cfg, model_name="mlp")
+            sim = Engine(data, build_strategy("fedavg"), cfg, model_name="mlp")
             accs[skewed] = sim.run().best_accuracy()
             sim.close()
         assert accs[True] <= accs[False] + 8.0

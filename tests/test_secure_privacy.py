@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FLConfig, Simulation, build_strategy
+from repro import FLConfig, Engine, build_strategy
 from repro.fl import (
     CompressedUploadWrapper,
     GaussianMechanism,
@@ -147,7 +147,7 @@ class TestPrivateAggregationWrapper:
             if wrap:
                 strat = PrivateAggregationWrapper(strat, clip_norm=1e9,
                                                   noise_multiplier=0.0)
-            sim = Simulation(tiny_data, strat, small_config, model_name="mlp")
+            sim = Engine(tiny_data, strat, small_config, model_name="mlp")
             hist = sim.run()
             sim.close()
             if base_hist is None:
@@ -159,7 +159,7 @@ class TestPrivateAggregationWrapper:
     def test_noise_degrades_but_still_learns(self, tiny_data, small_config):
         strat = PrivateAggregationWrapper(build_strategy("fedtrip"),
                                           clip_norm=5.0, noise_multiplier=0.02)
-        sim = Simulation(tiny_data, strat, small_config, model_name="mlp")
+        sim = Engine(tiny_data, strat, small_config, model_name="mlp")
         hist = sim.run()
         assert hist.best_accuracy() > 25.0
         assert strat.accountant.steps == small_config.rounds
@@ -176,19 +176,19 @@ class TestCompressedUploadWrapper:
     def test_quantized_fedavg_learns(self, tiny_data, small_config):
         strat = CompressedUploadWrapper(build_strategy("fedavg"),
                                         QuantizationCompressor(bits=8, seed=0))
-        sim = Simulation(tiny_data, strat, small_config, model_name="mlp")
+        sim = Engine(tiny_data, strat, small_config, model_name="mlp")
         hist = sim.run()
         assert hist.best_accuracy() > 30.0
         sim.close()
 
     def test_comm_bytes_reduced(self, tiny_data, small_config):
-        base = Simulation(tiny_data, build_strategy("fedavg"), small_config,
+        base = Engine(tiny_data, build_strategy("fedavg"), small_config,
                           model_name="mlp")
         h_base = base.run()
         base.close()
         strat = CompressedUploadWrapper(build_strategy("fedavg"),
                                         TopKCompressor(fraction=0.05))
-        sim = Simulation(tiny_data, strat, small_config, model_name="mlp")
+        sim = Engine(tiny_data, strat, small_config, model_name="mlp")
         h_comp = sim.run()
         sim.close()
         # Uplink shrinks ~20x; downlink unchanged -> total roughly halves.
@@ -197,10 +197,10 @@ class TestCompressedUploadWrapper:
     def test_fraction_one_topk_matches_base(self, tiny_data, small_config):
         strat = CompressedUploadWrapper(build_strategy("fedavg"),
                                         TopKCompressor(fraction=1.0))
-        sim = Simulation(tiny_data, strat, small_config, model_name="mlp")
+        sim = Engine(tiny_data, strat, small_config, model_name="mlp")
         h_comp = sim.run()
         sim.close()
-        base = Simulation(tiny_data, build_strategy("fedavg"), small_config,
+        base = Engine(tiny_data, build_strategy("fedavg"), small_config,
                           model_name="mlp")
         h_base = base.run()
         base.close()
@@ -209,7 +209,7 @@ class TestCompressedUploadWrapper:
     def test_composes_with_fedtrip(self, tiny_data, small_config):
         strat = CompressedUploadWrapper(build_strategy("fedtrip"),
                                         QuantizationCompressor(bits=10, seed=0))
-        sim = Simulation(tiny_data, strat, small_config, model_name="mlp")
+        sim = Engine(tiny_data, strat, small_config, model_name="mlp")
         hist = sim.run()
         assert hist.best_accuracy() > 25.0
         assert strat.describe()["compression"] == "QuantizationCompressor"

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.algorithms import FedAvg
+from repro.api import Engine
 from repro.fl import (
     CompressedExchange,
     DeviceProfile,
     FLConfig,
     NETWORK_PRESETS,
     QuantizationCompressor,
-    Simulation,
     SystemModel,
     TopKCompressor,
 )
@@ -63,7 +63,7 @@ class TestSystemModel:
         assert len(speeds) == 1
 
     def test_attach_to_simulation(self, tiny_data, small_config):
-        sim = Simulation(tiny_data, FedAvg(), small_config, model_name="mlp")
+        sim = Engine(tiny_data, FedAvg(), small_config, model_name="mlp")
         sysmodel = SystemModel("wifi", n_clients=small_config.n_clients).attach(sim)
         hist = sim.run()
         assert len(sysmodel.round_times) == small_config.rounds
@@ -78,7 +78,7 @@ class TestSystemModel:
     def test_iot_slower_than_wifi(self, tiny_data, small_config):
         totals = {}
         for preset in ("wifi", "iot"):
-            sim = Simulation(tiny_data, FedAvg(), small_config, model_name="mlp")
+            sim = Engine(tiny_data, FedAvg(), small_config, model_name="mlp")
             sm = SystemModel(preset, n_clients=small_config.n_clients).attach(sim)
             sim.run()
             totals[preset] = sm.total_seconds()

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FLConfig, Simulation, build_strategy
+from repro import FLConfig, Engine, build_strategy
 from repro.analysis import measure_inexactness
 from repro.data import ArrayDataset
 from repro.fl.server import Server
@@ -133,7 +133,7 @@ class TestServerFaultTolerance:
 
         cfg = FLConfig(rounds=3, n_clients=6, clients_per_round=3,
                        batch_size=20, lr=0.05, seed=0)
-        sim = Simulation(tiny_data, Saboteur(), cfg, model_name="mlp")
+        sim = Engine(tiny_data, Saboteur(), cfg, model_name="mlp")
         hist = sim.run()
         for w in sim.server.weights:
             assert np.isfinite(w).all()

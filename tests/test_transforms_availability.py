@@ -127,10 +127,10 @@ class TestDropoutSampler:
             DropoutSampler(4, 2, dropout=1.0)
 
     def test_simulation_integration(self, tiny_data, small_config):
-        from repro import Simulation, build_strategy
+        from repro import Engine, build_strategy
 
         sampler = DropoutSampler(6, 3, dropout=0.3, seed=0)
-        sim = Simulation(tiny_data, build_strategy("fedtrip"), small_config,
+        sim = Engine(tiny_data, build_strategy("fedtrip"), small_config,
                          model_name="mlp", sampler=sampler)
         hist = sim.run()
         assert len(hist) == small_config.rounds
@@ -153,12 +153,12 @@ class TestDiurnalSampler:
 
     def test_staleness_gap_structure(self, tiny_data):
         """Clients see long staleness gaps; FedTrip must stay stable."""
-        from repro import FLConfig, Simulation, build_strategy
+        from repro import FLConfig, Engine, build_strategy
 
         cfg = FLConfig(rounds=8, n_clients=6, clients_per_round=2,
                        batch_size=20, lr=0.02, seed=0)
         sampler = DiurnalSampler(6, 2, phases=2, window=2, seed=0)
-        sim = Simulation(tiny_data, build_strategy("fedtrip"), cfg,
+        sim = Engine(tiny_data, build_strategy("fedtrip"), cfg,
                          model_name="mlp", sampler=sampler)
         hist = sim.run()
         assert np.isfinite([w for w in map(np.sum, sim.server.weights)]).all()
