@@ -9,7 +9,7 @@ earns throughput exactly by *overlapping* client tasks, which is the
 quantity a scheduler benchmark should isolate — it is also the only
 scaling dimension measurable on a single-core CI host.  On a multi-core
 host the process backend additionally overlaps the compute portion, which
-the in-process backends cannot (the tape/optimizer work holds the GIL).
+the serial backend runs one client at a time.
 
 Measured per backend: wall time of ``TIMED_ROUNDS`` engine rounds after one
 warmup round (pool startup and data building excluded), reported as
@@ -47,8 +47,6 @@ TIMED_ROUNDS = 5
 #: (backend, n_workers) grid.
 CONFIGS = [
     ("serial", 1),
-    ("threaded", 2),
-    ("threaded", 4),
     ("process", 2),
     ("process", 4),
 ]
@@ -81,7 +79,7 @@ def _measure(data, executor: str, n_workers: int) -> float:
 def _determinism_check(data) -> bool:
     """Fixed seed => identical round records on every backend."""
     reference = None
-    for executor, n_workers in [("serial", 1), ("threaded", 4), ("process", 4)]:
+    for executor, n_workers in [("serial", 1), ("process", 4)]:
         engine = _build_engine(data, executor, n_workers, latency=0.0)
         try:
             records = [engine.run_round() for _ in range(3)]

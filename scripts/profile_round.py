@@ -210,6 +210,8 @@ def _phase_breakdown(metrics, rounds: int) -> None:
 
 
 def main() -> int:
+    from repro.api import available_executors
+
     workloads = _workloads()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default=None, choices=sorted(workloads.WORKLOADS),
@@ -226,7 +228,7 @@ def main() -> int:
                         help="profiled rounds (after one warmup round)")
     parser.add_argument("--batch-size", type=int, default=20)
     parser.add_argument("--executor", default="serial",
-                        choices=["serial", "threaded", "process"])
+                        choices=available_executors())
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--mode", default="sync",
                         choices=["sync", "semisync", "async"],

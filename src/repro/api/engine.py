@@ -10,7 +10,7 @@ Each round runs seven named phases::
 3. **preamble** — FedDANE/MimeLite collect full-batch gradients at the global
    model and the server combines them;
 4. **local_train** — every selected client trains locally from the global
-   weights (lines 3-10), through a pluggable serial/threaded executor;
+   weights (lines 3-10), through a pluggable serial or fleet executor;
 5. **aggregate** — the server aggregates (line 12) and the strategy
    post-processes;
 6. **evaluate** — the global model is scored on the held-out test set (every
@@ -147,13 +147,11 @@ class Engine:
     n_workers:
         Worker count handed to the execution backend.
     executor:
-        Registry name of the execution backend ("serial" / "threaded" /
-        "process" / "network"; see :mod:`repro.api.registry`).  The
-        default "auto" keeps the historical behaviour: serial at
-        ``n_workers<=1``, threaded above.  Pooled backends reject
-        strategies with a preamble phase, and the out-of-process backend
-        additionally requires a registry-built model (no custom
-        ``model_fn`` closure).
+        Registry name of the execution backend ("serial" / "process" /
+        "network"; see :mod:`repro.api.registry`).  The default "auto" is
+        serial at ``n_workers<=1`` and the loopback fleet ("process")
+        above.  The fleet rejects strategies with a preamble phase and
+        requires a registry-built model (no custom ``model_fn`` closure).
     client_latency_s:
         Optional per-client wall-clock latency (seconds) charged inside
         every client task, emulating device/network time so scheduling
@@ -527,9 +525,10 @@ class Engine:
         model, optimizer and clients."""
         if self._custom_model_fn:
             raise ValueError(
-                "the process executor rebuilds models from the registry and "
-                "cannot ship a custom model_fn closure across processes; use "
-                "a registered model name or executor='serial'/'threaded'"
+                "the worker-process fleet (executor 'process' or 'network', "
+                "or 'auto' above one worker) rebuilds models from the registry "
+                "and cannot ship a custom model_fn closure across processes; use "
+                "a registered model name or executor='serial'"
             )
         return WorkerSpec(
             data=self.data,
@@ -626,7 +625,7 @@ class Engine:
         updates_by_client: Dict[int, ClientUpdate] = {}
         for task, result in resolved:
             if result.failure is None:
-                # Pooled backends trained on a copy of the client state;
+                # The fleet trained on a copy of the client state;
                 # adopt the returned dict so strategy state survives the
                 # round trip.
                 self._adopt_state(task.client_id, result.state)
@@ -643,7 +642,7 @@ class Engine:
     ) -> List[ClientTaskSpec]:
         """Hand the global weights + server payload to the backend (once per
         server version) and build one picklable task per client.  The
-        server's flat plane is handed over as-is: in-process backends alias
+        server's flat plane is handed over as-is: the serial backend aliases
         it (zero copies) and the out-of-process backend ships it as one
         flat byte run.  The event modes also mark each client busy and
         hand it its measured staleness ``xi`` (server versions since its

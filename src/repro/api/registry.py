@@ -26,8 +26,8 @@ An executor factory receives the live :class:`~repro.api.engine.Engine`
 out-of-process backends the picklable ``engine.worker_spec()``) plus the
 requested worker count, and returns an object with the executor contract:
 ``run(tasks) -> results``, ``broadcast(weights)``, ``borrow_worker()``,
-``n_workers``, ``close()``.  ``"auto"`` keeps the historical behaviour:
-serial at ``n_workers<=1``, threaded above.
+``n_workers``, ``close()``.  ``"auto"`` is serial at ``n_workers<=1`` and
+the loopback fleet (``"process"``) above.
 
 **Modes** (:mod:`repro.api.engine`) — resolved from the spec's ``mode``
 field or the ``--mode`` CLI flag::
@@ -49,7 +49,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List
 
 from repro.fl.availability import DiurnalSampler, DropoutSampler
-from repro.fl.executor import SerialExecutor, ThreadedExecutor
+from repro.fl.executor import SerialExecutor
 from repro.fl.sampling import FixedSampler, UniformSampler, WeightedSampler
 
 __all__ = [
@@ -178,24 +178,28 @@ def build_executor(name: str, *, engine, n_workers: int = 1):
     return factory(engine, n_workers)
 
 
-def _reject_preamble(engine, backend: str) -> None:
-    if engine.strategy.needs_preamble:
+def runs_on_fleet(executor: str, n_workers: int) -> bool:
+    """Whether the backend ``executor`` names runs its tasks in worker
+    processes at ``n_workers``: ``"process"``, ``"network"``, or ``"auto"``
+    above one worker."""
+    name = executor.lower()
+    return name in ("process", "network") or (name == "auto" and n_workers > 1)
+
+
+def reject_preamble(strategy, executor: str, n_workers: int) -> None:
+    """Refuse a strategy with a preamble phase on the fleet.  ``strategy``
+    is a strategy class or instance; ``ExperimentSpec`` validation and the
+    fleet factory both call this, so a hand-built engine is refused too."""
+    if strategy.needs_preamble and runs_on_fleet(executor, n_workers):
         raise ValueError(
-            f"{engine.strategy.name} uses a preamble phase, which needs the "
+            f"{strategy.name} uses a preamble phase, which needs the "
             f"serial backend's resident worker; run with executor='serial' "
-            f"(got {backend!r})"
+            f"(got executor={executor!r}, n_workers={n_workers})"
         )
 
 
 def _serial_executor(engine, n_workers: int) -> SerialExecutor:
     return SerialExecutor(engine.make_worker, runtime=engine.runtime)
-
-
-def _threaded_executor(engine, n_workers: int) -> ThreadedExecutor:
-    _reject_preamble(engine, "threaded")
-    return ThreadedExecutor(
-        engine.make_worker, runtime=engine.runtime, n_workers=max(1, n_workers)
-    )
 
 
 def _fleet_executor(name: str, engine, n_workers: int):
@@ -206,7 +210,7 @@ def _fleet_executor(name: str, engine, n_workers: int):
     # Lazy import: the socket stack only loads when a run asks for it.
     from repro.fl.net.coordinator import NetworkExecutor
 
-    _reject_preamble(engine, name)
+    reject_preamble(engine.strategy, name, n_workers)
     opts = dict(getattr(engine, "net_options", None) or {})
     fleet = opts.pop("net_workers", None)
     executor = NetworkExecutor(
@@ -217,15 +221,14 @@ def _fleet_executor(name: str, engine, n_workers: int):
 
 
 def _auto_executor(engine, n_workers: int):
-    """Historical default: serial on one worker, threads above."""
+    """Serial on one worker, the loopback fleet above."""
     if n_workers <= 1:
         return _serial_executor(engine, n_workers)
-    return _threaded_executor(engine, n_workers)
+    return _fleet_executor("process", engine, n_workers)
 
 
 register_executor("auto", _auto_executor)
 register_executor("serial", _serial_executor)
-register_executor("threaded", _threaded_executor)
 register_executor("process", partial(_fleet_executor, "process"))
 register_executor("network", partial(_fleet_executor, "network"))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import Field, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.algorithms import build_strategy
+from repro.algorithms import STRATEGY_CLASSES, build_strategy
 from repro.data import available_datasets, build_federated_data
 from repro.fl import net
 from repro.fl.faults import available_faults, build_fault
@@ -36,6 +36,8 @@ from repro.api.registry import (
     available_modes,
     available_samplers,
     build_sampler,
+    reject_preamble,
+    runs_on_fleet,
 )
 
 __all__ = ["ExperimentSpec"]
@@ -210,11 +212,13 @@ class ExperimentSpec:
         (), "execution",
         "policy parameter, repeatable (e.g. dropout=0.2)", kv=True)
     n_workers: int = _knob(
-        1, "execution", "worker count for the pooled backends",
+        1, "execution",
+        "worker processes in the fleet ('process', 'network', or 'auto' "
+        "above 1); serial takes exactly 1",
         cli=("--workers", "--n-workers"), engine=True)
     executor: str = _knob(
         "auto", "execution",
-        "execution backend (auto = serial at 1 worker, threaded above; "
+        "execution backend (auto = serial at 1 worker, 'process' above; "
         "'process' and 'network' are one fleet of worker processes served "
         "over framed sockets: 'process' always forks its own on loopback, "
         "'network' takes the --net-* knobs and remote workers)",
@@ -418,6 +422,15 @@ class ExperimentSpec:
         for f in knobs:
             if f.metadata["switch"]:
                 self._check_switch(f)
+        if self.executor.lower() == "serial" and self.n_workers != 1:
+            raise ValueError(
+                f"executor='serial' trains on one worker context, so "
+                f"n_workers={self.n_workers} would do nothing; use "
+                "executor='process' for a fleet of worker processes"
+            )
+        strategy = STRATEGY_CLASSES.get(self.method.lower())
+        if strategy is not None:
+            reject_preamble(strategy, self.executor, self.n_workers)
         if (self.mode == "sync" and self.device_profile is None
                 and self.heterogeneity != 1.0):
             raise ValueError(
@@ -649,15 +662,15 @@ class ExperimentSpec:
 
     def build_net_options(self) -> Optional[Dict[str, Any]]:
         """Everything the fleet executor factory (``"process"`` /
-        ``"network"``) needs, or ``None`` for the in-process backends.  On
-        ``"process"`` the ``net`` group guard has pinned every value to its
-        declared default.
+        ``"network"``, or ``"auto"`` above one worker) needs, or ``None``
+        for the serial backend.  Off ``"network"`` the ``net`` group guard
+        has pinned every value to its declared default.
 
         Includes :meth:`cell_key` because the engine does not otherwise
         know its spec at executor-build time — the coordinator uses it to
         refuse worker processes aimed at a different experiment.
         """
-        if self.executor not in ("process", "network"):
+        if not runs_on_fleet(self.executor, self.n_workers):
             return None
         injector = None
         if self.net_fault is not None:

@@ -38,7 +38,6 @@ from repro.fl.executor import (
     TaskResult,
     TaskRuntime,
     SerialExecutor,
-    ThreadedExecutor,
     make_optimizer,
 )
 from repro.fl.asyncfl import EventQueue, VirtualClock
@@ -97,7 +96,6 @@ __all__ = [
     "TaskResult",
     "TaskRuntime",
     "SerialExecutor",
-    "ThreadedExecutor",
     "make_optimizer",
     "EventQueue",
     "VirtualClock",

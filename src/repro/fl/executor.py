@@ -7,9 +7,6 @@ execute, including out-of-process ones — and hands the batch to an executor:
 
 * :class:`SerialExecutor` — one worker context, clients trained in order.
   The default, and the only backend that supports the preamble phase.
-* :class:`ThreadedExecutor` — N worker contexts served by a thread pool.
-  NumPy's BLAS kernels release the GIL, so multi-core machines overlap the
-  GEMM-heavy forward/backward work across clients.
 * :class:`~repro.fl.net.coordinator.NetworkExecutor` — N worker
   *processes* served over framed sockets, with the global weights broadcast
   once per round as one flat byte run (see :mod:`repro.fl.net`).
@@ -17,15 +14,14 @@ execute, including out-of-process ones — and hands the batch to an executor:
 All backends return results in task order, so a fixed seed produces
 byte-identical round records on every backend (verified by tests).  The
 executor registry in :mod:`repro.api.registry` resolves backends by name
-(``"serial"`` / ``"threaded"`` / ``"process"`` / ``"network"``).
+(``"serial"`` / ``"process"`` / ``"network"``, and ``"auto"`` choosing
+between serial and the loopback fleet by worker count).
 """
 
 from __future__ import annotations
 
 import functools
-import queue
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,7 +51,6 @@ __all__ = [
     "TaskResult",
     "TaskRuntime",
     "SerialExecutor",
-    "ThreadedExecutor",
     "build_clients",
     "build_round_context",
     "build_worker_half",
@@ -241,7 +236,7 @@ class TaskRuntime:
     #: optional :class:`~repro.fl.robust.adversaries.Adversary` corrupting
     #: roster clients' uploads inside :func:`execute_task` — the one code
     #: path every backend shares, so the attack composes identically with
-    #: serial/threaded/process executors and sync/semisync/async modes.
+    #: the serial and fleet executors and sync/semisync/async modes.
     adversary: Optional[Adversary] = None
     #: optional :class:`~repro.fl.faults.FaultInjector` failing tasks at the
     #: same choke point — also shared by every backend, so a fixed seed
@@ -253,7 +248,7 @@ class TaskRuntime:
     #: synthesizes the equivalent failure.
     in_pool_worker: bool = False
     #: observability sink for per-task spans/metrics (see :mod:`repro.obs`).
-    #: In-process backends share the engine's recorder (thread-safe); each
+    #: The serial backend shares the engine's recorder; each
     #: out-of-process worker gets its own shard recorder whose output
     #: pickles home on the task result.  Defaults to the no-op null recorder, which
     #: hot-path call sites skip with a single attribute check.
@@ -296,7 +291,7 @@ class WorkerSpec:
     obs_spans: bool = False
     #: optional deterministic fault injector (repro.fl.faults) — stateless
     #: (seed + name + kwargs), so pickling ships the exact coin streams the
-    #: in-process backends draw from.
+    #: serial backend draws from.
     fault_injector: Optional[FaultInjector] = None
 
 
@@ -312,7 +307,7 @@ def build_worker_half(
     views of it.  ``in_pool_worker`` is True only inside a worker process
     its executor spawned and will replace, where the worker-death fault
     may really kill the hosting process; a worker started by hand passes
-    False and *synthesizes* that failure (like serial/threaded) — nobody
+    False and *synthesizes* that failure (like serial) — nobody
     respawns it, so a real exit would permanently shrink the fleet and
     break cross-backend byte-identity.
     """
@@ -448,29 +443,10 @@ def execute_task(task: ClientTaskSpec, worker: WorkerContext, runtime: TaskRunti
     return result
 
 
-class _InProcessExecutor:
-    """What the serial and threaded backends share: the engine's
-    :class:`TaskRuntime`, re-pointed at each round's broadcast."""
-
-    runtime: Optional[TaskRuntime]
-
-    def _require_runtime(self) -> TaskRuntime:
-        if self.runtime is None:
-            raise RuntimeError("executor was constructed without a TaskRuntime")
-        return self.runtime
-
-    def broadcast(self, plane: ParamPlane,
-                  payload: Optional[Dict[str, Any]] = None) -> None:
-        """Point this round's tasks at the server's global weight plane and
-        server broadcast payload (no copies)."""
-        runtime = self._require_runtime()
-        runtime.global_weights = plane.tree
-        runtime.global_flat = plane.flat
-        runtime.server_broadcast = payload if payload is not None else {}
-
-
-class SerialExecutor(_InProcessExecutor):
-    """Run client tasks one after another on a single worker context."""
+class SerialExecutor:
+    """Run client tasks one after another on a single worker context,
+    pointed at each round's broadcast through the engine's
+    :class:`TaskRuntime`."""
 
     name = "serial"
 
@@ -486,6 +462,20 @@ class SerialExecutor(_InProcessExecutor):
     def n_workers(self) -> int:
         return 1
 
+    def _require_runtime(self) -> TaskRuntime:
+        if self.runtime is None:
+            raise RuntimeError("executor was constructed without a TaskRuntime")
+        return self.runtime
+
+    def broadcast(self, plane: ParamPlane,
+                  payload: Optional[Dict[str, Any]] = None) -> None:
+        """Point this round's tasks at the server's global weight plane and
+        server broadcast payload (no copies)."""
+        runtime = self._require_runtime()
+        runtime.global_weights = plane.tree
+        runtime.global_flat = plane.flat
+        runtime.server_broadcast = payload if payload is not None else {}
+
     def borrow_worker(self) -> Optional[WorkerContext]:
         """The resident worker context, for out-of-band single-threaded work
         (global evaluation, preamble passes).  Serial execution has exactly
@@ -496,56 +486,5 @@ class SerialExecutor(_InProcessExecutor):
         runtime = self._require_runtime()
         return [execute_task(t, self._worker, runtime) for t in tasks]
 
-    def close(self) -> None:  # symmetry with the pooled backends
+    def close(self) -> None:  # symmetry with the fleet backend
         pass
-
-
-class ThreadedExecutor(_InProcessExecutor):
-    """Thread-pool execution with a checkout queue of worker contexts."""
-
-    name = "threaded"
-
-    def __init__(
-        self,
-        make_worker: Callable[[], WorkerContext],
-        runtime: Optional[TaskRuntime] = None,
-        n_workers: int = 2,
-    ) -> None:
-        if n_workers <= 0:
-            raise ValueError("n_workers must be positive")
-        self._n_workers = n_workers
-        self.runtime = runtime
-        self._contexts: "queue.SimpleQueue[WorkerContext]" = queue.SimpleQueue()
-        for _ in range(n_workers):
-            self._contexts.put(make_worker())
-        self._pool = ThreadPoolExecutor(max_workers=n_workers, thread_name_prefix="fl-worker")
-
-    @property
-    def n_workers(self) -> int:
-        return self._n_workers
-
-    def borrow_worker(self) -> Optional[WorkerContext]:
-        """No single resident worker exists in the pool; callers needing a
-        model for out-of-band work must build their own replica."""
-        return None
-
-    def _run_one(self, task: ClientTaskSpec) -> TaskResult:
-        ctx = self._contexts.get()
-        try:
-            return execute_task(task, ctx, self.runtime)
-        finally:
-            self._contexts.put(ctx)
-
-    def run(self, tasks: Sequence[ClientTaskSpec]) -> List[TaskResult]:
-        self._require_runtime()
-        futures = [self._pool.submit(self._run_one, t) for t in tasks]
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-    def __del__(self) -> None:  # pragma: no cover - GC-time cleanup
-        try:
-            self._pool.shutdown(wait=False)
-        except Exception:
-            pass

@@ -6,9 +6,9 @@ uploading, payloads that arrive corrupted, stragglers that blow past the
 round deadline, and worker processes that die mid-task.  A
 :class:`FaultInjector` is applied inside
 :func:`repro.fl.executor.execute_task` — the one code path every backend
-shares — so the identical fault lands whether the round ran on the serial,
-threaded or process executor and whether the server is sync, semisync or
-async (a precondition for the byte-identity contract).
+shares — so the identical fault lands whether the round ran on the serial
+executor or the worker-process fleet and whether the server is sync,
+semisync or async (a precondition for the byte-identity contract).
 
 Determinism: every fault decision is a pure function of ``(seed, fault
 name, client_id, round_idx, attempt)`` through the named

@@ -240,8 +240,8 @@ class ClientDirectory:
     engine's client list that only supports what the round loop uses:
     ``directory[client_id]`` and per-client state adoption.
 
-    Clients materialize on first index, under a lock (the threaded executor
-    touches the roster from worker threads); each data shard is built once
+    Clients materialize on first index, under a lock (a library caller may
+    touch the roster from its own threads); each data shard is built once
     and shared by every virtual client mapped onto it.  Strategy state
     comes from ``state_factory(client_id)`` at materialization and is
     routed through the :class:`FlatStateArena`; :meth:`adopt_state` is the

@@ -8,9 +8,9 @@ maliciously, drawn once from the experiment seed — and two hooks:
 * :meth:`Adversary.corrupt_update` rewrites a client's *update* at upload
   time.  It is called from :func:`repro.fl.executor.execute_task`, the one
   code path every backend shares, so the same corruption lands whether the
-  round ran on the serial, threaded or process executor and whether the
-  server is sync, semisync or async — a precondition for the byte-identity
-  contract.
+  round ran on the serial executor or the worker-process fleet and whether
+  the server is sync, semisync or async — a precondition for the
+  byte-identity contract.
 
 Determinism: the roster and every noise draw come from named
 :class:`~repro.utils.rng.RngStream` children of ``(seed, "adversary", ...)``

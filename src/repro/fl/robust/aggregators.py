@@ -29,7 +29,7 @@ server already touches (plus one ``K x K`` Gram GEMM for the Krum family).
 
 Rules are *deterministic* (sorts are stable, ties break by row index), so
 the repository's byte-identity contract — fixed seed => identical History
-across serial/threaded/process executors and sync/semisync/async modes —
+across serial/process/network executors and sync/semisync/async modes —
 extends to robust runs (asserted in ``tests/test_params.py``).
 
 Registry mirrors the sampler/executor/mode registries in

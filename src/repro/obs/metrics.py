@@ -13,8 +13,8 @@ Three instrument kinds, Prometheus-flavoured:
 
 A :class:`MetricsRegistry` is the process-local (or worker-shard) home for
 instruments, keyed by name — get-or-create via :meth:`counter` /
-:meth:`gauge` / :meth:`histogram`, thread-safe for the threaded executor's
-concurrent task path.  Shards travel as the plain dict :meth:`drain`
+:meth:`gauge` / :meth:`histogram`, thread-safe for callers that drive
+engines from their own threads.  Shards travel as the plain dict :meth:`drain`
 returns (picklable by construction) and fold into the engine's registry via
 :meth:`merge`, so worker-process metrics land deterministically in task
 order.  Output formats: :meth:`prometheus_text` (text exposition) and

@@ -159,8 +159,8 @@ class Recorder:
         # of a round once the batch is large enough, and on close): after
         # the round's real work has churned the caches, per-span encoding
         # pays a cold-miss tax that batch encoding amortizes away.  A
-        # deque because appends and poplefts are GIL-atomic — the threaded
-        # executor completes client spans concurrently with no lock.
+        # deque because appends and poplefts are GIL-atomic — spans completed
+        # from a caller's own threads need no lock.
         self._pending: deque = deque()
         # Downlink bytes accumulate in a plain attribute and fold into the
         # counter in end_round, where the instrument cache is already hot.
@@ -177,7 +177,7 @@ class Recorder:
     # -- span plumbing -------------------------------------------------------
     def _next_id(self) -> int:
         # itertools.count.__next__ is atomic under the GIL — no lock needed
-        # for the threaded executor's concurrent client spans.
+        # for spans opened concurrently from a caller's own threads.
         return next(self._seq)
 
     def _emit(self, record: Dict[str, Any]) -> None:

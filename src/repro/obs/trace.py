@@ -9,8 +9,8 @@ not per call) and ``close()``.  Two built-ins:
 
 * :class:`JsonlExporter` — one JSON object per line, append-ordered by
   span *completion* time (children may precede their parent; the
-  ``parent`` ids carry the tree).  Thread-safe: the threaded executor
-  completes client spans concurrently.
+  ``parent`` ids carry the tree).  Thread-safe: a library caller may drive
+  engines from its own threads and complete spans concurrently.
 * :class:`ListExporter` — in-memory capture for tests and the profiler.
 """
 

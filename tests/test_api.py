@@ -16,6 +16,7 @@ from repro.api import (
     Engine,
     ExperimentSpec,
     available_samplers,
+    build_mode,
     build_sampler,
     register_sampler,
     run_experiment,
@@ -25,7 +26,7 @@ from repro.cli import main as cli_main
 from repro.data import build_federated_data
 from repro.fl import FLConfig
 from repro.fl.availability import DropoutSampler
-from repro.fl.executor import SerialExecutor, ThreadedExecutor, WorkerContext
+from repro.fl.executor import SerialExecutor, WorkerContext
 from repro.io import load_checkpoint, load_history, save_history
 from repro.models import build_mlp
 
@@ -322,13 +323,15 @@ class TestBorrowWorker:
         assert ex.borrow_worker() is ex.borrow_worker()
         ex.close()
 
-    def test_threaded_returns_none(self):
-        ex = ThreadedExecutor(self._make_worker, n_workers=2)
-        assert ex.borrow_worker() is None
-        ex.close()
-
-    def test_threaded_engine_evaluates_without_resident_worker(self):
-        hist = run_experiment(ExperimentSpec(**TINY, n_workers=2))
+    def test_fleet_engine_evaluates_without_resident_worker(self):
+        spec = ExperimentSpec(**TINY, n_workers=2)  # "auto": the fleet
+        engine = build_mode(spec.mode, spec=spec, data=spec.build_data())
+        try:
+            assert engine.executor.name == "process"
+            assert engine.executor.borrow_worker() is None
+            hist = engine.run()
+        finally:
+            engine.close()
         assert np.isfinite(hist.accuracies()).all()
 
 

@@ -1,4 +1,4 @@
-"""Additional cross-cutting coverage: threading x algorithms, model/dataset
+"""Additional cross-cutting coverage: the worker fleet x algorithms, model/dataset
 matrix smoke tests, persistence round-trips through real simulations."""
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ from repro.data import generate_dataset, get_spec
 from repro.io import load_history, save_history
 
 
-class TestThreadedAlgorithms:
-    """Threaded execution must be bit-identical to serial for stateful
-    strategies too (worker contexts own model replicas; client state is
-    shared but only touched by one worker at a time)."""
+class TestFleetAlgorithms:
+    """The loopback fleet ("auto" above one worker) must be bit-identical to
+    serial for stateful strategies too (worker processes own model replicas;
+    client state travels with each task and comes back with its result)."""
 
     @pytest.mark.parametrize("method", ["moon", "fedgkd", "scaffold", "feddyn"])
-    def test_threaded_matches_serial(self, tiny_data, small_config, method):
+    def test_fleet_matches_serial(self, tiny_data, small_config, method):
         hists = []
         for workers in (1, 2):
             strat = build_strategy(method, model="mlp", dataset="tiny")
@@ -25,7 +25,7 @@ class TestThreadedAlgorithms:
                              n_workers=workers)
             hists.append(sim.run().accuracies())
             sim.close()
-        np.testing.assert_allclose(hists[0], hists[1], atol=1e-5)
+        np.testing.assert_array_equal(hists[0], hists[1])
 
 
 class TestModelDatasetMatrix:

@@ -1,9 +1,10 @@
 """Execution backends: registry resolution, the per-round broadcast, and the
 cross-backend determinism contract (fixed seed => byte-identical records on
-serial, threaded and process executors)."""
+the serial and process executors)."""
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.fl.params import ParamPlane, WeightLayout
 TINY = dict(dataset="tiny", model="mlp", method="fedavg", n_clients=4,
             clients_per_round=2, rounds=2, batch_size=20, lr=0.05)
 
-BACKENDS = [("serial", 1), ("threaded", 2), ("process", 2)]
+BACKENDS = [("serial", 1), ("process", 2)]
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -44,9 +45,15 @@ def assert_identical_records(a, b, context=""):
         assert ra.cumulative_comm_bytes == rb.cumulative_comm_bytes, context
 
 
+def _records(history):
+    """Every round-record field but the two host-time ones."""
+    return [{k: v for k, v in rec.items() if k not in ("wall_seconds", "phase_seconds")}
+            for rec in history.to_dict()["records"]]
+
+
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"auto", "serial", "threaded", "process"} <= set(available_executors())
+        assert set(available_executors()) == {"auto", "serial", "process", "network"}
 
     def test_unknown_name_raises(self):
         spec = tiny_spec()
@@ -78,10 +85,20 @@ class TestRegistry:
                     model_name="mlp", n_workers=2)
         try:
             assert e1.executor.name == "serial"
-            assert e2.executor.name == "threaded"
+            assert e2.executor.name == "process"
+            assert e2.executor.n_workers == 2
+            records = [_records(e.run()) for e in (e1, e2)]
         finally:
             e1.close()
             e2.close()
+        assert records[0] == records[1]
+
+    def test_auto_fleet_from_spec_carries_the_cell_key(self):
+        spec = tiny_spec(n_workers=2)
+        options = spec.build_net_options()
+        assert options["cell_key"] == spec.cell_key()
+        assert options["net_workers"] is None  # the fleet is n_workers wide
+        assert tiny_spec().build_net_options() is None
 
 
 class TestSpecAndCLI:
@@ -169,21 +186,40 @@ class TestProcessExecutorContracts:
 
     def test_preamble_strategy_rejected(self):
         spec = tiny_spec(method="mimelite")
-        for executor in ("threaded", "process"):
+        for executor in ("auto", "process"):
             with pytest.raises(ValueError, match="preamble"):
                 Engine(spec.build_data(), spec.build_strategy(), spec.build_config(),
                        model_name="mlp", n_workers=2, executor=executor)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("method", ["mimelite", "feddane"])
+    def test_preamble_strategy_rejected_by_the_spec(self, method):
+        """Spec validation refuses a preamble strategy wherever the fleet
+        would run it, before any data is built."""
+        for executor, n_workers in [("process", 2), ("network", 2), ("auto", 2),
+                                    ("process", 1)]:
+            with pytest.raises(ValueError, match="preamble.*executor='serial'"):
+                tiny_spec(method=method, executor=executor, n_workers=n_workers)
+        for executor in ("serial", "auto"):
+            assert tiny_spec(method=method, executor=executor).executor == executor
+
+    def test_serial_rejects_more_than_one_worker(self):
+        with pytest.raises(ValueError, match="executor='process'"):
+            tiny_spec(executor="serial", n_workers=4)
+        assert tiny_spec(executor="serial", n_workers=1).n_workers == 1
 
     def test_custom_model_fn_rejected(self):
         from repro.models import build_mlp
 
         spec = tiny_spec()
         data = spec.build_data()
-        with pytest.raises(ValueError, match="custom model_fn"):
-            Engine(data, spec.build_strategy(), spec.build_config(),
-                   model_fn=lambda: build_mlp(data.spec.input_shape,
-                                              data.spec.num_classes),
-                   n_workers=2, executor="process")
+        for executor in ("process", "auto"):
+            with pytest.raises(ValueError, match="custom model_fn.*executor='serial'"):
+                Engine(data, spec.build_strategy(), spec.build_config(),
+                       model_fn=lambda: build_mlp(data.spec.input_shape,
+                                                  data.spec.num_classes),
+                       n_workers=2, executor=executor)
+        assert multiprocessing.active_children() == []
 
     def test_task_spec_is_picklable(self):
         task = ClientTaskSpec(client_id=3, round_idx=7,
@@ -210,7 +246,7 @@ class TestProcessExecutorContracts:
     def test_shared_memory_broadcast_updates_workers(self):
         """Weights written between rounds must be what workers read next."""
         spec = tiny_spec(executor="process", n_workers=2, rounds=3)
-        serial = run_experiment(spec.with_axis("executor", "serial"))
+        serial = run_experiment(tiny_spec(executor="serial", rounds=3))
         pooled = run_experiment(spec)
         # Round 2+ accuracy depends on round 1's aggregated weights reaching
         # the workers; identical trajectories prove the broadcast works.

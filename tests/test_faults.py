@@ -260,13 +260,12 @@ class TestFailurePolicyRuns:
     def test_diverging_run_records_one_history_on_every_backend(self):
         """With no fault knob set, retries 0 and quorum 0 are the trivial
         policy on every backend: a diverging run fails the same tasks and
-        skips the same rounds on serial, threaded and the process fleet."""
+        skips the same rounds on serial and the process fleet."""
         diverge = {**TINY, "rounds": 2, "lr": 1e9}
         serial = run_experiment(ExperimentSpec(**diverge))
-        for executor in ("threaded", "process"):
-            other = run_experiment(ExperimentSpec(
-                **diverge, executor=executor, n_workers=2))
-            assert _sig(other) == _sig(serial), f"{executor} diverged from serial"
+        fleet = run_experiment(ExperimentSpec(
+            **diverge, executor="process", n_workers=2))
+        assert _sig(fleet) == _sig(serial), "process diverged from serial"
         assert serial.failed_client_ids(), "lr=1e9 should diverge"
         assert serial.dropped_client_ids() == []
 
@@ -342,7 +341,7 @@ class TestFaultByteIdentityGrid:
         arrival)."""
         base = {**TINY, "fault": "crash", "fault_rate": 0.3, "task_retries": 1}
         references = {}
-        for executor in ("serial", "threaded", "process"):
+        for executor in ("serial", "process"):
             for mode in ("sync", "semisync", "async"):
                 spec = ExperimentSpec(**{
                     **base, "executor": executor, "mode": mode,
@@ -464,7 +463,6 @@ class TestCrashSafeResume:
 
     @pytest.mark.parametrize("executor,workers,method", [
         pytest.param("serial", 1, "fedavg", id="serial-1"),
-        pytest.param("threaded", 2, "fedavg", id="threaded-2"),
         pytest.param("process", 2, "fedavg", id="process-2"),
         # flat server state (c) and flat client state (c_k) cross the kill
         pytest.param("serial", 1, "scaffold", id="serial-1-scaffold"),

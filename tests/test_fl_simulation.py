@@ -31,15 +31,16 @@ class TestDeterminism:
         _, h2 = _run(tiny_data, FedAvg(), c2)
         assert not np.array_equal(h1.accuracies(), h2.accuracies())
 
-    def test_serial_vs_threaded_identical(self, tiny_data, small_config):
+    def test_serial_and_fleet_identical(self, tiny_data, small_config):
+        # "auto" is serial at one worker and the loopback fleet above
         _, h1 = _run(tiny_data, FedAvg(), small_config, n_workers=1)
         _, h2 = _run(tiny_data, FedAvg(), small_config, n_workers=3)
-        np.testing.assert_allclose(h1.accuracies(), h2.accuracies(), atol=1e-5)
+        np.testing.assert_array_equal(h1.accuracies(), h2.accuracies())
 
-    def test_fedtrip_threaded_matches_serial(self, tiny_data, small_config):
+    def test_fedtrip_fleet_matches_serial(self, tiny_data, small_config):
         _, h1 = _run(tiny_data, FedTrip(mu=0.4), small_config, n_workers=1)
         _, h2 = _run(tiny_data, FedTrip(mu=0.4), small_config, n_workers=2)
-        np.testing.assert_allclose(h1.accuracies(), h2.accuracies(), atol=1e-5)
+        np.testing.assert_array_equal(h1.accuracies(), h2.accuracies())
 
 
 class TestRoundLoop:
@@ -78,8 +79,8 @@ class TestRoundLoop:
         for a, b in zip(model.get_weights(), sim.server.weights):
             np.testing.assert_array_equal(a, b)
 
-    def test_preamble_strategy_rejects_threads(self, tiny_data, small_config):
-        with pytest.raises(ValueError):
+    def test_preamble_strategy_rejects_the_fleet(self, tiny_data, small_config):
+        with pytest.raises(ValueError, match="preamble"):
             Engine(tiny_data, build_strategy("feddane"), small_config,
                        model_name="mlp", n_workers=2)
 

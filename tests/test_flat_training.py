@@ -549,7 +549,7 @@ class TestClippedDeterminismGrid:
         the mode that needs clipping in production — aggregates differently
         by design, so its cells get their own cross-executor reference."""
         references = {}
-        for executor in ("serial", "threaded", "process"):
+        for executor in ("serial", "process"):
             for mode in ("sync", "semisync", "async"):
                 spec = ExperimentSpec(**{**TINY_CLIP, "executor": executor,
                                          "mode": mode,

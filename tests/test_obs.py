@@ -314,7 +314,6 @@ class TestWorkerShard:
 # the run-level contract
 # ---------------------------------------------------------------------------
 GRID = [("serial", "sync"), ("serial", "semisync"), ("serial", "async"),
-        ("threaded", "sync"), ("threaded", "semisync"), ("threaded", "async"),
         ("process", "sync"), ("process", "semisync"), ("process", "async")]
 
 

@@ -414,7 +414,7 @@ class TestCrossExecutorCrossMode:
         """The determinism contract must survive the robust subsystem: a
         fixed seed with ``aggregator='coordinate_median'`` and an active
         ``sign_flip`` adversary yields byte-identical histories across
-        serial/threaded/process/network executors and the sync/semisync barrier
+        serial/process/network executors and the sync/semisync barrier
         cells (full buffer, no deadline); the async cells — a different
         algorithm by construction — agree across executors against their
         own reference."""
@@ -423,7 +423,7 @@ class TestCrossExecutorCrossMode:
                   "adversary": "sign_flip", "adversary_fraction": 0.25,
                   "adversary_kwargs": {"gamma": 3.0}}
         references = {}
-        for executor in ("serial", "threaded", "process", "network"):
+        for executor in ("serial", "process", "network"):
             for mode in ("sync", "semisync", "async"):
                 spec = ExperimentSpec(**{**robust,
                                          "executor": executor,

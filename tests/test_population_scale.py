@@ -14,7 +14,7 @@ Four contracts pinned here:
 3. **Lazy == eager, bitwise.**  A :class:`Population`-backed run (lazy
    directory, per-(client, key) arena slots, optionally mmap-forced)
    yields byte-identical histories *and* per-client strategy state to the
-   eager roster, across serial/threaded/process executors.
+   eager roster, across the serial and process executors.
 4. **Resource hygiene.**  The shared :class:`MatrixPool` survives
    back-to-back different-P experiments and is reset on engine close; the
    tier-2 peak-RSS test pins the O(touched)-not-O(population) memory
@@ -152,10 +152,10 @@ class TestGridByteIdentity:
 
     def test_population_run_is_byte_identical_across_executors(self, tiny4):
         """A population-backed cohort drawn out of a 10k-id space is
-        byte-identical across serial/threaded/process."""
+        byte-identical across serial and process."""
         base = {**TINY, "population_size": 10_000}
         reference = None
-        for executor in ("serial", "threaded", "process"):
+        for executor in ("serial", "process"):
             spec = ExperimentSpec(**{
                 **base, "executor": executor,
                 **({"n_workers": 2} if executor != "serial" else {}),
@@ -544,10 +544,10 @@ class TestLazyEagerEquivalence:
             eager.close()
             lazy.close()
 
-    @pytest.mark.parametrize("executor", ["threaded", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_population_state_survives_worker_pools(self, executor, tiny4):
-        """Lazy state round-trips through worker pools (value copies for the
-        process pool) byte-identically to the serial eager reference."""
+        """Lazy state round-trips through the worker fleet (value copies
+        across processes) byte-identically to the serial eager reference."""
         reference = _sig(run_experiment(_stateful_spec("feddyn"), data=tiny4))
         spec = _stateful_spec("feddyn", population_size=TINY["n_clients"],
                               executor=executor, n_workers=2)
