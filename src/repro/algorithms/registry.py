@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+import inspect
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.algorithms.base import Strategy
 from repro.algorithms.fedavg import FedAvg
@@ -24,6 +25,7 @@ __all__ = [
     "PAPER_EVALUATED",
     "build_strategy",
     "available_strategies",
+    "check_overrides",
     "paper_defaults",
 ]
 
@@ -73,9 +75,37 @@ def build_strategy(name: str, model: str = "cnn", dataset: str = "mnist", **over
     key = name.lower()
     if key not in STRATEGY_CLASSES:
         raise KeyError(f"unknown strategy {name!r}; available: {available_strategies()}")
+    check_overrides(key, overrides)
     kwargs = paper_defaults(key, model=model, dataset=dataset)
     kwargs.update(overrides)
     return STRATEGY_CLASSES[key](**kwargs)
+
+
+def _keyword_params(name: str) -> Tuple[str, ...]:
+    """The hyperparameters strategy ``name``'s constructor takes by
+    keyword, following a ``**kwargs`` into the base class it forwards to."""
+    names = []
+    for klass in STRATEGY_CLASSES[name.lower()].__mro__:
+        if klass is object or "__init__" not in vars(klass):
+            continue
+        params = list(inspect.signature(klass.__init__).parameters.values())[1:]
+        names += [p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            break
+    return tuple(dict.fromkeys(names))
+
+
+def check_overrides(name: str, overrides: Mapping[str, Any]) -> None:
+    """Refuse override keys strategy ``name`` does not take, naming the
+    ones it does (instead of a ``TypeError`` from its constructor once the
+    data is built)."""
+    accepted = _keyword_params(name)
+    unknown = sorted(set(overrides) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"{name} takes no hyperparameter {', '.join(map(repr, unknown))}; "
+            f"it accepts {', '.join(accepted) if accepted else 'no overrides'}"
+        )
 
 
 def available_strategies() -> Tuple[str, ...]:

@@ -14,7 +14,8 @@ Each round runs seven named phases::
 5. **aggregate** — the server aggregates (line 12) and the strategy
    post-processes;
 6. **evaluate** — the global model is scored on the held-out test set (every
-   ``eval_every`` rounds and on the last round);
+   ``eval_every`` rounds and on the last round) by the executor: on the
+   serial worker's model, or in shards by the fleet;
 7. **record** — a :class:`~repro.fl.types.RoundRecord` is appended to the
    history, including cumulative computation (FLOPs) and communication
    (bytes) — the quantities Tables IV and V report.
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 import copy
 import math
+import pickle
 import time
 from dataclasses import replace
 from functools import partial
@@ -75,7 +77,7 @@ from repro.algorithms.base import Strategy
 from repro.data.federated import FederatedData
 from repro.fl.asyncfl.clock import Event, EventQueue, VirtualClock
 from repro.fl.client import Client
-from repro.fl.evaluation import evaluate_model, full_batch_gradient
+from repro.fl.evaluation import full_batch_gradient
 from repro.fl.executor import (
     ClientTaskSpec,
     TaskResult,
@@ -103,7 +105,12 @@ from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
 
 from repro.api.callbacks import Callback, EarlyStopping, ProgressLogger
-from repro.api.registry import build_executor, build_mode
+from repro.api.registry import (
+    build_executor,
+    build_mode,
+    reject_idle_workers,
+    reject_preamble,
+)
 
 __all__ = ["Engine", "run_experiment", "make_optimizer"]
 
@@ -296,6 +303,8 @@ class Engine:
         # spawned worker pool (close() is unreachable from __init__).
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; available: {list(MODES)}")
+        reject_idle_workers(executor, n_workers)
+        reject_preamble(strategy, executor, n_workers, mode)
         if mode == "sync":
             if buffer_size is not None or deadline_s is not None:
                 raise ValueError(
@@ -307,12 +316,6 @@ class Engine:
                 raise ValueError(
                     f"mode={mode!r} prices every client task on a system_model; "
                     "pass one (ExperimentSpec defaults to the wifi preset)"
-                )
-            if strategy.needs_preamble:
-                raise ValueError(
-                    f"{strategy.name} uses a preamble phase (full-batch gradients "
-                    "at a synchronized global model), which has no analogue in the "
-                    "event-driven modes; run it with mode='sync'"
                 )
             if buffer_size is None:
                 buffer_size = 1 if mode == "async" else config.clients_per_round
@@ -486,10 +489,11 @@ class Engine:
         self._buffer: List[Tuple[ClientUpdate, int]] = []
         self._dispatch_seq = 0
         self._dispatch_root = RngStream(config.seed).child("asyncfl", "dispatch")
-        #: server version the executor last received a broadcast for:
-        #: weights are immutable between aggregations, so one broadcast per
-        #: version suffices (the out-of-process broadcast frame is not free).
+        #: server version and payload the executor last received: weights
+        #: are immutable between aggregations, so one broadcast per version
+        #: suffices (the out-of-process broadcast frame is not free).
         self._broadcast_version: Optional[int] = None
+        self._broadcast_payload: Optional[Dict] = None
         #: server version at each client's most recent dispatch, the
         #: scheduler-side truth behind the measured xi handed to FedTrip.
         self._last_dispatch_version: Dict[int, int] = {}
@@ -649,9 +653,7 @@ class Engine:
         previous dispatch)."""
         if not client_ids:
             return []
-        if self._broadcast_version != round_idx:
-            self.executor.broadcast(self.server.plane, broadcast)
-            self._broadcast_version = round_idx
+        self._broadcast(broadcast)
         if self.obs.enabled:
             # Downlink accounting: each dispatched client adopts the global
             # model once (the executor broadcast is per version).
@@ -677,6 +679,18 @@ class Engine:
                 xi_measured=xi_measured,
             ))
         return tasks
+
+    def _broadcast(self, payload: Dict) -> None:
+        """Hand the server plane and ``payload`` to the backend unless it
+        already holds this server version with the same payload (a fleet
+        evaluation ships the post-aggregation plane, and the next round's
+        dispatch reuses it)."""
+        version = self.server.round_idx
+        if version == self._broadcast_version and (
+                pickle.dumps(payload) == pickle.dumps(self._broadcast_payload)):
+            return
+        self.executor.broadcast(self.server.plane, payload)
+        self._broadcast_version, self._broadcast_payload = version, payload
 
     def _run_tasks(
         self, tasks: List[ClientTaskSpec]
@@ -1215,6 +1229,7 @@ class Engine:
         if self.system_model is not None and snapshot["system_round_times"] is not None:
             self.system_model.round_times = list(snapshot["system_round_times"])
         self._virtual_time_s = snapshot["virtual_time_s"]
+        self._broadcast_version = None  # the plane changed under any broadcast
 
     # ------------------------------------------------------------------
     # inspection / lifecycle
@@ -1226,10 +1241,12 @@ class Engine:
 
     def evaluate_global(self) -> Tuple[float, float]:
         """Accuracy/loss of the current global weights on the test split."""
-        worker = self.executor.borrow_worker()
-        model = worker.model if worker is not None else self._model_fn()
-        self._load_global(model)
-        return evaluate_model(model, self.data.test, self.config.eval_batch_size)
+        test, batch = self.data.test, self.config.eval_batch_size
+        if self.executor.borrow_worker() is None and len(test) > batch:
+            # The fleet scores the split in shards on its installed
+            # broadcast, so ship the post-aggregation plane now.
+            self._broadcast(self.server.broadcast_payload())
+        return self.executor.evaluate(self.server.plane, test, batch)
 
     def global_model(self) -> FedModel:
         """A fresh model instance loaded with the current global weights."""

@@ -25,8 +25,9 @@ An executor factory receives the live :class:`~repro.api.engine.Engine`
 (factories read ``engine.make_worker``, ``engine.runtime``, and for the
 out-of-process backends the picklable ``engine.worker_spec()``) plus the
 requested worker count, and returns an object with the executor contract:
-``run(tasks) -> results``, ``broadcast(weights)``, ``borrow_worker()``,
-``n_workers``, ``close()``.  ``"auto"`` is serial at ``n_workers<=1`` and
+``run(tasks) -> results``, ``broadcast(weights)``,
+``evaluate(plane, dataset, batch_size) -> (accuracy, loss)``,
+``borrow_worker()``, ``n_workers``, ``close()``.  ``"auto"`` is serial at ``n_workers<=1`` and
 the loopback fleet (``"process"``) above.
 
 **Modes** (:mod:`repro.api.engine`) — resolved from the spec's ``mode``
@@ -186,15 +187,35 @@ def runs_on_fleet(executor: str, n_workers: int) -> bool:
     return name in ("process", "network") or (name == "auto" and n_workers > 1)
 
 
-def reject_preamble(strategy, executor: str, n_workers: int) -> None:
-    """Refuse a strategy with a preamble phase on the fleet.  ``strategy``
-    is a strategy class or instance; ``ExperimentSpec`` validation and the
-    fleet factory both call this, so a hand-built engine is refused too."""
-    if strategy.needs_preamble and runs_on_fleet(executor, n_workers):
+def reject_preamble(strategy, executor: str, n_workers: int, mode: str = "sync") -> None:
+    """Refuse a strategy with a preamble phase where it cannot run: in an
+    event-driven mode or on the fleet.  ``strategy`` is a strategy class or
+    instance; ``ExperimentSpec`` validation and ``Engine`` both call this,
+    so a hand-built engine is refused with the same words."""
+    if not strategy.needs_preamble:
+        return
+    if mode != "sync":
+        raise ValueError(
+            f"{strategy.name} uses a preamble phase (full-batch gradients "
+            "at a synchronized global model), which has no analogue in the "
+            "event-driven modes; run it with mode='sync'"
+        )
+    if runs_on_fleet(executor, n_workers):
         raise ValueError(
             f"{strategy.name} uses a preamble phase, which needs the "
             f"serial backend's resident worker; run with executor='serial' "
             f"(got executor={executor!r}, n_workers={n_workers})"
+        )
+
+
+def reject_idle_workers(executor: str, n_workers: int) -> None:
+    """Refuse a worker count the serial backend would ignore;
+    ``ExperimentSpec`` validation and ``Engine`` both call this."""
+    if executor.lower() == "serial" and n_workers != 1:
+        raise ValueError(
+            f"executor='serial' trains on one worker context, so "
+            f"n_workers={n_workers} would do nothing; use "
+            "executor='process' for a fleet of worker processes"
         )
 
 
@@ -210,7 +231,6 @@ def _fleet_executor(name: str, engine, n_workers: int):
     # Lazy import: the socket stack only loads when a run asks for it.
     from repro.fl.net.coordinator import NetworkExecutor
 
-    reject_preamble(engine.strategy, name, n_workers)
     opts = dict(getattr(engine, "net_options", None) or {})
     fleet = opts.pop("net_workers", None)
     executor = NetworkExecutor(

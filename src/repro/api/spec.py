@@ -15,6 +15,7 @@ from dataclasses import Field, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.algorithms import STRATEGY_CLASSES, build_strategy
+from repro.algorithms.registry import check_overrides
 from repro.data import available_datasets, build_federated_data
 from repro.fl import net
 from repro.fl.faults import available_faults, build_fault
@@ -36,6 +37,7 @@ from repro.api.registry import (
     available_modes,
     available_samplers,
     build_sampler,
+    reject_idle_workers,
     reject_preamble,
     runs_on_fleet,
 )
@@ -422,15 +424,11 @@ class ExperimentSpec:
         for f in knobs:
             if f.metadata["switch"]:
                 self._check_switch(f)
-        if self.executor.lower() == "serial" and self.n_workers != 1:
-            raise ValueError(
-                f"executor='serial' trains on one worker context, so "
-                f"n_workers={self.n_workers} would do nothing; use "
-                "executor='process' for a fleet of worker processes"
-            )
+        reject_idle_workers(self.executor, self.n_workers)
         strategy = STRATEGY_CLASSES.get(self.method.lower())
         if strategy is not None:
-            reject_preamble(strategy, self.executor, self.n_workers)
+            reject_preamble(strategy, self.executor, self.n_workers, self.mode)
+            check_overrides(self.method, dict(self.overrides))
         if (self.mode == "sync" and self.device_profile is None
                 and self.heterogeneity != 1.0):
             raise ValueError(

@@ -30,6 +30,7 @@ import numpy as np
 from repro.algorithms.base import ClientRoundContext, Strategy
 from repro.data.federated import FederatedData
 from repro.fl.client import Client, run_client_round
+from repro.fl.evaluation import evaluate_model
 from repro.fl.faults import FaultInjector, TaskFailure
 from repro.fl.params import ParamPlane, WeightLayout
 from repro.fl.population import ClientDirectory, Population
@@ -478,9 +479,16 @@ class SerialExecutor:
 
     def borrow_worker(self) -> Optional[WorkerContext]:
         """The resident worker context, for out-of-band single-threaded work
-        (global evaluation, preamble passes).  Serial execution has exactly
-        one; callers must not hold it across ``run()`` calls."""
+        (preamble passes).  Serial execution has exactly one; callers must
+        not hold it across ``run()`` calls."""
         return self._worker
+
+    def evaluate(self, plane: ParamPlane, dataset, batch_size: int) -> Tuple[float, float]:
+        """``(accuracy_percent, mean_loss)`` of ``plane`` on ``dataset``,
+        scored on the resident worker's model."""
+        model = self._worker.model
+        model.set_weights_flat(plane.flat)
+        return evaluate_model(model, dataset, batch_size)
 
     def run(self, tasks: Sequence[ClientTaskSpec]) -> List[TaskResult]:
         runtime = self._require_runtime()

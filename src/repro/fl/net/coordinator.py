@@ -5,10 +5,10 @@ connections — registration handshakes (protocol version via the frame
 header, ``cell_key`` via the HELLO payload), one ``BROADCAST`` of the
 contiguous flat parameter buffer per round, ``TASK`` dispatch, ``RESULT``
 collection, liveness, resends.  :class:`NetworkExecutor` wraps it in the
-standard executor contract (``broadcast`` / ``run`` / ``borrow_worker`` /
-``close``) so the engine cannot tell it from the serial backend — which is
-the point: a loopback network run at a fixed seed must produce a History
-byte-identical to the serial executor.
+standard executor contract (``broadcast`` / ``run`` / ``evaluate`` /
+``borrow_worker`` / ``close``) so the engine cannot tell it from the serial
+backend — which is the point: a loopback network run at a fixed seed must
+produce a History byte-identical to the serial executor.
 
 How that identity survives an unreliable wire: transport faults are
 absorbed *below* the engine.  Dropped ``TASK``/``BROADCAST`` frames are
@@ -39,13 +39,19 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from select import select
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.fl import net
 from repro.fl.compression import QuantizationCompressor, TopKCompressor
-from repro.fl.executor import ClientTaskSpec, TaskResult
+from repro.fl.evaluation import (
+    evaluate_model,
+    fold_scores,
+    score_batches,
+    shard_batches,
+)
+from repro.fl.executor import ClientTaskSpec, TaskResult, registry_model_fn
 from repro.fl.faults import TaskFailure
 from repro.fl.net import WIRE_CODECS, frames
 from repro.fl.net.frames import ProtocolError, pack_blob_payload
@@ -54,6 +60,7 @@ from repro.fl.net.transport import ChannelClosed, FramedChannel
 from repro.fl.net.worker import run_spawned
 from repro.fl.params import ParamPlane, WeightLayout
 from repro.fl.types import ClientUpdate
+from repro.models.fedmodel import FedModel
 from repro.utils.logging import get_logger
 
 __all__ = ["CoordinatorServer", "NetworkExecutor"]
@@ -66,29 +73,37 @@ _LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1", "")
 #: a task unanswered this long is re-sent (re-drawing any injected fault).
 _RESEND_TIMEOUT_S = 0.5
 
+#: tasks a worker holds at once: the one it runs and the one it starts
+#: next, so it never waits a round trip between two tasks.
+_DEPTH = 2
+
 
 class _Conn:
     """One registered worker connection."""
 
-    __slots__ = ("chan", "worker_id", "last_recv", "busy", "bcast_sends")
+    __slots__ = ("chan", "worker_id", "last_recv", "queue", "bcast_sends")
 
     def __init__(self, chan: FramedChannel, worker_id: int) -> None:
         self.chan = chan
         self.worker_id = worker_id
         self.last_recv = time.monotonic()
-        #: task_id currently dispatched to this worker, or None.
-        self.busy: Optional[int] = None
+        #: flights dispatched to this worker, in the order it runs them:
+        #: the head is running, the rest have not started.
+        self.queue: Deque["_Flight"] = deque()
         #: per-connection broadcast send counter (fault-coin attempt key).
         self.bcast_sends = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class _Flight:
     """One dispatched task's in-flight bookkeeping."""
 
     idx: int
-    worker_id: int
+    conn: _Conn
     task_id: int
+    #: when the task reached the head of its worker's queue: the wall-cap
+    #: clock (``last_sent`` is reset then too, so the resend timer of a
+    #: queued task does not run while the task ahead of it does).
     first_sent: float
     last_sent: float
     sends: int = 0
@@ -332,37 +347,46 @@ class CoordinatorServer:
         # Late joiners (and reconnectors) need the current round's model.
         self._send_bcast(conn)
 
-    def _drop_conn(self, worker_id: int, reason: str) -> Optional[int]:
-        """Close and retire one connection; returns its in-flight task_id."""
+    def _drop_conn(self, worker_id: int, reason: str) -> None:
+        """Close and retire one connection (its flights are settled by the
+        round loop, which finds them orphaned)."""
         conn = self._conns.pop(worker_id, None)
         if conn is None:
-            return None
+            return
         _log.debug("dropping worker %d: %s", worker_id, reason)
         self._stats["retired_bytes_sent"] += conn.chan.bytes_sent
         self._stats["retired_bytes_recv"] += conn.chan.bytes_recv
         conn.chan.close()
-        return conn.busy
 
     # ------------------------------------------------------------------
     # round execution
     # ------------------------------------------------------------------
     def run_tasks(
         self,
-        tasks: Sequence[ClientTaskSpec],
-        decode_result: Callable[[Dict[str, Any]], TaskResult],
+        tasks: Sequence[Any],
+        decode_result: Callable[[Any], Any],
         tend_fleet: Callable[[], Any],
-    ) -> List[TaskResult]:
+        lost: Optional[Callable[[Any, str], Any]] = None,
+    ) -> List[Any]:
         """Dispatch ``tasks`` over the fleet; results in task order.
 
-        Every slot is filled: by a decoded worker result, or by a
-        synthesized retryable ``connection_lost`` failure when the serving
-        connection died (EOF / liveness / partition / per-task wall-clock
-        ceiling) — the engine's retry/quorum policy takes it from there.
-        ``tend_fleet`` runs once per pump iteration: whoever started the
-        workers replaces the ones that exited, so a round that lost its
-        whole fleet is served again well before the empty-fleet grace ends.
+        A task is a :class:`~repro.fl.executor.ClientTaskSpec` or an
+        :class:`~repro.fl.evaluation.EvalShard`; ``decode_result`` turns a
+        worker's wire answer into its slot.  Each worker holds up to
+        ``_DEPTH`` tasks and runs them in order.  Every slot is filled: by
+        a decoded answer, or by ``lost(task, detail)`` (default: a
+        retryable ``connection_lost`` failure, which the engine's retry/
+        quorum policy takes from there) when the task was running on a
+        connection that died (EOF / liveness / partition / per-task
+        wall-clock ceiling).  The tasks queued behind it never started:
+        they go back to be dispatched again, unchanged.  ``tend_fleet``
+        runs once per pump iteration: whoever started the workers replaces
+        the ones that exited, so a round that lost its whole fleet is
+        served again well before the empty-fleet grace ends.
         """
-        slots: List[Optional[TaskResult]] = [None] * len(tasks)
+        lost = lost or self._lost
+        slots: List[Any] = [None] * len(tasks)
+        settled = [False] * len(tasks)
         remaining = len(tasks)
         unassigned = deque(range(len(tasks)))
         flights: Dict[int, _Flight] = {}
@@ -373,47 +397,52 @@ class CoordinatorServer:
             conn.last_recv = now
         last_live = now
 
-        def settle(flight: _Flight, result: TaskResult) -> None:
+        def settle(flight: _Flight, result: Any) -> None:
             nonlocal remaining
-            if slots[flight.idx] is None:
+            if not settled[flight.idx]:
                 slots[flight.idx] = result
+                settled[flight.idx] = True
                 remaining -= 1
             flights.pop(flight.task_id, None)
-            conn = self._conns.get(flight.worker_id)
-            if conn is not None and conn.busy == flight.task_id:
-                conn.busy = None
+            self._dequeue(flight)
+
+        def fail(flight: _Flight, detail: str) -> None:
+            self._stats["connection_losses"] += 1
+            settle(flight, lost(tasks[flight.idx], detail))
 
         while remaining:
             tend_fleet()
-            # Assign idle workers in worker-id order (results are
-            # placement-invariant; the order is just deterministic greed).
-            for worker_id in sorted(self._conns):
-                if not unassigned:
-                    break
-                conn = self._conns[worker_id]
-                if conn.busy is None:
-                    idx = unassigned.popleft()
-                    flight = _Flight(
-                        idx=idx, worker_id=worker_id,
-                        task_id=self._next_task_id,
-                        first_sent=time.monotonic(), last_sent=0.0,
-                    )
-                    self._next_task_id += 1
-                    flights[flight.task_id] = flight
-                    conn.busy = flight.task_id
-                    self._send_task(conn, flight, tasks[idx])
+            # Fill every worker to depth d before any gets d+1, in worker-id
+            # order (results are placement-invariant; the order is just
+            # deterministic greed).
+            for depth in range(1, _DEPTH + 1):
+                for worker_id in sorted(self._conns):
+                    conn = self._conns[worker_id]
+                    if unassigned and len(conn.queue) < depth:
+                        now = time.monotonic()
+                        flight = _Flight(
+                            idx=unassigned.popleft(), conn=conn,
+                            task_id=self._next_task_id,
+                            first_sent=now, last_sent=now,
+                        )
+                        self._next_task_id += 1
+                        flights[flight.task_id] = flight
+                        conn.queue.append(flight)
+                        self._send_task(conn, flight, tasks[flight.idx])
             for kind, worker_id, payload in self._pump(0.02):
                 if kind == "result":
                     try:
                         job = pickle.loads(payload)
                     except Exception as exc:
-                        self._lose_worker(worker_id, f"bad result payload: {exc}",
-                                          tasks, settle, flights)
+                        self._drop_conn(worker_id, f"bad result payload: {exc}")
                         continue
                     flight = flights.get(int(job.get("task_id", -1)))
                     if flight is None:
                         continue  # duplicate/stale result: already settled
                     flight.receipts += 1
+                    # The worker is done with it even if the frame is
+                    # dropped below: the next task in its queue is running.
+                    self._dequeue(flight)
                     if self._injector is not None and self._injector.drop_recv(
                         "result", flight.task_id, flight.receipts
                     ):
@@ -424,49 +453,64 @@ class CoordinatorServer:
                     if conn is None:
                         continue
                     self._send_bcast(conn)
-                    if conn.busy is not None and conn.busy in flights:
-                        self._send_task(conn, flights[conn.busy], tasks[flights[conn.busy].idx])
+                    for flight in list(conn.queue):
+                        self._send_task(conn, flight, tasks[flight.idx])
             now = time.monotonic()
-            for flight in list(flights.values()):
-                conn = self._conns.get(flight.worker_id)
-                if conn is None or conn.busy != flight.task_id:
-                    # Serving connection died under the task.
-                    self._stats["connection_losses"] += 1
-                    settle(flight, self._lost(tasks[flight.idx], "connection lost"))
-                elif now - flight.first_sent > self.connect_timeout_s:
-                    self._stats["connection_losses"] += 1
-                    settle(flight, self._lost(
-                        tasks[flight.idx],
-                        f"no result within {self.connect_timeout_s:.1f}s",
-                    ))
-                elif now - conn.last_recv > self._liveness_timeout_s:
+            for conn in {flight.conn for flight in flights.values()}:
+                alive = self._conns.get(conn.worker_id) is conn
+                if alive and now - conn.last_recv > self._liveness_timeout_s:
                     self._stats["heartbeat_misses"] += 1
-                    self._stats["connection_losses"] += 1
-                    self._drop_conn(flight.worker_id, "heartbeat silence")
-                    settle(flight, self._lost(tasks[flight.idx], "heartbeat silence"))
+                    self._drop_conn(conn.worker_id, "heartbeat silence")
+                    alive = False
+                if alive:
+                    continue
+                # Serving connection died under its tasks.  The worker runs
+                # its queue in order, so only the head ever started; a task
+                # it finished whose result was lost re-runs to the same bits.
+                head = conn.queue[0] if conn.queue else None
+                orphans = [f for f in flights.values() if f.conn is conn]
+                for flight in orphans:
+                    if flight is head:
+                        fail(flight, "connection lost")
+                    else:
+                        flights.pop(flight.task_id)
+                        unassigned.appendleft(flight.idx)
+                conn.queue.clear()
+            for flight in list(flights.values()):
+                queue = flight.conn.queue
+                if flight in queue and queue[0] is not flight:
+                    continue  # queued: its clocks start at the head
+                if now - flight.first_sent > self.connect_timeout_s:
+                    fail(flight, f"no result within {self.connect_timeout_s:.1f}s")
                 elif now - flight.last_sent > _RESEND_TIMEOUT_S:
-                    self._send_task(conn, flight, tasks[flight.idx])
+                    self._send_task(flight.conn, flight, tasks[flight.idx])
             if self._conns or self._pending:
                 last_live = now
             elif remaining and now - last_live > self.connect_timeout_s:
                 # Whole fleet gone and nobody redialed: fail what's left.
                 for flight in list(flights.values()):
-                    self._stats["connection_losses"] += 1
-                    settle(flight, self._lost(tasks[flight.idx], "no live workers"))
+                    fail(flight, "no live workers")
                 while unassigned:
                     idx = unassigned.popleft()
-                    if slots[idx] is None:
-                        slots[idx] = self._lost(tasks[idx], "no live workers")
+                    if not settled[idx]:
+                        slots[idx] = lost(tasks[idx], "no live workers")
+                        settled[idx] = True
                         remaining -= 1
-        return slots  # type: ignore[return-value]  # every slot is filled
+        return slots
 
-    def _lose_worker(self, worker_id, reason, tasks, settle, flights) -> None:
-        task_id = self._drop_conn(worker_id, reason)
-        if task_id is not None and task_id in flights:
-            self._stats["connection_losses"] += 1
-            settle(flights[task_id], self._lost(tasks[flights[task_id].idx], reason))
+    @staticmethod
+    def _dequeue(flight: _Flight) -> None:
+        """Take ``flight`` off its worker's queue; the task behind it, now
+        running, starts its resend and wall-cap clocks."""
+        queue = flight.conn.queue
+        if flight not in queue:
+            return
+        was_head = queue[0] is flight
+        queue.remove(flight)
+        if was_head and queue:
+            queue[0].first_sent = queue[0].last_sent = time.monotonic()
 
-    def _send_task(self, conn: _Conn, flight: _Flight, task: ClientTaskSpec) -> None:
+    def _send_task(self, conn: _Conn, flight: _Flight, task: Any) -> None:
         flight.sends += 1
         flight.last_sent = time.monotonic()
         if self._blocked(conn.worker_id):
@@ -581,6 +625,10 @@ class NetworkExecutor:
             raise ValueError(f"unknown net codec {codec!r}; available: {list(WIRE_CODECS)}")
         spec = engine.worker_spec()  # also rejects custom model_fn
         self._layout: WeightLayout = spec.layout
+        self._model_fn = registry_model_fn(spec.model_name, spec.data.spec, spec.config.seed)
+        #: the coordinator's own evaluation model, built on first use: a
+        #: single-batch test split, or a shard lost with its connection.
+        self._eval_model: Optional[FedModel] = None
         self._n_workers = int(n_workers)
         self._codec = codec
         self._codec_kwargs = dict(codec_kwargs or {})
@@ -657,6 +705,39 @@ class NetworkExecutor:
     def borrow_worker(self):
         """Worker contexts live in other processes; nothing to lend."""
         return None
+
+    def evaluate(self, plane: ParamPlane, dataset, batch_size: int) -> Tuple[float, float]:
+        """``(accuracy_percent, mean_loss)`` of ``plane`` on ``dataset``.
+
+        A split of more than one batch is scored by the workers, in shards
+        of whole batches, on the installed broadcast — the caller ships
+        ``plane`` first.  The per-batch scores are folded in batch order,
+        so the bits equal one model scoring every batch.  A shard lost
+        with its connection is scored here; a single batch is too (a round
+        trip would cost more than it saves).
+        """
+        n = len(dataset)
+        if n <= batch_size:
+            return evaluate_model(self._local_model(plane), dataset, batch_size)
+        shards = shard_batches(n, batch_size, self._n_workers * _DEPTH)
+        answers = self._server.run_tasks(
+            shards, lambda scores: scores, self._replace_exited_workers,
+            lost=lambda shard, detail: None,
+        )
+        scores = []
+        for shard, got in zip(shards, answers):
+            if got is None:
+                got = score_batches(self._local_model(plane), dataset, batch_size,
+                                    shard.start, shard.stop)
+            scores += got
+        self._flush_wire_metrics()
+        return fold_scores(scores, n)
+
+    def _local_model(self, plane: ParamPlane) -> FedModel:
+        if self._eval_model is None:
+            self._eval_model = self._model_fn()
+        self._eval_model.set_weights_flat(plane.flat)
+        return self._eval_model
 
     def broadcast(self, plane: ParamPlane, payload: Optional[Dict[str, Any]] = None) -> None:
         """Ship the server's global weight plane as one contiguous flat byte

@@ -53,7 +53,8 @@ __all__ = [
 ]
 
 MAGIC = b"RF"
-PROTOCOL_VERSION = 1
+#: 2: a ``TASK`` may carry an evaluation shard, answered with batch scores.
+PROTOCOL_VERSION = 2
 
 #: header prefix covered by the CRC: magic, version, type, seq, length.
 _PREFIX = struct.Struct(">2sBBIQ")
@@ -68,8 +69,8 @@ MAX_PAYLOAD = 1 << 31
 HELLO = 1       # worker -> coordinator: registration / handshake
 WELCOME = 2     # coordinator -> worker: accepted; carries the build recipe
 BROADCAST = 3   # coordinator -> worker: the round's flat global weights
-TASK = 4        # coordinator -> worker: one ClientTaskSpec dispatch
-RESULT = 5      # worker -> coordinator: one TaskResult upload
+TASK = 4        # coordinator -> worker: one ClientTaskSpec or EvalShard
+RESULT = 5      # worker -> coordinator: one TaskResult upload or batch scores
 HEARTBEAT = 6   # worker -> coordinator: liveness beacon
 NEED_BCAST = 7  # worker -> coordinator: task referenced an unseen broadcast
 BYE = 8         # either side: orderly close (payload may carry a reason)

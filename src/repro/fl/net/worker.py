@@ -19,7 +19,10 @@ one process = one coordinator connection.  The lifecycle:
    alias it), ``TASK`` runs one :class:`~repro.fl.executor.ClientTaskSpec`
    through the shared :func:`~repro.fl.executor.execute_task` choke point
    and uploads the result — raw flat bytes, or a top-k/quantization-coded
-   delta when the experiment asked for a wire codec;
+   delta when the experiment asked for a wire codec — or scores one
+   :class:`~repro.fl.evaluation.EvalShard` of the test split on the
+   installed broadcast and uploads its per-batch scores.  Tasks run in
+   the order they arrive; the coordinator keeps the next one queued;
 3. **re-register** — on any link failure (EOF, corrupted framing from an
    injected truncation, coordinator restart) reconnect with exponential
    backoff and serve again.  Built state is cached by ``cell_key``, so a
@@ -49,6 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fl.compression import QuantizationCompressor, TopKCompressor
+from repro.fl.evaluation import EvalShard, score_batches
 from repro.fl.executor import TaskResult, WorkerSpec, build_worker_half, execute_task
 from repro.fl.net import DEFAULT_CONNECT_TIMEOUT_S, frames
 from repro.fl.net.frames import Frame, ProtocolError, unpack_blob_payload
@@ -89,6 +93,7 @@ class _WorkerState:
         self.worker, self.runtime = build_worker_half(
             spec, self._buf, in_pool_worker=in_pool_worker
         )
+        self.test = spec.data.test
         #: version of the broadcast currently installed (0 = none yet).
         self.bcast_ver = 0
         #: task_id -> encoded RESULT payload, for re-sent tasks.
@@ -108,6 +113,15 @@ class _WorkerState:
         np.copyto(self._buf_u8, np.frombuffer(blob, dtype=np.uint8))
         self.bcast_ver = int(meta["ver"])
         self.runtime.server_broadcast = meta["payload"] or {}
+
+    def score(self, shard: EvalShard):
+        """Per-batch ``(loss, n, correct)`` of one test shard on the
+        installed broadcast, on the training model (every task reloads
+        its weights).  Never through the fault injector or the task
+        metrics: an eval shard is not a client task."""
+        model = self.worker.model
+        model.set_weights_flat(self.runtime.global_flat)
+        return score_batches(model, self.test, shard.batch_size, shard.start, shard.stop)
 
     def cache_result(self, task_id: int, payload: bytes) -> None:
         self.results[task_id] = payload
@@ -366,8 +380,11 @@ class WorkerClient:
                 {"task_id": task_id}, protocol=pickle.HIGHEST_PROTOCOL
             ))
             return
-        result = execute_task(job["task"], state.worker, state.runtime)
-        wire = state.encode_result(job["task"], result)
+        task = job["task"]
+        if isinstance(task, EvalShard):
+            wire = state.score(task)
+        else:
+            wire = state.encode_result(task, execute_task(task, state.worker, state.runtime))
         blob = pickle.dumps(
             {"task_id": task_id, "wire": wire}, protocol=pickle.HIGHEST_PROTOCOL
         )

@@ -32,6 +32,8 @@ from repro.models import build_mlp
 
 TINY = dict(dataset="tiny", model="mlp", method="fedavg", n_clients=4,
             clients_per_round=2, rounds=2, batch_size=20, lr=0.05)
+#: TINY on a method that takes hyperparameter overrides (FedAvg takes none).
+TINY_TRIP = {**TINY, "method": "fedtrip"}
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -40,14 +42,14 @@ def tiny_spec(**overrides) -> ExperimentSpec:
 
 class TestExperimentSpec:
     def test_dict_round_trip(self):
-        spec = ExperimentSpec(**TINY, overrides={"mu": 0.4},
+        spec = ExperimentSpec(**TINY_TRIP, overrides={"mu": 0.4},
                               sampler="dropout", sampler_kwargs={"dropout": 0.2})
         back = ExperimentSpec.from_dict(spec.to_dict())
         assert back == spec
         assert back.cell_key() == spec.cell_key()
 
     def test_to_dict_is_json_serializable(self):
-        spec = ExperimentSpec(**TINY, overrides={"mu": 0.4})
+        spec = ExperimentSpec(**TINY_TRIP, overrides={"mu": 0.4})
         payload = json.loads(json.dumps(spec.to_dict()))
         assert ExperimentSpec.from_dict(payload) == spec
 
@@ -61,11 +63,26 @@ class TestExperimentSpec:
             ExperimentSpec(**{**TINY, "seed": -1})
         assert ExperimentSpec(**{**TINY, "seed": 0}).seed == 0
 
+    def test_overrides_a_strategy_does_not_take_are_rejected_at_validation(self):
+        """Not later, after the data build, as the constructor's
+        ``TypeError``; the error names the keys the strategy takes."""
+        with pytest.raises(ValueError, match="fedavg takes no hyperparameter 'mu'; "
+                                             "it accepts no overrides"):
+            ExperimentSpec(method="fedavg", overrides={"mu": 0.1})
+        with pytest.raises(ValueError, match="'tau'; it accepts mu, xi_mode, xi_value, "
+                                             "participation_rate, historical_source"):
+            ExperimentSpec(method="fedtrip", overrides={"tau": 0.5})
+        # AdaptiveFedTrip forwards **kwargs to FedTrip: those keys are its too.
+        assert ExperimentSpec(method="fedtrip_adaptive",
+                              overrides={"xi_mode": "constant"}).overrides
+        with pytest.raises(ValueError, match="fedavg takes no hyperparameter"):
+            build_strategy("fedavg", mu=0.1)
+
     def test_overrides_normalized_to_sorted_pairs(self):
-        a = ExperimentSpec(**TINY, overrides={"mu": 0.4, "alpha_lr": 0.1})
-        b = ExperimentSpec(**TINY, overrides=(("mu", 0.4), ("alpha_lr", 0.1)))
+        a = ExperimentSpec(**TINY_TRIP, overrides={"xi_value": 0.1, "mu": 0.4})
+        b = ExperimentSpec(**TINY_TRIP, overrides=(("xi_value", 0.1), ("mu", 0.4)))
         assert a == b
-        assert a.overrides == (("alpha_lr", 0.1), ("mu", 0.4))
+        assert a.overrides == (("mu", 0.4), ("xi_value", 0.1))
 
     def test_spec_is_frozen_and_hashable(self):
         spec = ExperimentSpec(**TINY)
@@ -89,8 +106,8 @@ class TestExperimentSpec:
         np.testing.assert_array_equal(h1.accuracies(), h2.accuracies())
 
     def test_cell_key_stable_and_discriminating(self):
-        spec = ExperimentSpec(**TINY)
-        assert spec.cell_key() == ExperimentSpec(**TINY).cell_key()
+        spec = ExperimentSpec(**TINY_TRIP)
+        assert spec.cell_key() == ExperimentSpec(**TINY_TRIP).cell_key()
         assert spec.cell_key() != spec.with_axis("lr", 0.06).cell_key()
         assert spec.cell_key() != spec.with_axis("mu", 0.4).cell_key()
         # 16-hex-digit blake2b digest; independent of construction order.
@@ -98,7 +115,7 @@ class TestExperimentSpec:
         int(spec.cell_key(), 16)
 
     def test_with_axis_unknown_name_goes_to_overrides(self):
-        spec = ExperimentSpec(**TINY)
+        spec = ExperimentSpec(**TINY_TRIP)
         cell = spec.with_axis("mu", 0.8)
         assert dict(cell.overrides) == {"mu": 0.8}
         assert spec.overrides == ()  # frozen original untouched

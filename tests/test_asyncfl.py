@@ -273,6 +273,21 @@ class TestAsync:
         with pytest.raises(ValueError, match="preamble"):
             run_experiment(tiny_spec(method="feddane", mode="async"))
 
+    @pytest.mark.parametrize("mode", ["semisync", "async"])
+    @pytest.mark.parametrize("method", ["feddane", "mimelite"])
+    def test_preamble_strategies_are_rejected_at_validation(self, method, mode):
+        """Before any data is built (so ``--dry-run`` and a sweep's grid
+        refuse the cell too), and with the same words for a hand-built
+        engine."""
+        words = "uses a preamble phase .* run it with mode='sync'"
+        with pytest.raises(ValueError, match=words):
+            ExperimentSpec(method=method, mode=mode)
+        spec = tiny_spec(method=method)
+        with pytest.raises(ValueError, match=words):
+            Engine(spec.build_data(), spec.build_strategy(), spec.build_config(),
+                   model_name="mlp", mode=mode,
+                   system_model=spec.build_system_model(default="wifi"))
+
     @pytest.mark.parametrize("method", ["scaffold", "slowmo", "feddyn"])
     def test_server_side_strategies_are_rejected(self, method):
         """Async mixing replaces server aggregation; strategies whose server
@@ -291,11 +306,11 @@ class TestAsync:
         aggregator accept (one round runs) or refuse at construction."""
         for overrides, rejected in (({"mode": "async"}, ASYNC_REJECTED),
                                     ({"aggregator": "trimmed_mean"}, ROBUST_REJECTED)):
-            spec = tiny_spec(method=method, rounds=1, **overrides)
             if method in rejected:
                 with pytest.raises(ValueError, match=rejected[method]):
-                    run_experiment(spec)
+                    run_experiment(tiny_spec(method=method, rounds=1, **overrides))
             else:
+                spec = tiny_spec(method=method, rounds=1, **overrides)
                 assert len(run_experiment(spec)) == 1, overrides
 
     def test_non_uniform_samplers_are_rejected(self):

@@ -208,6 +208,14 @@ class TestProcessExecutorContracts:
             tiny_spec(executor="serial", n_workers=4)
         assert tiny_spec(executor="serial", n_workers=1).n_workers == 1
 
+    def test_hand_built_serial_engine_rejects_more_than_one_worker(self):
+        """The spec's words, from the one shared check: a hand-built
+        engine may not take a worker count it would ignore."""
+        spec = tiny_spec()
+        with pytest.raises(ValueError, match="n_workers=4 would do nothing"):
+            Engine(spec.build_data(), spec.build_strategy(), spec.build_config(),
+                   model_name="mlp", executor="serial", n_workers=4)
+
     def test_custom_model_fn_rejected(self):
         from repro.models import build_mlp
 

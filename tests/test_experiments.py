@@ -20,11 +20,11 @@ class TestExperimentCell:
         assert BASE.lr == 0.05  # frozen original untouched
 
     def test_with_axis_unknown_goes_to_overrides(self):
-        cell = BASE.with_axis("mu", 0.8)
+        cell = BASE.with_axis("method", "fedtrip").with_axis("mu", 0.8)
         assert dict(cell.overrides) == {"mu": 0.8}
 
     def test_config_dict_roundtrip(self):
-        cell = BASE.with_axis("mu", 0.8)
+        cell = BASE.with_axis("method", "fedtrip").with_axis("mu", 0.8)
         d = cell.config_dict()
         assert d["overrides"] == {"mu": 0.8}
         assert d["dataset"] == "tiny"

@@ -565,3 +565,16 @@ class TestProcessWorkerDeath:
         finally:
             engine.close()
         assert _sig(hist, virtual=True) == _sig(reference, virtual=True)
+
+    def test_tasks_queued_behind_a_dying_worker_are_not_failed(self):
+        """More tasks than workers, so each worker holds a task queued
+        behind the one it runs.  A death fails only the running task: the
+        queued one never started and is dispatched again as the same
+        attempt, so ``failed``/``retried`` still equal the serial run's."""
+        base = dict(dataset="tiny", model="mlp", method="fedavg", n_clients=8,
+                    clients_per_round=6, rounds=3, batch_size=20, lr=0.05,
+                    fault="worker_death", fault_rate=0.3, task_retries=1)
+        reference = run_experiment(ExperimentSpec(**base))
+        assert reference.failed_client_ids(), "rate 0.3 should exhaust a retry"
+        fleet = run_experiment(ExperimentSpec(**base, executor="process", n_workers=2))
+        assert _sig(fleet, virtual=True) == _sig(reference, virtual=True)

@@ -541,6 +541,160 @@ class TestNetworkRobustness:
 
 
 # ---------------------------------------------------------------------------
+# Two tasks in flight per worker, and evaluation sharded over the fleet.
+# ---------------------------------------------------------------------------
+
+#: more tasks than workers (every worker holds one queued behind the one it
+#: runs) and a 100-sample test split in four eval batches, so the fleet
+#: scores it in shards.
+FLEET_GRID = dict(dataset="tiny", model="mlp", method="fedavg", n_clients=8,
+                  clients_per_round=4, rounds=3, batch_size=20, lr=0.05,
+                  eval_batch_size=30, n_workers=2)
+GRID_MODES = {
+    "sync": {},
+    "semisync": dict(mode="semisync", buffer_size=3),
+    "async": dict(mode="async"),
+}
+GRID_FAULTS = {
+    "clean": dict(executor="process"),
+    "worker_death": dict(executor="process", fault="worker_death",
+                         fault_rate=0.4, task_retries=1),
+    "crash": dict(executor="network", fault="crash", fault_rate=0.4, task_retries=1),
+    "drop_frame": dict(executor="network", net_fault="drop_frame",
+                       net_fault_rate=0.2, task_retries=2),
+}
+
+
+class _StandInWorker(threading.Thread):
+    """A worker without a model: registers, then answers the tasks it
+    holds with ``answer(task)`` — a pair second task first, a lone task
+    once nothing more arrives — or, with ``hang_up``, closes the
+    connection once it holds two."""
+
+    def __init__(self, address, answer=None, hang_up=False):
+        super().__init__(daemon=True)
+        self.address, self.answer, self.hang_up = address, answer, hang_up
+
+    def run(self):
+        chan = FramedChannel(socket.create_connection(self.address))
+        try:
+            chan.send_frame(frames.HELLO, pickle.dumps({"cell_key": None}))
+            held = []
+            while True:
+                got = chan.recv_frames(timeout=0.05)
+                for frame in got:
+                    if frame.ftype == frames.BYE:
+                        return
+                    if frame.ftype == frames.TASK:
+                        held.append(pickle.loads(frame.payload))
+                if len(held) == 2 and self.hang_up:
+                    return
+                if len(held) == 2 or (held and not got):
+                    for job in reversed(held):
+                        chan.send_frame(frames.RESULT, pickle.dumps({
+                            "task_id": job["task_id"], "wire": self.answer(job["task"])}))
+                    held = []
+        except (ChannelClosed, OSError):
+            return
+        finally:
+            chan.close()
+
+
+class TestDispatchDepth:
+    def test_only_the_running_task_is_lost_with_its_connection(self):
+        """Worker 0 takes a task and a second one queued behind it, then
+        dies.  Only the first surfaces as ``connection_lost``; the queued
+        one never started and is served by worker 1 as the same attempt."""
+        from repro.fl.executor import ClientTaskSpec
+
+        server = CoordinatorServer("127.0.0.1:0", connect_timeout_s=5.0)
+        workers = [_StandInWorker(server.address, hang_up=True),
+                   _StandInWorker(server.address, answer=lambda task: task.client_id)]
+        try:
+            for n, worker in enumerate(workers, 1):
+                worker.start()
+                server.wait_for_workers(n)
+            tasks = [ClientTaskSpec(client_id=k, round_idx=0, state={}) for k in range(4)]
+            slots = server.run_tasks(tasks, lambda wire: wire, lambda: None)
+        finally:
+            server.shutdown()
+            for worker in workers:
+                worker.join(timeout=5.0)
+        failure = slots[0].failure
+        assert (failure.kind, failure.client_id, failure.attempt) == ("connection_lost", 0, 0)
+        assert slots[1:] == [1, 2, 3]
+        assert server.stats()["connection_losses"] == 1
+
+    def test_shard_scores_fold_in_batch_order_whatever_order_they_arrive(self, monkeypatch):
+        """The stand-in answers the second shard first.  The fold must
+        still run in batch order: these losses sum to 1.0 in batch order
+        and to 0.0 in arrival order."""
+        from repro.fl.evaluation import fold_scores
+
+        batches = [(1.0, 1, 1), (1e16, 1, 0), (-1e16, 1, 0), (1.0, 1, 1)]
+        assert fold_scores(batches, 4) != fold_scores(batches[2:] + batches[:2], 4)
+
+        def spawn(executor):
+            worker = _StandInWorker(executor._server.address,
+                                    answer=lambda shard: batches[shard.start:shard.stop])
+            worker.start()
+            return worker
+
+        monkeypatch.setattr(NetworkExecutor, "_spawn_worker", spawn)
+        spec = tiny_spec()
+        data = spec.build_data()
+        with Engine(data, spec.build_strategy(), spec.build_config(), model_name="mlp",
+                    executor="network", n_workers=1) as engine:
+            test = data.test
+            assert len(test) == 100  # four batches of 30, two shards of two
+            got = engine.executor.evaluate(engine.server.plane, test, 30)
+        assert got == fold_scores(batches, 100)
+
+
+class TestFleetEvaluation:
+    @pytest.mark.parametrize("fault", list(GRID_FAULTS))
+    @pytest.mark.parametrize("mode", list(GRID_MODES))
+    def test_history_matches_serial(self, mode, fault):
+        """Queued tasks and eval shards leave every History bit as the
+        serial backend writes it, clean and under faults, in every mode."""
+        fleet = {**FLEET_GRID, **GRID_MODES[mode], **GRID_FAULTS[fault]}
+        serial = {k: v for k, v in fleet.items() if not k.startswith("net_")}
+        reference = run_experiment(ExperimentSpec(**{**serial, "executor": "serial",
+                                                     "n_workers": 1}))
+        hist = run_experiment(ExperimentSpec(**fleet))
+        assert_identical_histories(reference, hist, f"{mode}/{fault}")
+        if fault in ("worker_death", "crash"):
+            assert any(r.failed_clients or r.retried_clients for r in reference.records)
+
+    @pytest.mark.parametrize("eval_batch_size, shipped", [(30, 4), (256, 3)])
+    def test_one_broadcast_per_round_and_no_task_samples(self, tmp_path,
+                                                         eval_batch_size, shipped):
+        """Sharded evaluation ships the post-aggregation plane and the next
+        dispatch reuses it: three rounds cost one broadcast each plus the
+        last evaluation's.  A single-batch split is scored on the
+        coordinator and ships nothing.  Eval shards are not client tasks:
+        the task-time histogram counts what the serial run counts."""
+        from repro.api.registry import build_mode
+
+        runs = {}
+        for executor in ("serial", "process"):
+            spec = ExperimentSpec(**{
+                **FLEET_GRID, "executor": executor, "eval_batch_size": eval_batch_size,
+                "n_workers": 1 if executor == "serial" else 2,
+                "metrics_out": str(tmp_path / f"{executor}.prom")})
+            with build_mode("sync", spec=spec, data=spec.build_data()) as engine:
+                ship = engine.executor.broadcast
+                sent = []
+                engine.executor.broadcast = lambda *a: sent.append(ship(*a))
+                hist = engine.run()
+                tasks = engine.obs.metrics.to_dict()["fl_client_task_seconds"]["count"]
+            runs[executor] = (hist, tasks)
+        assert_identical_histories(runs["serial"][0], runs["process"][0])
+        assert runs["serial"][1] == runs["process"][1] == 4 * FLEET_GRID["rounds"]
+        assert len(sent) == shipped
+
+
+# ---------------------------------------------------------------------------
 # The fleet the executor spawns itself (executor="process", loopback "network").
 # ---------------------------------------------------------------------------
 

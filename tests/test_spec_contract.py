@@ -110,7 +110,9 @@ class TestCompleteness:
         kv = [f.name for f in FIELDS if f.metadata["kv"]]
         assert "overrides" in kv and all(
             f.name in kv for f in FIELDS if f.name.endswith("_kwargs"))
-        spec = ExperimentSpec(**EVERY_FLAG, overrides={"mu": 0.4, "xs": [1, [2]]})
+        # FedAvg takes no overrides; FedTrip's keys carry the nested value.
+        spec = ExperimentSpec(**{**EVERY_FLAG, "method": "fedtrip"},
+                              overrides={"mu": 0.4, "xi_value": [1, [2]]})
         assert all(getattr(spec, name) for name in kv)
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
         assert all(isinstance(spec.to_dict()[name], dict) for name in kv)
