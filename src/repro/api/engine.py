@@ -105,33 +105,17 @@ from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
 
 from repro.api.callbacks import Callback, EarlyStopping, ProgressLogger
-from repro.api.registry import (
-    build_executor,
-    build_mode,
-    reject_idle_workers,
-    reject_preamble,
-)
+from repro.api.registry import build_executor, build_mode
+from repro.api.spec import check_knobs, resolve_buffer_size
 
 __all__ = ["Engine", "run_experiment", "make_optimizer"]
 
 _log = get_logger("api.engine")
 
-#: default base of the retry backoff curve: the first retry waits this
-#: many *simulated* seconds, doubling per attempt (attempt n is preceded
-#: by base * 2**(n-1)).  Promoted from constant to the validated
-#: ``ExperimentSpec.retry_backoff_base_s`` knob; this default reproduces
-#: the historical constant byte-for-byte.  The same base seeds the network
-#: workers' reconnect backoff so retry pricing and redial pacing share one
-#: curve.
-RETRY_BACKOFF_BASE_S = 1.0
-
 #: engine snapshot format written by :meth:`Engine.snapshot`.  Format 2:
 #: strategy server state holds ``(P,)`` vectors (format 1 held per-layer
 #: lists, which the flat server hooks cannot read; restore refuses it).
 SNAPSHOT_FORMAT = 2
-
-#: the server modes one ``run_round`` serves (see the module docstring).
-MODES = ("sync", "semisync", "async")
 
 
 class Engine:
@@ -151,14 +135,6 @@ class Engine:
         Custom factory ``() -> FedModel``, overriding the registry.
     sampler:
         Client-selection policy; defaults to the paper's uniform K-of-N.
-    n_workers:
-        Worker count handed to the execution backend.
-    executor:
-        Registry name of the execution backend ("serial" / "process" /
-        "network"; see :mod:`repro.api.registry`).  The default "auto" is
-        serial at ``n_workers<=1`` and the loopback fleet ("process")
-        above.  The fleet rejects strategies with a preamble phase and
-        requires a registry-built model (no custom ``model_fn`` closure).
     client_latency_s:
         Optional per-client wall-clock latency (seconds) charged inside
         every client task, emulating device/network time so scheduling
@@ -195,13 +171,7 @@ class Engine:
         virtual id space (id -> data shard ``id % n_shards``), and the
         default sampler with the O(K) :class:`PopulationSampler`.  Memory
         and startup cost become O(touched clients) instead of
-        O(population).  Does not compose with adversaries or per-client
-        system models (both enumerate the fleet per id).
-    state_mmap_mb:
-        Heap budget (MiB) for lazily-created per-client flat strategy
-        state before the directory's arena spills new state to mmap'd
-        temp files; ``None`` keeps everything on the heap.  Requires
-        ``population``.
+        O(population).
     recorder:
         Optional :class:`~repro.obs.Recorder` capturing phase/task spans
         and run metrics (built from ``ExperimentSpec.trace`` /
@@ -215,45 +185,15 @@ class Engine:
         tasks inside the shared executor path (built from
         ``ExperimentSpec.fault``).  ``None`` injects nothing; the engine
         still screens timeouts and non-finite losses.
-    task_retries:
-        Retry budget per client task per round: a retryable failure is
-        re-dispatched up to this many times, each retry re-drawing its
-        fault coin (keyed by attempt) and charging exponential backoff
-        (``RETRY_BACKOFF_BASE_S * 2**(attempt-1)`` simulated seconds) to
-        the virtual clock.  0 (default) fails tasks on first strike.
-    task_timeout_s:
-        Per-task report deadline in *simulated* seconds: a straggler
-        fault's injected delay beyond this turns the task into a
-        ``"timeout"`` failure — its update is discarded (subject to
-        retry), though the client's trained state is still adopted (the
-        work happened on the device; only the report was late).  ``None``
-        disables the deadline.
-    quorum_fraction:
-        Synchronous graceful degradation: aggregate only when at least
-        ``ceil(quorum_fraction * K)`` of the K selected clients delivered
-        a usable update; below quorum the round is skipped (global model
-        kept, ``skip_reason="quorum"`` — or ``"no_updates"`` when nobody
-        reported).  0.0 (default) aggregates whatever arrived, but an
-        all-fail round still skips rather than aggregating nothing.  In
-        async mode K is ``buffer_size``.
-    mode:
-        Server mode: ``"sync"`` (default) barrier rounds; ``"semisync"``
-        deadline/buffer rounds aggregated with the strategy's own
-        aggregation; ``"async"`` staleness-decayed mixing of each arriving
-        update.  The event-driven modes need ``system_model`` and reject
-        preamble strategies; async also rejects strategies with server
-        aggregation hooks and non-uniform samplers.
-    buffer_size:
-        Event modes: aggregate once this many updates arrived (FedBuff's
-        K).  Defaults to 1 in async mode and ``clients_per_round`` in
-        semisync; must not exceed ``clients_per_round`` or the round could
-        starve.
-    deadline_s:
-        Semisync only: close the round this many simulated seconds after
-        its dispatch even if the buffer is short (at least one update is
-        always waited for).  ``None`` waits for the full buffer.
-    async_alpha / async_poly:
-        Async mixing weight ``alpha * (1 + staleness)^(-poly)``.
+    n_workers, executor, mode, buffer_size, deadline_s, async_alpha, \
+    async_poly, task_retries, task_timeout_s, quorum_fraction, \
+    retry_backoff_base_s, state_mmap_mb:
+        The :class:`~repro.api.spec.ExperimentSpec` knobs of the same names
+        (their help there is the one description; ``engine_kwargs()`` hands
+        them over), checked by :func:`~repro.api.spec.check_knobs` exactly
+        as the spec is.  The event modes price every task on
+        ``system_model``; the fleet executors need a registry-built model
+        (no custom ``model_fn`` closure).
     """
 
     def __init__(
@@ -278,7 +218,7 @@ class Engine:
         task_retries: int = 0,
         task_timeout_s: Optional[float] = None,
         quorum_fraction: float = 0.0,
-        retry_backoff_base_s: float = RETRY_BACKOFF_BASE_S,
+        retry_backoff_base_s: float = 1.0,
         net_options: Optional[Dict[str, Any]] = None,
         mode: str = "sync",
         buffer_size: Optional[int] = None,
@@ -287,97 +227,35 @@ class Engine:
         async_poly: float = 0.5,
     ) -> None:
         blas = quiet_blas_threads()  # first: a forked worker inherits it
-        if task_retries < 0:
-            raise ValueError("task_retries must be >= 0")
-        if task_timeout_s is not None and task_timeout_s <= 0:
-            raise ValueError("task_timeout_s must be positive when set")
-        if not 0.0 <= quorum_fraction <= 1.0:
-            raise ValueError("quorum_fraction must be in [0, 1]")
-        if retry_backoff_base_s <= 0:
-            raise ValueError("retry_backoff_base_s must be positive")
+        # Validate before any executor is built: a late raise would leak a
+        # spawned worker pool (close() is unreachable from __init__).
+        check_knobs(
+            dict(vars(config), mode=mode, executor=executor, n_workers=n_workers,
+                 buffer_size=buffer_size, deadline_s=deadline_s,
+                 async_alpha=async_alpha, async_poly=async_poly,
+                 task_retries=task_retries, task_timeout_s=task_timeout_s,
+                 quorum_fraction=quorum_fraction,
+                 retry_backoff_base_s=retry_backoff_base_s,
+                 state_mmap_mb=state_mmap_mb),
+            lambda: dict(strategy=strategy, sampler=sampler, aggregator=aggregator,
+                         adversary=adversary, fault=fault_injector,
+                         system_model=system_model, population=population),
+        )
+        # What remains are checks on built objects the spec never sees.
         if config.n_clients != data.n_clients:
             raise ValueError(
                 f"config.n_clients={config.n_clients} but data has {data.n_clients} shards"
             )
-        # Validate before any executor is built: a late raise would leak a
-        # spawned worker pool (close() is unreachable from __init__).
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; available: {list(MODES)}")
-        reject_idle_workers(executor, n_workers)
-        reject_preamble(strategy, executor, n_workers, mode)
-        if mode == "sync":
-            if buffer_size is not None or deadline_s is not None:
-                raise ValueError(
-                    "buffer_size/deadline_s apply to the event-driven modes; "
-                    "set mode='semisync' or 'async'"
-                )
-        else:
-            if system_model is None:
-                raise ValueError(
-                    f"mode={mode!r} prices every client task on a system_model; "
-                    "pass one (ExperimentSpec defaults to the wifi preset)"
-                )
-            if buffer_size is None:
-                buffer_size = 1 if mode == "async" else config.clients_per_round
-            if not 1 <= buffer_size <= config.clients_per_round:
-                raise ValueError(
-                    "need 1 <= buffer_size <= clients_per_round (the round could "
-                    f"otherwise starve): got K={buffer_size} with "
-                    f"{config.clients_per_round} concurrent clients"
-                )
-            if deadline_s is not None and deadline_s <= 0:
-                raise ValueError("deadline_s must be positive when set")
-            if not 0 < async_alpha <= 1:
-                raise ValueError("async_alpha must be in (0, 1]")
-            if async_poly < 0:
-                raise ValueError("async_poly must be non-negative")
-        if mode == "async":
-            if deadline_s is not None:
-                raise ValueError("deadline_s applies to semisync rounds only")
-            # Async mixing replaces server aggregation entirely: strategies
-            # that override aggregate/post_aggregate (SCAFFOLD's c, SlowMo's
-            # momentum, FedDyn's h, FedNova's normalized average,
-            # AdaptiveFedTrip's mu schedule) would silently train a
-            # different algorithm.
-            if (type(strategy).aggregate is not Strategy.aggregate
-                    or type(strategy).post_aggregate is not Strategy.post_aggregate):
-                raise ValueError(
-                    f"{strategy.name} relies on server-side aggregation hooks, "
-                    "which mode='async' replaces with staleness-decayed "
-                    "mixing; run it with mode='sync' or mode='semisync'"
-                )
-            if sampler is not None and not isinstance(sampler, UniformSampler):
-                raise ValueError(
-                    "mode='async' refills idle clients with a seeded uniform "
-                    f"draw and would silently ignore the {type(sampler).__name__}; "
-                    "sampler policies apply to mode='sync'/'semisync'"
-                )
+        if mode != "sync" and system_model is None:
+            raise ValueError(
+                f"mode={mode!r} prices every client task on a system_model; "
+                "pass one (ExperimentSpec defaults to the wifi preset)"
+            )
         if system_model is not None and len(system_model.profiles) != config.n_clients:
             raise ValueError(
                 f"system model covers {len(system_model.profiles)} clients, "
                 f"config has {config.n_clients}"
             )
-        if population is not None:
-            # The virtual roster is keyed by population ids; subsystems that
-            # enumerate the fleet per-id (adversary rosters, per-client
-            # device profiles) would force it eager, defeating the point.
-            if adversary is not None:
-                raise ValueError(
-                    "population mode does not compose with adversaries: the "
-                    "roster would have to be drawn over the whole population"
-                )
-            if system_model is not None:
-                raise ValueError(
-                    "population mode does not compose with per-client system "
-                    "models (profiles are enumerated per client id)"
-                )
-            if population.n_shards != data.n_clients:
-                raise ValueError(
-                    f"population maps onto {population.n_shards} shards but "
-                    f"data has {data.n_clients}"
-                )
-        if state_mmap_mb is not None and population is None:
-            raise ValueError("state_mmap_mb only applies with a population")
         self.data = data
         self.strategy = strategy
         self.config = config
@@ -398,7 +276,6 @@ class Engine:
                 f"config has {config.n_clients}"
             )
         self.population = population
-        self._state_mmap_mb = state_mmap_mb
         if population is not None:
             # Lazy roster: clients (and their strategy state) materialize on
             # first touch; nothing here is O(population).  Flat state interns
@@ -477,7 +354,7 @@ class Engine:
         #: off their virtual clock instead).
         self._virtual_time_s: Optional[float] = None
         self.mode = mode
-        self.buffer_size = buffer_size
+        self.buffer_size = resolve_buffer_size(mode, buffer_size, config.clients_per_round)
         self.deadline_s = deadline_s
         self.async_alpha = float(async_alpha)
         self.async_poly = float(async_poly)

@@ -187,38 +187,6 @@ def runs_on_fleet(executor: str, n_workers: int) -> bool:
     return name in ("process", "network") or (name == "auto" and n_workers > 1)
 
 
-def reject_preamble(strategy, executor: str, n_workers: int, mode: str = "sync") -> None:
-    """Refuse a strategy with a preamble phase where it cannot run: in an
-    event-driven mode or on the fleet.  ``strategy`` is a strategy class or
-    instance; ``ExperimentSpec`` validation and ``Engine`` both call this,
-    so a hand-built engine is refused with the same words."""
-    if not strategy.needs_preamble:
-        return
-    if mode != "sync":
-        raise ValueError(
-            f"{strategy.name} uses a preamble phase (full-batch gradients "
-            "at a synchronized global model), which has no analogue in the "
-            "event-driven modes; run it with mode='sync'"
-        )
-    if runs_on_fleet(executor, n_workers):
-        raise ValueError(
-            f"{strategy.name} uses a preamble phase, which needs the "
-            f"serial backend's resident worker; run with executor='serial' "
-            f"(got executor={executor!r}, n_workers={n_workers})"
-        )
-
-
-def reject_idle_workers(executor: str, n_workers: int) -> None:
-    """Refuse a worker count the serial backend would ignore;
-    ``ExperimentSpec`` validation and ``Engine`` both call this."""
-    if executor.lower() == "serial" and n_workers != 1:
-        raise ValueError(
-            f"executor='serial' trains on one worker context, so "
-            f"n_workers={n_workers} would do nothing; use "
-            "executor='process' for a fleet of worker processes"
-        )
-
-
 def _serial_executor(engine, n_workers: int) -> SerialExecutor:
     return SerialExecutor(engine.make_worker, runtime=engine.runtime)
 

@@ -12,13 +12,16 @@ stores).
 from __future__ import annotations
 
 from dataclasses import Field, dataclass, field, fields, replace
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.algorithms import STRATEGY_CLASSES, build_strategy
+from repro.algorithms import STRATEGY_CLASSES, available_strategies, build_strategy
+from repro.algorithms.base import Strategy
 from repro.algorithms.registry import check_overrides
-from repro.data import available_datasets, build_federated_data
+from repro.data import available_datasets, build_federated_data, get_spec
+from repro.data.partition import check_n_clusters
 from repro.fl import net
-from repro.fl.faults import available_faults, build_fault
+from repro.fl.faults import FaultInjector, available_faults, build_fault
 from repro.fl.net import WIRE_CODECS
 from repro.fl.net.netfaults import available_netfaults, build_netfault
 from repro.fl.robust import (
@@ -27,6 +30,7 @@ from repro.fl.robust import (
     build_adversary,
     build_aggregator,
 )
+from repro.fl.sampling import UniformSampler
 from repro.fl.systems import NETWORK_PRESETS, SystemModel
 from repro.fl.types import FLConfig
 from repro.io.persistence import ExperimentStore
@@ -37,12 +41,10 @@ from repro.api.registry import (
     available_modes,
     available_samplers,
     build_sampler,
-    reject_idle_workers,
-    reject_preamble,
     runs_on_fleet,
 )
 
-__all__ = ["ExperimentSpec"]
+__all__ = ["ExperimentSpec", "check_knobs", "resolve_buffer_size"]
 
 Pairs = Union[Tuple[Tuple[str, Any], ...], Mapping[str, Any]]
 
@@ -84,14 +86,16 @@ def _knob(
 
     ``help``      the field's documentation *and* its ``--help`` text.
     ``group``     which subsystem the knob configures; a group with an entry
-                  in ``_GROUP_GUARDS`` rejects non-default values while that
+                  in ``_GROUP_GUARDS`` (and a field with one in
+                  ``_FIELD_GUARDS``) rejects a set value while that
                   subsystem is off.
     ``cli``       ``True`` derives the flag from the field name
                   (``--task-retries``; ``--fault-arg`` for a ``kv`` field),
                   a tuple spells the flag(s) out, ``False`` keeps the knob
                   library-only.
-    ``choices``   valid names for the flag: a sequence, or a registry's
-                  ``available_*`` function read when the parser is built.
+    ``choices``   valid names: a sequence, or a registry's ``available_*``
+                  function read when the parser is built and when a spec is
+                  validated.
     ``metavar``   the flag's value placeholder in ``--help``.
     ``domain``    a key of ``_DOMAINS`` the value (when not None) must lie
                   in; the key doubles as the error text ("must be ...").
@@ -103,7 +107,7 @@ def _knob(
                   (:meth:`ExperimentSpec.engine_kwargs`).
     ``switch``    this knob names an optional component configured by a
                   ``<name>_kwargs`` field and (optionally) a ``rate`` field;
-                  see :meth:`ExperimentSpec._check_switch`.
+                  see :func:`_check_switch`.
     """
     return field(default=default, metadata={
         "help": help, "group": group, "cli": cli, "choices": choices,
@@ -118,27 +122,110 @@ _DOMAINS: Dict[str, Callable[[Any], bool]] = {
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
 }
 
-#: group -> (is that subsystem on for this spec?, the error for a knob of
-#: the group set while it is off).  A knob that silently does nothing would
-#: change the experiment the user believes they ran (same philosophy as
-#: from_dict's unknown-key rejection), so inapplicable fields are errors,
-#: not no-ops.
-_GROUP_GUARDS: Dict[str, Tuple[Callable[["ExperimentSpec"], bool], str]] = {
+#: A guard is (does the knob act in this run?, the error for setting it
+#: while it does not).  A knob that silently does nothing would change the
+#: experiment the user believes they ran (same philosophy as from_dict's
+#: unknown-key rejection), so inapplicable fields are errors, not no-ops.
+#: Messages format with ``name`` (the field), ``names`` (its group's
+#: fields), ``value`` and the predicate's arguments.
+
+#: group -> (predicate over the knobs ``v``, error) for every knob of it.
+_GROUP_GUARDS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
     "event": (
-        lambda spec: spec.mode != "sync",
+        lambda v: v.mode != "sync",
         "{names} apply to the event-driven modes; set mode='semisync' or 'async'",
     ),
     "async": (
-        lambda spec: spec.mode == "async",
+        lambda v: v.mode == "async",
         "{names} apply to mode='async' only (the staleness-decayed mix)",
     ),
     "net": (
-        lambda spec: spec.executor == "network",
+        lambda v: v.executor == "network",
         "{name} applies to the network executor; set executor='network'",
     ),
 }
+
+#: field -> (predicate over the knobs ``v`` and the built parts ``p`` of
+#: :func:`check_knobs`, error) for that one knob.
+_FIELD_GUARDS: Dict[str, Tuple[Callable[[Any, Any], bool], str]] = {
+    "alpha": (lambda v, p: v.partition == "dirichlet",
+              "alpha is the Dirichlet concentration; set partition='dirichlet'"),
+    "n_clusters": (lambda v, p: v.partition == "orthogonal",
+                   "n_clusters counts orthogonal clusters; set partition='orthogonal'"),
+    "optimizer": (lambda v, p: p.strategy.local_optimizer in (None, v.optimizer),
+                  "{p.strategy.name} pins its local optimizer to {p.optimizer!r}, "
+                  "so optimizer={value!r} would do nothing"),
+    "momentum": (lambda v, p: p.optimizer == "sgdm",
+                 "momentum applies to the 'sgdm' local optimizer only; this run "
+                 "trains with {p.optimizer!r}"),
+    "n_workers": (lambda v, p: v.executor != "serial",
+                  "executor='serial' trains on one worker context, so n_workers="
+                  "{value} would do nothing; use executor='process' for a fleet of "
+                  "worker processes"),
+    "heterogeneity": (lambda v, p: v.mode != "sync" or v.device_profile is not None,
+                      "heterogeneity scales a device profile's compute speeds; sync "
+                      "mode without device_profile has no profile to spread"),
+    "deadline_s": (lambda v, p: v.mode != "async",
+                   "deadline_s applies to semisync rounds only"),
+    "task_retries": (lambda v, p: p.fleet or p.fails_tasks,
+                     "task_retries re-dispatches failed tasks, and nothing in this "
+                     "run fails one: set a fault that does (e.g. fault='crash'), or "
+                     "run on the fleet, where a lost connection is retried"),
+    "retry_backoff_base_s": (lambda v, p: p.fleet or (v.task_retries > 0 and p.clock),
+                             "retry_backoff_base_s prices retries on the virtual "
+                             "clock: set task_retries and a device_profile or an "
+                             "event-driven mode, or run on the fleet, whose "
+                             "workers also pace reconnects with it"),
+    "task_timeout_s": (lambda v, p: p.delays_reports,
+                       "task_timeout_s measures injected report delays; without a "
+                       "fault that delays reports no task can ever exceed it — set "
+                       "fault= (e.g. 'straggler')"),
+    "state_mmap_mb": (lambda v, p: p.population is not None,
+                      "state_mmap_mb budgets the population directory's state "
+                      "arena; set population_size"),
+}
+
+#: the rules across knobs and built parts: (is it broken?, error).
+_RULES: Tuple[Tuple[Callable[[Any, Any], bool], str], ...] = (
+    (lambda v, p: p.fault is not None and not (p.fails_tasks or p.clock),
+     "fault={p.fault.name!r} only delays reports, and nothing in this run reads "
+     "a delay: set task_timeout_s, a device_profile or an event-driven mode"),
+    (lambda v, p: p.population is not None and (
+        v.mode != "sync" or p.adversary is not None or p.system_model is not None),
+     "population mode runs synchronous rounds and does not compose with "
+     "adversaries or device profiles: each enumerates the fleet per client id"),
+    (lambda v, p: p.strategy.needs_preamble and v.mode != "sync",
+     "{p.strategy.name} uses a preamble phase (full-batch gradients at a "
+     "synchronized global model), which has no analogue in the event-driven "
+     "modes; run it with mode='sync'"),
+    (lambda v, p: p.strategy.needs_preamble and p.fleet,
+     "{p.strategy.name} uses a preamble phase, which needs the serial backend's "
+     "resident worker; run with executor='serial' (got executor={v.executor!r}, "
+     "n_workers={v.n_workers})"),
+    (lambda v, p: p.buffer is not None and p.buffer > v.clients_per_round,
+     "need 1 <= buffer_size <= clients_per_round (the round could otherwise "
+     "starve): got K={p.buffer} with {v.clients_per_round} concurrent clients"),
+    (lambda v, p: p.aggregator is not None and p.own_aggregate,
+     "robust aggregator {p.aggregator.name!r} would silently override "
+     "{p.strategy.name}.aggregate; robust aggregation composes only with "
+     "strategies that use the default weighted mean"),
+    # Async mixing replaces server aggregation entirely: strategies that
+    # override aggregate/post_aggregate (SCAFFOLD's c, SlowMo's momentum,
+    # FedDyn's h, FedNova's normalized average, AdaptiveFedTrip's mu
+    # schedule) would silently train a different algorithm.
+    (lambda v, p: v.mode == "async" and p.server_hooks,
+     "{p.strategy.name} relies on server-side aggregation hooks, which "
+     "mode='async' replaces with staleness-decayed mixing; run it with "
+     "mode='sync' or mode='semisync'"),
+    (lambda v, p: v.mode == "async" and p.sampler is not None
+     and not isinstance(p.sampler, UniformSampler),
+     "mode='async' refills idle clients with a seeded uniform draw and would "
+     "silently ignore the {p.sampler.__class__.__name__}; sampler policies "
+     "apply to mode='sync'/'semisync'"),
+)
 
 
 @dataclass(frozen=True)
@@ -161,7 +248,8 @@ class ExperimentSpec:
         "mlp", "workload", "model registry name", choices=available_models)
     method: str = _knob(
         "fedtrip", "workload",
-        "federated algorithm registry name (see repro.algorithms)")
+        "federated algorithm registry name (see repro.algorithms)",
+        choices=available_strategies)
     # -- data partition -----------------------------------------------------
     partition: str = _knob(
         "dirichlet", "partition", "how samples are split across clients",
@@ -288,12 +376,13 @@ class ExperimentSpec:
     deadline_s: Optional[float] = _knob(
         None, "event",
         "semisync: aggregate whatever arrived this many simulated seconds "
-        "after dispatch (default: wait for the full buffer)", engine=True)
+        "after dispatch (default: wait for the full buffer)",
+        domain="positive", engine=True)
     buffer_size: Optional[int] = _knob(
         None, "event",
         "aggregation buffer size K (FedBuff); default: 1 in async, "
         "clients-per-round in semisync.  Over-selection = configuring "
-        "clients_per_round > buffer_size", engine=True)
+        "clients_per_round > buffer_size", domain=">= 1", engine=True)
     device_profile: Optional[str] = _knob(
         None, "mode",
         "device/network preset pricing simulated time (records "
@@ -308,10 +397,10 @@ class ExperimentSpec:
     async_alpha: float = _knob(
         0.6, "async",
         "async mixing weight: alpha * (1 + staleness)^(-poly)", cli=False,
-        engine=True)
+        domain="in (0, 1]", engine=True)
     async_poly: float = _knob(
         0.5, "async", "async staleness-decay exponent (see async_alpha)",
-        cli=False, engine=True)
+        cli=False, domain=">= 0", engine=True)
     # -- Byzantine robustness (repro.fl.robust) ------------------------------
     aggregator: str = _knob(
         "mean", "robust",
@@ -404,107 +493,28 @@ class ExperimentSpec:
         "alone turns the metrics registry on", metavar="PATH", topology=True)
 
     def __post_init__(self) -> None:
-        knobs = fields(self)
-        for f in knobs:
+        for f in fields(self):
             if f.metadata["kv"]:
                 object.__setattr__(
                     self, f.name, _as_pairs(getattr(self, f.name), f.name)
                 )
-        for f in knobs:
-            value, group, domain = (
-                getattr(self, f.name), f.metadata["group"], f.metadata["domain"])
-            guard = _GROUP_GUARDS.get(group)
-            if guard and value != f.default and not guard[0](self):
-                names = [g.name for g in knobs if g.metadata["group"] == group]
-                raise ValueError(guard[1].format(name=f.name, names="/".join(names)))
-            if domain and value is not None and not _DOMAINS[domain](value):
-                raise ValueError(f"{f.name} must be {domain}, got {value}")
-        # After the guards: off its subsystem a switch's rate/kwargs were
-        # already pinned to their defaults, so these checks need no gate.
-        for f in knobs:
-            if f.metadata["switch"]:
-                self._check_switch(f)
-        reject_idle_workers(self.executor, self.n_workers)
-        strategy = STRATEGY_CLASSES.get(self.method.lower())
-        if strategy is not None:
-            reject_preamble(strategy, self.executor, self.n_workers, self.mode)
-            check_overrides(self.method, dict(self.overrides))
-        if (self.mode == "sync" and self.device_profile is None
-                and self.heterogeneity != 1.0):
-            raise ValueError(
-                "heterogeneity scales a device profile's compute speeds; "
-                "sync mode without device_profile has no profile to spread"
-            )
-        if self.net_codec is not None and self.net_codec not in WIRE_CODECS:
-            raise ValueError(
-                f"unknown net_codec {self.net_codec!r}; available: "
-                f"{list(WIRE_CODECS)}"
-            )
-        if self.task_timeout_s is not None and self.fault is None:
-            raise ValueError(
-                "task_timeout_s measures injected report delays; without "
-                "a fault no task can ever exceed it — set fault= (e.g. "
-                "'straggler')"
-            )
-        if self.state_mmap_mb is not None and self.population_size is None:
-            raise ValueError(
-                "state_mmap_mb budgets the population directory's state "
-                "arena; set population_size"
-            )
-        if self.population_size is not None:
-            if self.population_size < self.n_clients:
-                raise ValueError(
-                    f"population_size={self.population_size} smaller than the "
-                    f"{self.n_clients} data shards it maps onto"
-                )
-            if self.mode != "sync":
-                raise ValueError(
-                    "population mode runs synchronous rounds only; the "
-                    "event-driven modes enumerate per-client timings"
-                )
-            if self.adversary is not None:
-                raise ValueError(
-                    "population mode does not compose with adversaries: the "
-                    "roster would be drawn over the whole population"
-                )
-            if self.device_profile is not None:
-                raise ValueError(
-                    "population mode does not compose with device profiles "
-                    "(per-client system models enumerate the fleet)"
-                )
+        check_knobs(vars(self), self._parts)
 
-    def _check_switch(self, f: Field) -> None:
-        """Validate one optional component: the ``switch`` field naming it,
-        its ``<name>_kwargs`` and (when it has one) its firing ``rate``.
-
-        A rate or kwargs set while the switch is at its default — or a
-        switch armed at rate zero — describes a run that never happens.
-        """
-        name, value, switch = f.name, getattr(self, f.name), f.metadata["switch"]
-        article = "an" if name[0] in "aeiou" else "a"
-        rate = switch.get("rate")
-        if rate is not None:
-            r = getattr(self, rate)
-            if value is not None and r == 0.0:
-                raise ValueError(
-                    f"{name}={value!r} with {rate}=0 {switch['idle']}; "
-                    f"set a positive {rate.rpartition('_')[2]}"
-                )
-            if value is None and r != 0.0:
-                raise ValueError(
-                    f"{rate} without {article} {name} does nothing; "
-                    f"set {name}= to {switch['what']}"
-                )
-        if value == f.default and getattr(self, f"{name}_kwargs"):
-            if f.default is None:
-                raise ValueError(
-                    f"{name}_kwargs without {article} {name} do nothing; "
-                    f"set {name}= to {switch['what']}"
-                )
-            raise ValueError(
-                f"{name}_kwargs apply to {switch['what']}; the default "
-                f"{f.default!r} takes none — pick {article} {name}"
-            )
+    def _parts(self) -> Dict[str, Any]:
+        """The built components :func:`check_knobs` reads.  Each is cheap
+        at validation size, and building it runs its constructor's own
+        checks (``FLConfig``'s ranges, an aggregator's or fault's kwargs)
+        before any data is built."""
+        return dict(
+            config=self.build_config(),
+            strategy=STRATEGY_CLASSES[self.method],
+            sampler=self.build_sampler(),
+            aggregator=self.build_aggregator(),
+            adversary=self.build_adversary(),
+            fault=self.build_fault_injector(),
+            system_model=self.build_system_model(),
+            population=self.build_population(),
+        )
 
     # ------------------------------------------------------------------
     # axes / serialization
@@ -736,3 +746,113 @@ class ExperimentSpec:
             net_options=self.build_net_options(),
         )
         return kwargs
+
+
+_FIELDS = fields(ExperimentSpec)
+_DEFAULTS = {f.name: f.default for f in _FIELDS}
+
+
+def resolve_buffer_size(mode: str, buffer_size: Optional[int],
+                        clients_per_round: int) -> Optional[int]:
+    """The event modes' aggregation buffer K: as set, else 1 in async and
+    ``clients_per_round`` in semisync; ``None`` in sync, which has none."""
+    if mode == "sync":
+        return None
+    if buffer_size is not None:
+        return buffer_size
+    return 1 if mode == "async" else clients_per_round
+
+
+def check_knobs(knobs: Mapping[str, Any],
+                parts: Callable[[], Dict[str, Any]]) -> None:
+    """The rule book: every rule about knob values, written once.
+
+    ``ExperimentSpec`` validation and ``Engine.__init__`` both call it, so
+    a hand-built engine is refused with the spec's words.  ``knobs`` maps
+    field names to values; a name it leaves out holds its declared default
+    (the engine is handed only some knobs, and a default passes every
+    rule).  ``parts`` builds the run's components — ``strategy`` (class
+    or instance), ``sampler``, ``aggregator``, ``adversary``, ``fault``,
+    ``system_model`` and ``population``, each ``None`` when unset, plus any
+    built only for its constructor's own checks — and is called once every
+    name and switch has passed.
+    """
+    v = SimpleNamespace(**{**_DEFAULTS, **knobs})
+    for f in _FIELDS:
+        value, group, domain = (
+            getattr(v, f.name), f.metadata["group"], f.metadata["domain"])
+        unset = value is None or value == f.default
+        guard = _GROUP_GUARDS.get(group)
+        if guard and not unset and not guard[0](v):
+            names = "/".join(g.name for g in _FIELDS if g.metadata["group"] == group)
+            raise ValueError(guard[1].format(name=f.name, names=names))
+        if domain and value is not None and not _DOMAINS[domain](value):
+            raise ValueError(f"{f.name} must be {domain}, got {value}")
+        choices = f.metadata["choices"]
+        if choices and not unset:
+            valid = choices() if callable(choices) else choices
+            if value not in valid:
+                raise ValueError(
+                    f"unknown {f.name} {value!r}; available: {list(valid)}")
+    for f in _FIELDS:
+        if f.metadata["switch"]:
+            _check_switch(v, f)
+    p = SimpleNamespace(**parts())
+    strategy = p.strategy if isinstance(p.strategy, type) else type(p.strategy)
+    p.own_aggregate = strategy.aggregate is not Strategy.aggregate
+    p.server_hooks = p.own_aggregate or strategy.post_aggregate is not Strategy.post_aggregate
+    p.fleet = runs_on_fleet(v.executor, v.n_workers)
+    p.clock = v.mode != "sync" or p.system_model is not None
+    p.optimizer = p.strategy.local_optimizer or v.optimizer
+    p.buffer = resolve_buffer_size(v.mode, v.buffer_size, v.clients_per_round)
+    fault = type(p.fault)
+    p.delays_reports = p.fault is not None and fault.delay_s is not FaultInjector.delay_s
+    p.fails_tasks = p.fault is not None and (
+        fault.pre_train is not FaultInjector.pre_train
+        or (p.delays_reports and v.task_timeout_s is not None))
+    for name, (applies, error) in _FIELD_GUARDS.items():
+        value = getattr(v, name)
+        if value is not None and value != _DEFAULTS[name] and not applies(v, p):
+            raise ValueError(error.format(value=value, v=v, p=p))
+    for broken, error in _RULES:
+        if broken(v, p):
+            raise ValueError(error.format(v=v, p=p))
+    check_overrides(v.method, dict(v.overrides))
+    if v.partition == "orthogonal":
+        check_n_clusters(v.n_clusters, get_spec(v.dataset).num_classes)
+    if p.aggregator is not None:
+        p.aggregator.check_cohort(v.clients_per_round if p.buffer is None else p.buffer)
+
+
+def _check_switch(v, f: Field) -> None:
+    """Validate one optional component: the ``switch`` field naming it,
+    its ``<name>_kwargs`` and (when it has one) its firing ``rate``.
+
+    A rate or kwargs set while the switch is at its default — or a
+    switch armed at rate zero — describes a run that never happens.
+    """
+    name, value, switch = f.name, getattr(v, f.name), f.metadata["switch"]
+    article = "an" if name[0] in "aeiou" else "a"
+    rate = switch.get("rate")
+    if rate is not None:
+        r = getattr(v, rate)
+        if value is not None and r == 0.0:
+            raise ValueError(
+                f"{name}={value!r} with {rate}=0 {switch['idle']}; "
+                f"set a positive {rate.rpartition('_')[2]}"
+            )
+        if value is None and r != 0.0:
+            raise ValueError(
+                f"{rate} without {article} {name} does nothing; "
+                f"set {name}= to {switch['what']}"
+            )
+    if value == f.default and getattr(v, f"{name}_kwargs"):
+        if f.default is None:
+            raise ValueError(
+                f"{name}_kwargs without {article} {name} do nothing; "
+                f"set {name}= to {switch['what']}"
+            )
+        raise ValueError(
+            f"{name}_kwargs apply to {switch['what']}; the default "
+            f"{f.default!r} takes none — pick {article} {name}"
+        )

@@ -20,6 +20,7 @@ __all__ = [
     "dirichlet_partition",
     "orthogonal_partition",
     "make_partition",
+    "check_n_clusters",
     "partition_label_counts",
     "PARTITIONERS",
 ]
@@ -42,6 +43,12 @@ def _check_args(labels: np.ndarray, n_clients: int, samples_per_client: int) -> 
         raise ValueError(
             f"not enough data: need {n_clients * samples_per_client}, have {labels.shape[0]}"
         )
+
+
+def check_n_clusters(n_clusters: int, num_classes: int) -> None:
+    """Orthogonal clusters own disjoint, non-empty class sets."""
+    if not 1 <= n_clusters <= num_classes:
+        raise ValueError(f"n_clusters must be in [1, {num_classes}], got {n_clusters}")
 
 
 def iid_partition(
@@ -130,8 +137,7 @@ def orthogonal_partition(
     labels = np.asarray(labels)
     _check_args(labels, n_clients, samples_per_client)
     c = int(num_classes) if num_classes is not None else int(labels.max()) + 1
-    if not 1 <= n_clusters <= c:
-        raise ValueError(f"n_clusters must be in [1, {c}]")
+    check_n_clusters(n_clusters, c)
     class_perm = rng.permutation(c)
     cluster_classes: List[np.ndarray] = [class_perm[g::n_clusters] for g in range(n_clusters)]
     pools = _class_pools(labels, c, rng)

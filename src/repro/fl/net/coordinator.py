@@ -192,8 +192,12 @@ class CoordinatorServer:
     def n_connected(self) -> int:
         return len(self._conns)
 
-    def wait_for_workers(self, n: int) -> None:
-        """Pump until ``n`` workers registered; ``TimeoutError`` otherwise."""
+    def wait_for_workers(self, n: int,
+                         tend_fleet: Optional[Callable[[], Any]] = None) -> None:
+        """Pump until ``n`` workers registered; ``TimeoutError`` otherwise.
+        ``tend_fleet`` runs once per pump iteration, as in :meth:`run_tasks`:
+        a worker whose connection closed while its process was still exiting
+        is replaced once it is gone, instead of being waited for."""
         deadline = time.monotonic() + self.connect_timeout_s
         # A worker that died since the last pump left its EOF queued; read
         # it first, or the corpse's connection counts as registered.
@@ -204,6 +208,8 @@ class CoordinatorServer:
                     f"only {len(self._conns)}/{n} network workers registered "
                     f"within {self.connect_timeout_s:.1f}s"
                 )
+            if tend_fleet is not None:
+                tend_fleet()
             self._pump(0.05)
 
     # ------------------------------------------------------------------
@@ -754,7 +760,7 @@ class NetworkExecutor:
             # It died between rounds, so nothing is in flight on it: start
             # the round at full width again rather than hand a task to a
             # connection nobody reads.
-            self._server.wait_for_workers(self._n_workers)
+            self._server.wait_for_workers(self._n_workers, self._replace_exited_workers)
         results = self._server.run_tasks(
             tasks, self._decode_result, self._replace_exited_workers
         )

@@ -88,6 +88,21 @@ class RobustAggregator:
         """
         raise NotImplementedError
 
+    #: below this many updates the rule returns what the plain mean would
+    min_cohort: int = 1
+
+    def check_cohort(self, k: int) -> None:
+        """Refuse a cohort of ``k`` updates the rule cannot act on.  Spec
+        validation calls it with a round's cohort (``clients_per_round``, or
+        the event modes' buffer); :meth:`reduce` calls it again where
+        failures can shrink a cohort below what the rule needs."""
+        if k < self.min_cohort:
+            raise ValueError(
+                f"{self.name} over a cohort of {k} returns the plain mean; "
+                f"aggregate at least {self.min_cohort} updates per round "
+                "(clients_per_round, or buffer_size in the event modes)"
+            )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
@@ -112,6 +127,7 @@ class CoordinateMedian(RobustAggregator):
     """
 
     name = "coordinate_median"
+    min_cohort = 2
 
     def reduce(self, mat, weights, global_flat):
         return np.median(mat, axis=0), list(range(mat.shape[0]))
@@ -129,10 +145,18 @@ class TrimmedMean(RobustAggregator):
             raise ValueError(f"trimmed_mean needs 0 <= beta < 0.5, got {beta}")
         self.beta = float(beta)
 
+    def check_cohort(self, k: int) -> None:
+        if int(self.beta * k) == 0:
+            raise ValueError(
+                f"trimmed_mean(beta={self.beta}) trims floor(beta * K) = 0 of "
+                f"K={k} updates per coordinate, which is the plain mean; "
+                "raise beta or the cohort size"
+            )
+
     def reduce(self, mat, weights, global_flat):
         k = mat.shape[0]
         cut = int(self.beta * k)
-        if cut == 0:
+        if cut == 0:  # failures shrank the cohort below 1 / beta
             return mat.mean(axis=0), list(range(k))
         mat.sort(axis=0, kind="stable")  # scratch: sorting in place is fine
         return mat[cut : k - cut].mean(axis=0), list(range(k))
@@ -150,6 +174,8 @@ class NormClip(RobustAggregator):
         if tau is not None and tau <= 0:
             raise ValueError("norm_clip tau must be positive when set")
         self.tau = tau
+        if tau is None:  # a lone row is its own median norm
+            self.min_cohort = 2
 
     def reduce(self, mat, weights, global_flat):
         if self.tau is None and mat.shape[0] == 1:
@@ -176,12 +202,15 @@ class NormScreen(RobustAggregator):
             raise ValueError("norm_screen needs f >= 1 (clients to drop)")
         self.f = int(f)
 
-    def reduce(self, mat, weights, global_flat):
-        k = mat.shape[0]
+    def check_cohort(self, k: int) -> None:
         if self.f >= k:
             raise ValueError(
                 f"norm_screen(f={self.f}) would drop every one of {k} clients"
             )
+
+    def reduce(self, mat, weights, global_flat):
+        k = mat.shape[0]
+        self.check_cohort(k)
         deltas = mat - global_flat
         norms = np.sqrt(np.einsum("kp,kp->k", deltas, deltas))
         kept = sorted(np.argsort(norms, kind="stable")[: k - self.f].tolist())
@@ -214,17 +243,20 @@ class MultiKrum(RobustAggregator):
         self.f = int(f)
         self.m = m
 
-    def reduce(self, mat, weights, global_flat):
-        k = mat.shape[0]
-        n_neighbors = k - self.f - 2
-        if n_neighbors < 1:
+    def check_cohort(self, k: int) -> None:
+        if k < self.f + 3:
             raise ValueError(
                 f"multi_krum(f={self.f}) needs at least f + 3 = {self.f + 3} "
                 f"clients per round, got {k}"
             )
-        m = min(k - self.f, k) if self.m is None else self.m
-        if m > k:
-            raise ValueError(f"multi_krum(m={m}) exceeds the {k} clients present")
+        if self.m is not None and self.m > k:
+            raise ValueError(f"multi_krum(m={self.m}) exceeds the {k} clients present")
+
+    def reduce(self, mat, weights, global_flat):
+        k = mat.shape[0]
+        self.check_cohort(k)
+        n_neighbors = k - self.f - 2
+        m = k - self.f if self.m is None else self.m
         # Pairwise squared distances via one Gram GEMM: ||xi - xj||^2 =
         # ||xi||^2 + ||xj||^2 - 2 xi.xj.  K x K at K = cohort size.
         gram = mat @ mat.T

@@ -47,16 +47,6 @@ class Server:
         config: FLConfig,
         aggregator: Optional[RobustAggregator] = None,
     ) -> None:
-        if aggregator is not None:
-            from repro.algorithms.base import Strategy
-
-            if type(strategy).aggregate is not Strategy.aggregate:
-                raise ValueError(
-                    f"robust aggregator {aggregator.name!r} would silently "
-                    f"override {type(strategy).__name__}.aggregate; robust "
-                    "aggregation composes only with strategies that use the "
-                    "default weighted mean"
-                )
         self.plane = ParamPlane.from_tree(initial_weights)
         self.strategy = strategy
         self.config = config

@@ -304,8 +304,10 @@ class TestAsync:
     def test_async_and_robust_acceptance_is_pinned(self, method):
         """Which registered strategies mode="async" and a robust
         aggregator accept (one round runs) or refuse at construction."""
+        trim = {"aggregator": "trimmed_mean", "aggregator_kwargs": {"beta": 0.25},
+                "clients_per_round": 4}  # floor(0.25 * 4) = 1 trimmed per side
         for overrides, rejected in (({"mode": "async"}, ASYNC_REJECTED),
-                                    ({"aggregator": "trimmed_mean"}, ROBUST_REJECTED)):
+                                    (trim, ROBUST_REJECTED)):
             if method in rejected:
                 with pytest.raises(ValueError, match=rejected[method]):
                     run_experiment(tiny_spec(method=method, rounds=1, **overrides))

@@ -165,8 +165,12 @@ class TestDeterminismAcrossBackends:
         robust-aggregation path both see the full smoke regularly.
         """
         n_workers = 1 if executor_name in ("auto", "serial") else 2
+        # A cohort of 4 every rule acts on: trimmed_mean at beta=0.25 trims
+        # floor(0.25 * 4) = 1 update per side, and krum needs K >= f + 3.
+        robust = {"beta": 0.25} if aggregator_name == "trimmed_mean" else {}
         hist = run_experiment(tiny_spec(executor=executor_name, n_workers=n_workers,
-                                        aggregator=aggregator_name))
+                                        clients_per_round=4, aggregator=aggregator_name,
+                                        aggregator_kwargs=robust))
         assert len(hist) == TINY["rounds"]
         assert np.isfinite(hist.accuracies()).all()
 

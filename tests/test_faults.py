@@ -193,8 +193,11 @@ class TestFailurePolicyRuns:
     @pytest.mark.parametrize(
         "fault", ["crash", "crash_mid_train", "corrupt", "straggler"])
     def test_each_kind_runs_and_replays(self, fault):
+        # A straggler only delays reports; the deadline turns them into
+        # retryable timeouts.
         args = {**TINY, "rounds": 2, "fault": fault, "fault_rate": 0.5,
-                "task_retries": 1}
+                "task_retries": 1,
+                **({"task_timeout_s": 5.0} if fault == "straggler" else {})}
         h1 = run_experiment(ExperimentSpec(**args))
         h2 = run_experiment(ExperimentSpec(**args))
         assert _sig(h1, virtual=True) == _sig(h2, virtual=True)
@@ -249,7 +252,10 @@ class TestFailurePolicyRuns:
         """Divergent training (giant lr) produces non-finite losses: the
         task itself fails, non-retryably, instead of reaching the
         aggregator's finite screen (dropped_clients)."""
-        diverge = {**TINY, "rounds": 2, "lr": 1e9}
+        # Stragglers that always report before the deadline: the budget is
+        # live, yet the only failures are the non-finite ones.
+        diverge = {**TINY, "rounds": 2, "lr": 1e9, "fault": "straggler",
+                   "fault_rate": 0.5, "task_timeout_s": 100.0}
         policy = run_experiment(ExperimentSpec(**diverge, task_retries=1))
         assert policy.failed_client_ids()
         assert policy.dropped_client_ids() == []

@@ -601,6 +601,27 @@ class _StandInWorker(threading.Thread):
 
 
 class TestDispatchDepth:
+    def test_waiting_for_workers_tends_the_fleet(self):
+        """A worker whose connection closed while its process was still
+        exiting is not replaced before the wait begins; the wait must keep
+        tending the fleet, or it sits out the connect timeout for it."""
+        server = CoordinatorServer("127.0.0.1:0", connect_timeout_s=5.0)
+        started = []
+
+        def tend():
+            if not started:
+                started.append(_StandInWorker(server.address))
+                started[0].start()
+
+        try:
+            server.wait_for_workers(1, tend)
+            assert server.n_connected == 1
+        finally:
+            server.shutdown()
+            for worker in started:
+                worker.join(timeout=5.0)
+        assert not any(worker.is_alive() for worker in started)
+
     def test_only_the_running_task_is_lost_with_its_connection(self):
         """Worker 0 takes a task and a second one queued behind it, then
         dies.  Only the first surfaces as ``connection_lost``; the queued
@@ -659,6 +680,10 @@ class TestFleetEvaluation:
         serial backend writes it, clean and under faults, in every mode."""
         fleet = {**FLEET_GRID, **GRID_MODES[mode], **GRID_FAULTS[fault]}
         serial = {k: v for k, v in fleet.items() if not k.startswith("net_")}
+        if "fault" not in serial:
+            # Without a fault nothing fails on the serial twin, so a retry
+            # budget would do nothing there (the spec refuses it).
+            serial.pop("task_retries", None)
         reference = run_experiment(ExperimentSpec(**{**serial, "executor": "serial",
                                                      "n_workers": 1}))
         hist = run_experiment(ExperimentSpec(**fleet))
@@ -817,8 +842,8 @@ class TestSpecWiring:
             tiny_spec(retry_backoff_base_s=0.0)
         # Backoff pacing shapes which attempts land, so it must shift the
         # experiment's identity (unlike the pure-topology net_* knobs).
-        assert (tiny_spec(retry_backoff_base_s=0.5).cell_key()
-                != tiny_spec().cell_key())
+        assert (tiny_spec(executor="network", retry_backoff_base_s=0.5).cell_key()
+                != tiny_spec(executor="network").cell_key())
 
     def test_topology_knobs_do_not_change_the_cell_key(self):
         """The determinism contract in hash form: where the coordinator

@@ -430,7 +430,11 @@ class TestCrossExecutorCrossMode:
                                          "n_workers": 1 if executor == "serial" else 2,
                                          "mode": mode,
                                          **({"device_profile": "iot"}
-                                            if mode == "semisync" else {})})
+                                            if mode == "semisync" else {}),
+                                         # the median of one update is the
+                                         # mean: async aggregates two
+                                         **({"buffer_size": 2}
+                                            if mode == "async" else {})})
                 history = run_experiment(spec)
                 # The attack is active: labels are recorded (never None),
                 # and the roster member shows up in the labels — every

@@ -10,7 +10,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.api import ExperimentSpec, run_experiment
+from repro.api import Engine, ExperimentSpec, run_experiment
 from repro.fl.aggregation import fedavg_aggregate, weighted_average_flat
 from repro.fl.history import History
 from repro.fl.robust import (
@@ -373,12 +373,12 @@ class TestServerIntegration:
         np.testing.assert_array_equal(server.flat_weights, np.zeros(P, np.float32))
 
     def test_aggregator_rejects_strategy_with_custom_aggregate(self):
-        weights = [np.zeros((3, 2), np.float32), np.zeros(4, np.float32)]
-        config = FLConfig(rounds=2, n_clients=4, clients_per_round=4,
-                          batch_size=10, lr=0.1, seed=0)
-        with pytest.raises(ValueError, match="override"):
-            Server(weights, build_strategy("fednova"), config,
-                   aggregator=build_aggregator("coordinate_median"))
+        with pytest.raises(ValueError, match="would silently override fednova"):
+            ExperimentSpec(method="fednova", aggregator="coordinate_median")
+        spec = ExperimentSpec(dataset="tiny", method="fednova", n_clients=4)
+        with pytest.raises(ValueError, match="would silently override fednova"):
+            Engine(spec.build_data(), spec.build_strategy(), spec.build_config(),
+                   model_name="mlp", aggregator=build_aggregator("coordinate_median"))
 
 
 class TestSpecAndPersistence:
@@ -404,7 +404,7 @@ class TestSpecAndPersistence:
         assert spec.cell_key() != ExperimentSpec().cell_key()
 
     def test_spec_builders(self):
-        spec = ExperimentSpec(aggregator="multi_krum",
+        spec = ExperimentSpec(aggregator="multi_krum", clients_per_round=5,
                               aggregator_kwargs={"f": 2, "m": 3},
                               adversary="scale", adversary_fraction=0.2,
                               adversary_kwargs={"gamma": 4.0})

@@ -40,7 +40,7 @@ GOLDEN_CELL_KEYS = [
 #: no population: that excludes adversaries and profiles).
 EVERY_FLAG = dict(
     dataset="tiny", model="mlp", method="fedavg", partition="orthogonal",
-    alpha=0.3, n_clusters=2, n_clients=6, clients_per_round=3, rounds=7,
+    n_clusters=2, n_clients=6, clients_per_round=4, rounds=7,
     batch_size=20, local_epochs=2, lr=0.01, seed=5, target_accuracy=88.5,
     sampler="dropout", sampler_kwargs={"dropout": 0.2}, n_workers=3,
     executor="network", net_bind="0.0.0.0:9100", net_workers=2,
@@ -55,9 +55,10 @@ EVERY_FLAG = dict(
     quorum_fraction=0.5, trace="t.jsonl",
     metrics_out="m.prom",
 )
-#: fields whose non-default value needs a different mode / roster than
-#: EVERY_FLAG's; exercised on their own flag lines below.
+#: fields whose non-default value needs a different partition, mode or
+#: roster than EVERY_FLAG's; exercised on their own flag lines below.
 OTHER_FLAG_LINES = [
+    dict(alpha=0.3),
     dict(mode="semisync", deadline_s=4.0, buffer_size=2),
     dict(population_size=64, state_mmap_mb=1),
 ]
@@ -135,7 +136,8 @@ class TestCliEquivalence:
         assert covered == {f.name for f in FIELDS if f.metadata["cli"]}
 
     @pytest.mark.parametrize(
-        "kwargs", [EVERY_FLAG, *OTHER_FLAG_LINES], ids=["all", "event", "population"])
+        "kwargs", [EVERY_FLAG, *OTHER_FLAG_LINES],
+        ids=["all", "dirichlet", "event", "population"])
     def test_flag_line_equals_hand_built_spec(self, kwargs):
         assert parse_train(flag_line(kwargs)) == ExperimentSpec(
             **{**_CLI_DEFAULTS, **kwargs})
